@@ -9,6 +9,18 @@ decouples into one scalar one-pole filter per matrix entry:
     h_{ij,t} = (CC')_{ij} + a_i a_j e_{ij,t-1} + b_i b_j h_{ij,t-1}
 
 so the full path is computed entrywise with scipy.signal.lfilter.
+
+The score runs the same filters backwards. With G_t = dl/dH_t from
+linalg.gaussian_path_loglik (the likelihood term, plus the KL term when a
+target is given), the adjoint
+
+    Lambda_t = G_t + (b b') o Lambda_{t+1},    Lambda_T = 0
+
+gives, summing over t >= 1,
+
+    dl/dC = 2 (sum Lambda_t) C,
+    dl/da = 2 (sum Lambda_t o E_{t-1}) a,   E_{t-1} = eps_{t-1} eps_{t-1}',
+    dl/db = 2 (sum Lambda_t o H_{t-1}) b.
 """
 from __future__ import annotations
 
@@ -18,25 +30,22 @@ import numpy as np
 
 from .data import ReturnPanel, synth_dates
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
-from .garch import _one_pole
-from .linalg import (
-    chol_sqrt,
-    cholesky,
-    kl_path_sum,
-    stacked_quad_logdet,
-    symmetrize,
+from .garch import _one_pole, _one_pole_adjoint
+from .linalg import chol_sqrt, cholesky, gaussian_path_loglik, symmetrize
+from .optimize import (
+    FitReport,
+    OptimizerOptions,
+    maximize,
+    simplex_map,
+    simplex_unmap,
+    simplex_vjp,
 )
-from .optimize import FitReport, OptimizerOptions, maximize, simplex_map, simplex_unmap
 from .targeting import TargetSpec
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # Minimum extra observations beyond the parameter count required to fit.
 FIT_BUFFER = 10
-
-
-def _tril_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.tril_indices(n)
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ class BekkParams:
 
     def to_vector(self) -> np.ndarray:
         """[row-major lower triangle of C, a_diag, b_diag]."""
-        rows, cols = _tril_indices(self.n)
+        rows, cols = np.tril_indices(self.n)
         return np.concatenate([self.c_lower[rows, cols], self.a_diag, self.b_diag])
 
     @classmethod
@@ -109,7 +118,7 @@ class BekkParams:
                 f"parameter vector must have length {m + 2 * n}, got {x.shape}"
             )
         c = np.zeros((n, n))
-        rows, cols = _tril_indices(n)
+        rows, cols = np.tril_indices(n)
         c[rows, cols] = x[:m]
         return cls(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
@@ -169,18 +178,45 @@ def _default_h1(eps: np.ndarray) -> np.ndarray:
     return np.atleast_2d(np.cov(eps, rowvar=False, ddof=1))
 
 
-def bekk_loglik(
-    eps: np.ndarray, params: BekkParams, h1: np.ndarray | None = None
-) -> float:
-    """Gaussian log-likelihood
-    -(T N / 2) log(2 pi) - 1/2 sum_t (log|H_t| + eps_t' H_t^{-1} eps_t)."""
+def _bekk_objective(eps, params, h1, target, grad):
     eps = np.asarray(eps, dtype=float)
     if h1 is None:
         h1 = _default_h1(eps)
-    path = bekk_filter(eps, params, h1)
-    ld, qd = stacked_quad_logdet(path.h, eps)
+    h = bekk_filter(eps, params, h1).h
     t_len, n = eps.shape
-    return -0.5 * t_len * n * _LOG_2PI - 0.5 * (ld + qd)
+    const = -0.5 * t_len * n * _LOG_2PI
+    p = None if target is None else target.sigma_hat
+    if not grad:
+        return const + gaussian_path_loglik(h, eps, p)
+    value, g = gaussian_path_loglik(h, eps, p, grad=True)
+    bb = np.outer(params.b_diag, params.b_diag)
+    lam = np.empty((t_len - 1, n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            lam[:, i, j] = lam[:, j, i] = _one_pole_adjoint(g[1:, i, j], bb[i, j])
+    s = lam.sum(axis=0)
+    m = np.einsum("tij,ti,tj->ij", lam, eps[:-1], eps[:-1])
+    k = (lam * h[:-1]).sum(axis=0)
+    rows, cols = np.tril_indices(n)
+    return const + value, np.concatenate([
+        2.0 * (s @ params.c_lower)[rows, cols],
+        2.0 * m @ params.a_diag,
+        2.0 * k @ params.b_diag,
+    ])
+
+
+def bekk_loglik(
+    eps: np.ndarray,
+    params: BekkParams,
+    h1: np.ndarray | None = None,
+    grad: bool = False,
+):
+    """Gaussian log-likelihood
+    -(T N / 2) log(2 pi) - 1/2 sum_t (log|H_t| + eps_t' H_t^{-1} eps_t).
+
+    With ``grad`` returns (value, gradient in params.to_vector() order).
+    """
+    return _bekk_objective(eps, params, h1, None, grad)
 
 
 def bekk_modified_loglik(
@@ -188,24 +224,20 @@ def bekk_modified_loglik(
     params: BekkParams,
     target: TargetSpec,
     h1: np.ndarray | None = None,
-) -> float:
+    grad: bool = False,
+):
     """Gaussian log-likelihood minus the targeting penalty
-    sum_t KL(sigma_hat, H_t)."""
-    eps = np.asarray(eps, dtype=float)
-    if h1 is None:
-        h1 = _default_h1(eps)
-    path = bekk_filter(eps, params, h1)
-    ld, qd = stacked_quad_logdet(path.h, eps)
-    t_len, n = eps.shape
-    base = -0.5 * t_len * n * _LOG_2PI - 0.5 * (ld + qd)
-    return base - kl_path_sum(target.sigma_hat, path.h)
+    sum_t KL(sigma_hat, H_t); ``grad`` as in bekk_loglik."""
+    return _bekk_objective(eps, params, h1, target, grad)
 
 
 class _BekkTransform:
     """Unconstrained parametrization of BekkParams.
 
-    Layout of u: [lower triangle of C row-major (diagonal entries as logs),
-    then (u_a_i, u_b_i) pairs mapped through the open simplex so that
+    Layout of u: [lower triangle of C row-major, then (u_a_i, u_b_i) pairs].
+    C = L diag(d) with d_j = e^{u_jj} and L unit lower triangular with
+    L_ij = u_ij, so every coordinate is free of the returns' scale. Each
+    pair is mapped through the open simplex so that
     a_i^2 = e^{u_a}/(1+e^{u_a}+e^{u_b}), b_i^2 likewise; this enforces
     a_i, b_i > 0 and a_i^2 + b_i^2 < 1 strictly.
     """
@@ -213,26 +245,41 @@ class _BekkTransform:
     def __init__(self, n: int):
         self.n = n
         self.m = n * (n + 1) // 2
-        rows, cols = _tril_indices(n)
-        self._is_diag = rows == cols
+        rows, self._cols = np.tril_indices(n)
+        self._is_diag = rows == self._cols
+
+    def _c_entries(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        uc = u[: self.m]
+        d = np.exp(uc[self._is_diag])[self._cols]
+        return np.where(self._is_diag, 1.0, uc) * d, d
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        c_entries = np.where(self._is_diag, np.exp(u[: self.m]), u[: self.m])
-        a = np.empty(self.n)
-        b = np.empty(self.n)
-        for i in range(self.n):
-            w = simplex_map(u[self.m + 2 * i : self.m + 2 * i + 2])
-            a[i] = np.sqrt(w[0])
-            b[i] = np.sqrt(w[1])
-        return np.concatenate([c_entries, a, b])
+        c_entries, _ = self._c_entries(u)
+        ab = np.sqrt(simplex_map(u[self.m :].reshape(self.n, 2)))
+        return np.concatenate([c_entries, ab[:, 0], ab[:, 1]])
+
+    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        g = np.asarray(g, dtype=float)
+        c_entries, d = self._c_entries(u)
+        g_c = g[: self.m] * d
+        g_c[self._is_diag] = np.bincount(
+            self._cols, weights=g[: self.m] * c_entries, minlength=self.n
+        )
+        w = simplex_map(u[self.m :].reshape(self.n, 2))
+        g_ab = np.stack([g[self.m : self.m + self.n], g[self.m + self.n :]], axis=1)
+        # a = sqrt(w_0), b = sqrt(w_1): dw = 2 sqrt(w) d(sqrt(w))
+        return np.concatenate([g_c, simplex_vjp(w, 0.5 * g_ab / np.sqrt(w)).ravel()])
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         c_entries = x[: self.m]
-        if np.any(c_entries[self._is_diag] <= 0.0):
+        diag = c_entries[self._is_diag]
+        if np.any(diag <= 0.0):
             raise DataError("diagonal of C must be strictly positive to invert")
-        u_c = np.where(self._is_diag, np.log(np.abs(c_entries)), c_entries)
+        u_c = np.where(self._is_diag, 0.0, c_entries / diag[self._cols])
+        u_c[self._is_diag] = np.log(diag)
         out = [u_c]
         a = x[self.m : self.m + self.n]
         b = x[self.m + self.n :]
@@ -273,11 +320,11 @@ def bekk_fit(
         c_lower=c0, a_diag=np.full(n, a0), b_diag=np.full(n, b0)
     ).to_vector()
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = BekkParams.from_vector(x, n)
         if target is None:
-            return bekk_loglik(eps, p, h1=h1)
-        return bekk_modified_loglik(eps, p, target, h1=h1)
+            return bekk_loglik(eps, p, h1=h1, grad=True)
+        return bekk_modified_loglik(eps, p, target, h1=h1, grad=True)
 
     x, report = maximize(objective, _BekkTransform(n), start, opts)
     return BekkParams.from_vector(x, n), report

@@ -6,7 +6,23 @@ residuals; stage two drives the quasi-correlation recursion
     Q_t = (1 - t1 - t2) Q_bar + t1 z_{t-1} z_{t-1}' + t2 Q_{t-1}
 
 and rescales R_t = diag(Q_t)^{-1/2} Q_t diag(Q_t)^{-1/2}, which has a unit
-diagonal by construction. Each Q entry is again a scalar one-pole filter.
+diagonal by construction. Each Q entry is again a scalar one-pole filter,
+all with the pole theta2, so the stack runs through one lfilter along time.
+
+The stage-two score chains G_t = dl/dR_t (linalg.gaussian_path_loglik)
+through the rescaling, with d_i = sqrt(q_ii):
+
+    dl/dq_ij = G_ij / (d_i d_j)  (i != j),
+    dl/dq_kk = -sum_{j != k} G_kj R_kj / q_kk,
+
+then through the adjoint of the Q filter, which shares theta2 across all
+entries and so runs as one backward lfilter along time:
+
+    Lambda_t = dl/dQ_t + theta2 Lambda_{t+1},    Lambda_T = 0,
+    dl/dtheta1 = sum_t <Lambda_t, Z_{t-1} - Q_bar>,
+    dl/dtheta2 = sum_t <Lambda_t, Q_{t-1} - Q_bar>,
+
+with Z_{t-1} = z_{t-1} z_{t-1}' and sums over t >= 1.
 """
 from __future__ import annotations
 
@@ -22,14 +38,21 @@ from .errors import (
     NumericalOverflowError,
     ShapeError,
 )
-from .garch import Garch11Params, _one_pole, garch11_filter, garch11_fit
-from .linalg import kl_path_sum, stacked_quad_logdet, symmetrize
+from .garch import (
+    Garch11Params,
+    _one_pole,
+    _one_pole_adjoint,
+    garch11_filter,
+    garch11_fit,
+)
+from .linalg import gaussian_path_loglik, symmetrize
 from .optimize import (
     FitReport,
     OptimizerOptions,
     maximize,
     simplex_map,
     simplex_unmap,
+    simplex_vjp,
 )
 from .targeting import TargetSpec
 
@@ -152,13 +175,7 @@ def dcc_filter(z: np.ndarray, params: DccParams, q1: np.ndarray | None = None) -
     if t_len > 1:
         intercept = (1.0 - t1 - t2) * params.q_bar
         outer = z[:-1, :, None] * z[:-1, None, :]
-        x = intercept + t1 * outer
-        for i in range(n):
-            for j in range(i + 1):
-                path = _one_pole(x[:, i, j], t2, float(q1[i, j]))
-                q[1:, i, j] = path
-                if j != i:
-                    q[1:, j, i] = path
+        q[1:] = _one_pole(intercept + t1 * outer, t2, q1)
     if not np.all(np.isfinite(q)):
         t = int(np.argwhere(~np.isfinite(q))[0][0])
         raise NumericalOverflowError(
@@ -176,25 +193,44 @@ def dcc_filter(z: np.ndarray, params: DccParams, q1: np.ndarray | None = None) -
     return CorrPath(r=r, q=q)
 
 
-def dcc_stage2_loglik(z: np.ndarray, params: DccParams) -> float:
-    """Correlation-stage quasi-likelihood
-    -(1/2) sum_t (log|R_t| + z_t' R_t^{-1} z_t)."""
+def _dcc_objective(z, params, target, grad):
     z = np.asarray(z, dtype=float)
     path = dcc_filter(z, params)
-    ld, qd = stacked_quad_logdet(path.r, z)
-    return -0.5 * (ld + qd)
+    p = None if target is None else target.z_hat_pd
+    if not grad:
+        return gaussian_path_loglik(path.r, z, p)
+    value, g = gaussian_path_loglik(path.r, z, p, grad=True)
+    q, q_bar = path.q, params.q_bar
+    qd = np.diagonal(q, axis1=1, axis2=2)
+    ii = np.arange(params.n)
+    gq = g / np.sqrt(qd[:, :, None] * qd[:, None, :])
+    gr = g * path.r
+    gr[:, ii, ii] = 0.0
+    gq[:, ii, ii] = -gr.sum(axis=2) / qd
+    lam = _one_pole_adjoint(gq[1:], params.theta2)
+    zz = z[:-1, :, None] * z[:-1, None, :]
+    return value, np.array([
+        float((lam * (zz - q_bar)).sum()),
+        float((lam * (q[:-1] - q_bar)).sum()),
+    ])
+
+
+def dcc_stage2_loglik(z: np.ndarray, params: DccParams, grad: bool = False):
+    """Correlation-stage quasi-likelihood
+    -(1/2) sum_t (log|R_t| + z_t' R_t^{-1} z_t).
+
+    With ``grad`` returns (value, gradient in (theta1, theta2)).
+    """
+    return _dcc_objective(z, params, None, grad)
 
 
 def dcc_modified_loglik(
-    z: np.ndarray, params: DccParams, target: TargetSpec
-) -> float:
+    z: np.ndarray, params: DccParams, target: TargetSpec, grad: bool = False
+):
     """Stage-two quasi-likelihood minus the targeting penalty
     sum_t KL(z_hat_pd, R_t); the correlation-scale target is used because
-    R_t is a correlation matrix."""
-    z = np.asarray(z, dtype=float)
-    path = dcc_filter(z, params)
-    ld, qd = stacked_quad_logdet(path.r, z)
-    return -0.5 * (ld + qd) - kl_path_sum(target.z_hat_pd, path.r)
+    R_t is a correlation matrix. ``grad`` as in dcc_stage2_loglik."""
+    return _dcc_objective(z, params, target, grad)
 
 
 class _ThetaTransform:
@@ -202,6 +238,9 @@ class _ThetaTransform:
 
     def forward(self, u: np.ndarray) -> np.ndarray:
         return simplex_map(np.asarray(u, dtype=float))
+
+    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return simplex_vjp(self.forward(u), g)
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return simplex_unmap(np.asarray(x, dtype=float))
@@ -225,7 +264,7 @@ def dcc_fit(
     z = stage1.std_resid
     q_bar = stage1.q_bar
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = DccParams(
             univariate=stage1.params,
             theta1=float(x[0]),
@@ -233,8 +272,8 @@ def dcc_fit(
             q_bar=q_bar,
         )
         if target is None:
-            return dcc_stage2_loglik(z, p)
-        return dcc_modified_loglik(z, p, target)
+            return dcc_stage2_loglik(z, p, grad=True)
+        return dcc_modified_loglik(z, p, target, grad=True)
 
     x0 = np.array([0.05, 0.90])
     x, report = maximize(objective, _ThetaTransform(), x0, opts)

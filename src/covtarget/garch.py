@@ -3,6 +3,15 @@
 The variance recursion h_t = omega + alpha * eps_{t-1}^2 + beta * h_{t-1}
 is a one-pole linear filter in h, so the whole path is computed with
 scipy.signal.lfilter; this matches the naive loop bit for bit.
+
+The score comes from the adjoint of that filter, which is the same filter
+run backwards in time (Fiorentini, Calzolari & Panattoni 1996): with
+g_t = dl/dh_t = (eps_t^2 / h_t - 1) / (2 h_t) and
+
+    lambda_t = g_t + beta * lambda_{t+1},    lambda_T = 0,
+
+the gradient is sum_{t>=1} lambda_t * (1, eps_{t-1}^2, h_{t-1}) in
+(omega, alpha, beta).
 """
 from __future__ import annotations
 
@@ -23,6 +32,7 @@ from .optimize import (
     maximize,
     simplex_map,
     simplex_unmap,
+    simplex_vjp,
 )
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -66,11 +76,18 @@ class VariancePath:
     z: np.ndarray
 
 
-def _one_pole(x: np.ndarray, coef: float, init: float) -> np.ndarray:
-    """y_t = x_t + coef * y_{t-1}, y_0 seeded so the first output is
-    x_0 + coef * init."""
-    y, _ = lfilter([1.0], [1.0, -coef], x, zi=np.array([coef * init]))
+def _one_pole(x: np.ndarray, coef: float, init) -> np.ndarray:
+    """y_t = x_t + coef * y_{t-1} along axis 0, y_0 seeded so the first
+    output is x_0 + coef * init (init has the shape of one x_t)."""
+    zi = coef * np.asarray(init, dtype=float)[None]
+    y, _ = lfilter([1.0], [1.0, -coef], x, axis=0, zi=zi)
     return y
+
+
+def _one_pole_adjoint(g: np.ndarray, coef: float) -> np.ndarray:
+    """Adjoint of _one_pole along axis 0: given dL/dy returns dL/dx, the
+    same filter run backwards, lambda_t = g_t + coef * lambda_{t+1}."""
+    return lfilter([1.0], [1.0, -coef], g[::-1], axis=0)[::-1]
 
 
 def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> VariancePath:
@@ -98,16 +115,25 @@ def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> Varianc
 
 
 def garch11_loglik(
-    eps: np.ndarray, params: Garch11Params, h1: float | None = None
-) -> float:
-    """Gaussian log-likelihood of eps under the filtered variance path."""
+    eps: np.ndarray,
+    params: Garch11Params,
+    h1: float | None = None,
+    grad: bool = False,
+):
+    """Gaussian log-likelihood of eps under the filtered variance path.
+
+    With ``grad`` returns (value, gradient in (omega, alpha, beta)).
+    """
     eps = np.asarray(eps, dtype=float)
     if h1 is None:
         h1 = float(eps.var(ddof=1))
-    path = garch11_filter(eps, params, h1)
-    return -0.5 * float(
-        (_LOG_2PI + np.log(path.h) + eps**2 / path.h).sum()
-    )
+    h = garch11_filter(eps, params, h1).h
+    e2 = eps**2
+    value = -0.5 * float((_LOG_2PI + np.log(h) + e2 / h).sum())
+    if not grad:
+        return value
+    lam = _one_pole_adjoint(0.5 * (e2[1:] / h[1:] - 1.0) / h[1:], params.beta)
+    return value, np.array([lam.sum(), lam @ e2[:-1], lam @ h[:-1]])
 
 
 class _GarchTransform:
@@ -118,6 +144,12 @@ class _GarchTransform:
         u = np.asarray(u, dtype=float)
         ab = simplex_map(u[1:3])
         return np.array([np.exp(u[0]), ab[0], ab[1]])
+
+    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        u = np.asarray(u, dtype=float)
+        return np.concatenate(
+            ([g[0] * np.exp(u[0])], simplex_vjp(simplex_map(u[1:3]), g[1:3]))
+        )
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -150,9 +182,9 @@ def garch11_fit(
     if h1 is None:
         h1 = var
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = Garch11Params(omega=float(x[0]), alpha=float(x[1]), beta=float(x[2]))
-        return garch11_loglik(eps, p, h1=h1)
+        return garch11_loglik(eps, p, h1=h1, grad=True)
 
     a0, b0 = 0.05, 0.90
     x0 = np.array([var * (1.0 - a0 - b0), a0, b0])

@@ -1,14 +1,14 @@
 """Symmetric-matrix kernels used by the likelihood and loss code.
 
 Every determinant, inverse, and quadratic form here goes through a Cholesky
-factorization; no explicit matrix inverse is ever formed.
+factorization. Only gaussian_path_loglik forms H_t^{-1}, from the inverted
+factor, because the score of the Gaussian likelihood is written in it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DataError, NotPositiveDefiniteError, ShapeError
 
@@ -116,7 +116,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         )
     n = cp.n
     # Tr(Q^{-1} P) = ||Lq^{-1} Lp||_F^2 with P = Lp Lp', Q = Lq Lq'.
-    y = solve_triangular(cq.lower, cp.lower, lower=True)
+    y = np.linalg.solve(cq.lower, cp.lower)
     trace = float((y * y).sum())
     return 0.5 * (cq.logdet - cp.logdet + trace - n)
 
@@ -174,6 +174,51 @@ def stacked_quad_logdet(h: np.ndarray, x: np.ndarray) -> tuple[float, float]:
         raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
     y = np.linalg.solve(lowers, x[:, :, None])
     return float(logdets.sum()), float((y * y).sum())
+
+
+def gaussian_path_loglik(
+    h: np.ndarray,
+    x: np.ndarray,
+    target: np.ndarray | None = None,
+    grad: bool = False,
+):
+    """Gaussian kernel of a (T, N, N) covariance stack against (T, N)
+    vectors, optionally penalized by a target P:
+
+        value = -1/2 sum_t (log|H_t| + x_t' H_t^{-1} x_t) - sum_t KL(P, H_t)
+
+    One stacked factorization gives log|H_t|, H_t^{-1} and H_t^{-1} x_t.
+    With ``grad`` returns (value, G) where G[t] = d value / d H_t, entries
+    taken as independent:
+
+        G_t = -1/2 (H_t^{-1} - H_t^{-1} x_t x_t' H_t^{-1})
+              - 1/2 (H_t^{-1} - H_t^{-1} P H_t^{-1})   (with a target)
+    """
+    lowers, logdets = stacked_cholesky(h)
+    x = np.asarray(x, dtype=float)
+    if x.shape != h.shape[:2]:
+        raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
+    t_len, n = x.shape
+    linv = np.linalg.inv(lowers)
+    hinv = np.matmul(np.swapaxes(linv, 1, 2), linv)
+    hx = np.matmul(hinv, x[:, :, None])[:, :, 0]
+    ld = float(logdets.sum())
+    value = -0.5 * (ld + float((x * hx).sum()))
+    if target is not None:
+        p = symmetrize(target)
+        cp = cholesky(p)
+        if cp.n != n:
+            raise ShapeError(
+                f"target is {cp.n}x{cp.n} but path matrices are {n}x{n}"
+            )
+        trace = float((hinv * p).sum())  # sum_t Tr(H_t^{-1} P)
+        value -= 0.5 * (ld - t_len * cp.logdet + trace - t_len * n)
+    if not grad:
+        return value
+    g = 0.5 * (hx[:, :, None] * hx[:, None, :]) - 0.5 * hinv
+    if target is not None:
+        g += 0.5 * (np.matmul(np.matmul(hinv, p), hinv) - hinv)
+    return value, g
 
 
 def frobenius_path_loss(h: np.ndarray, target: np.ndarray) -> float:

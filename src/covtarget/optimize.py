@@ -1,10 +1,13 @@
 """Shared constrained maximizer used by every model fit.
 
 Parameters live in an unconstrained space; a model-specific transform maps
-them strictly inside the constraint set. Each start runs a derivative-free
-simplex phase followed by a quasi-Newton polish driven by the package's own
-central-difference gradients. Everything is deterministic given (data,
-options, seed).
+them strictly inside the constraint set. Every objective returns its value
+and exact gradient in the constrained coordinates, and the transform's
+vector-Jacobian product (``vjp``) carries the gradient back, so each start
+runs one BFGS phase on exact gradients. A fit counts as converged when the
+gradient norm at the winning point is at most 1e-6 * max(1, |objective|),
+whatever BFGS's own stopping message. Everything is deterministic given
+(data, options, seed).
 """
 from __future__ import annotations
 
@@ -18,32 +21,26 @@ from .errors import CovTargetError, DataError, EstimationError
 
 log = logging.getLogger(__name__)
 
-# Finite stand-in for -inf objective values; large enough to lose every
-# comparison, small enough not to overflow finite-difference arithmetic.
+# Finite stand-in for -inf objective values, returned with a zero gradient;
+# large enough to lose every line-search comparison.
 _BIG = 1e12
 
 _BFGS_GTOL = 1e-6
+_CONV_RTOL = 1e-6
 _PERTURB_SCALE = 0.3
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     max_iters: int = 2000
-    tol_obj: float = 1e-8
-    tol_step: float = 1e-8
     n_starts: int = 5
     seed: int = 0
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_starts < 1:
             raise DataError(f"n_starts must be >= 1, got {self.n_starts}")
-        for name in ("tol_obj", "tol_step", "fd_step"):
-            v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
-                raise DataError(f"{name} must be a positive float, got {v}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +54,8 @@ class FitReport:
     """Outcome of a multi-start maximization.
 
     objective is the best value found; start_winner indexes per_start;
-    iterations counts optimizer iterations in the winning start.
+    iterations counts BFGS iterations in the winning start; grad_norm is the
+    norm of the exact gradient there, in the unconstrained coordinates.
     """
 
     objective: float
@@ -68,23 +66,21 @@ class FitReport:
     per_start: tuple[StartOutcome, ...]
 
 
-class IdentityTransform:
-    """No-op transform for already-unconstrained problems."""
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
-
 def simplex_map(u: np.ndarray) -> np.ndarray:
     """Map R^k onto the open simplex {w > 0, sum(w) < 1} via logistic
-    weights w_i = exp(u_i) / (1 + sum_j exp(u_j)), computed stably."""
+    weights w_i = exp(u_i) / (1 + sum_j exp(u_j)), computed stably along the
+    last axis."""
     u = np.asarray(u, dtype=float)
-    m = max(0.0, float(u.max(initial=0.0)))
+    m = np.maximum(0.0, u.max(axis=-1, keepdims=True))
     e = np.exp(u - m)
-    return e / (np.exp(-m) + e.sum())
+    return e / (np.exp(-m) + e.sum(axis=-1, keepdims=True))
+
+
+def simplex_vjp(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Pull a gradient g in w = simplex_map(u) back to u, along the last
+    axis: dw_k/du_l = w_k (delta_kl - w_l)."""
+    wg = w * g
+    return wg - w * wg.sum(axis=-1, keepdims=True)
 
 
 def simplex_unmap(w: np.ndarray) -> np.ndarray:
@@ -99,7 +95,8 @@ def simplex_unmap(w: np.ndarray) -> np.ndarray:
 
 
 def fd_gradient(objective, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient with a per-coordinate relative step.
+    """Central-difference gradient with a per-coordinate relative step; the
+    tests' oracle for the analytic gradients.
 
     Raises EstimationError naming the coordinate if a probe is non-finite.
     """
@@ -153,82 +150,54 @@ def maximize(
 ) -> tuple[np.ndarray, FitReport]:
     """Maximize ``objective(transform.forward(u))`` over unconstrained u.
 
-    x0 is one point (or several) in the *constrained* space. Returns the best
-    constrained point and a FitReport. Ties between starts break toward the
-    lowest start index. Raises EstimationError if no start produces a finite
-    objective.
+    ``objective(x)`` returns ``(value, gradient in x)``; the transform's
+    ``vjp(u, g)`` carries that gradient back to u. x0 is one point (or
+    several) in the *constrained* space. Returns the best constrained point
+    and a FitReport. Ties between starts break toward the lowest start
+    index. Raises EstimationError if no start produces a finite objective.
     """
     opts = opts or OptimizerOptions()
     starts = _make_starts(x0, transform, opts.n_starts, opts.seed)
-    dim = starts[0].size
 
-    def g(u: np.ndarray) -> float:
+    def neg(u: np.ndarray) -> tuple[float, np.ndarray]:
         try:
-            val = float(objective(transform.forward(u)))
+            val, grad = objective(transform.forward(u))
         except CovTargetError:
-            return -np.inf
-        return val if np.isfinite(val) else -np.inf
+            return _BIG, np.zeros_like(u)
+        val = float(val)
+        grad = np.asarray(grad, dtype=float)
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            return _BIG, np.zeros_like(u)
+        return -val, -transform.vjp(u, grad)
 
-    def neg(u: np.ndarray) -> float:
-        v = g(u)
-        return -v if np.isfinite(v) else _BIG
-
-    def neg_jac(u: np.ndarray) -> np.ndarray:
-        return -fd_gradient(g, u, step=opts.fd_step)
-
-    nm_maxiter = min(opts.max_iters, 200 * dim)
-    results: list[tuple[float, bool, int, np.ndarray]] = []
+    results: list[tuple[float, float, bool, int, np.ndarray]] = []
     for s, u_s in enumerate(starts):
-        if not np.isfinite(g(u_s)):
-            log.debug("start %d: objective not finite at start point", s)
-            results.append((-np.inf, False, 0, u_s))
-            continue
-        r1 = minimize(
+        r = minimize(
             neg,
             u_s,
-            method="Nelder-Mead",
-            options=dict(
-                maxiter=nm_maxiter,
-                xatol=opts.tol_step,
-                fatol=opts.tol_obj,
-            ),
+            method="BFGS",
+            jac=True,
+            options=dict(maxiter=opts.max_iters, gtol=_BFGS_GTOL),
         )
-        best_x, best_fun = r1.x, float(r1.fun)
-        converged = bool(r1.success)
-        iters = int(r1.nit)
-        try:
-            r2 = minimize(
-                neg,
-                r1.x,
-                method="BFGS",
-                jac=neg_jac,
-                options=dict(maxiter=opts.max_iters, gtol=_BFGS_GTOL),
-            )
-        except EstimationError:
-            r2 = None  # gradient probe left the feasible region; keep phase 1
-        if r2 is not None:
-            iters += int(r2.nit)
-            if float(r2.fun) < best_fun:
-                best_x, best_fun = r2.x, float(r2.fun)
-            converged = converged or bool(r2.success)
-        obj = -best_fun if best_fun < _BIG else -np.inf
-        results.append((obj, converged and np.isfinite(obj), iters, best_x))
-        log.debug("start %d: objective %.8g (converged=%s)", s, obj, converged)
+        obj = -float(r.fun) if float(r.fun) < _BIG else -np.inf
+        grad_norm = float(np.linalg.norm(r.jac)) if np.isfinite(obj) else np.inf
+        converged = grad_norm <= _CONV_RTOL * max(1.0, abs(obj))
+        results.append((obj, grad_norm, converged, int(r.nit), r.x))
+        log.debug(
+            "start %d: objective %.8g, gradient norm %.3g (%s)",
+            s, obj, grad_norm, r.message,
+        )
 
     winner = 0
     for s in range(1, len(results)):
         if results[s][0] > results[winner][0]:
             winner = s
-    best_obj, best_conv, best_iters, best_u = results[winner]
+    best_obj, grad_norm, best_conv, best_iters, best_u = results[winner]
     if not np.isfinite(best_obj):
         raise EstimationError(
             "objective is not finite at any start "
             f"(tried {len(results)} starts)"
         )
-    try:
-        grad_norm = float(np.linalg.norm(fd_gradient(g, best_u, opts.fd_step)))
-    except EstimationError:
-        grad_norm = float("inf")
     report = FitReport(
         objective=float(best_obj),
         grad_norm=grad_norm,
@@ -237,7 +206,7 @@ def maximize(
         converged=bool(best_conv),
         per_start=tuple(
             StartOutcome(objective=float(o), converged=bool(c))
-            for o, c, _, _ in results
+            for o, _, c, _, _ in results
         ),
     )
     return transform.forward(best_u), report

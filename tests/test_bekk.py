@@ -18,10 +18,13 @@ from covtarget import (
     build_target,
     garch11_filter,
     kl_divergence,
+    maximize,
     sample_moments,
 )
+import covtarget.bekk
 
 from conftest import bekk2, random_spd
+from tables import CORR5
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -231,6 +234,37 @@ class TestFit:
             return sum(kl_divergence(target.sigma_hat, ht) for ht in path.h)
 
         assert qpath_kl(pen) <= qpath_kl(plain) + 1e-6
+
+    def test_desk_scale_fits_converge_in_few_evaluations(self, monkeypatch):
+        # the paper's desk scale: 5 assets x 252 days, a = 0.3, b = 0.9,
+        # unconditional covariance 0.02^2 CORR5
+        calls = []
+
+        def counting_maximize(objective, transform, x0, opts):
+            def counted(x):
+                calls.append(x)
+                return objective(x)
+
+            return maximize(counted, transform, x0, opts)
+
+        monkeypatch.setattr(covtarget.bekk, "maximize", counting_maximize)
+        sigma = 0.02**2 * CORR5
+        truth = BekkParams(
+            c_lower=np.linalg.cholesky(0.1 * sigma),
+            a_diag=np.full(5, 0.3),
+            b_diag=np.full(5, 0.9),
+        )
+        panel = bekk_simulate(truth, np.zeros(5), 252, seed=300)
+        moments = sample_moments(panel)
+        opts = OptimizerOptions(n_starts=1, seed=0)
+        for target in (None, build_target(moments, 0.5)):
+            calls.clear()
+            _, report = bekk_fit(
+                panel.demeaned(), target=target, opts=opts, h1=moments.cov
+            )
+            assert report.converged
+            assert report.grad_norm <= 1e-6 * abs(report.objective)
+            assert 0 < len(calls) < 500
 
     def test_insufficient_data(self, rng):
         # 2 assets need 3 + 4 + 10 rows

@@ -12,7 +12,12 @@ from covtarget import (
     nearest_pd,
     symmetrize,
 )
-from covtarget.linalg import kl_path_sum, stacked_cholesky, stacked_quad_logdet
+from covtarget.linalg import (
+    gaussian_path_loglik,
+    kl_path_sum,
+    stacked_cholesky,
+    stacked_quad_logdet,
+)
 
 from conftest import random_spd
 
@@ -171,6 +176,18 @@ class TestStackedOps:
         total = kl_path_sum(p, h)
         ref = sum(kl_divergence(p, h[t]) for t in range(25))
         assert total == pytest.approx(ref, abs=1e-10)
+
+    def test_gaussian_path_loglik_matches_separate_kernels(self, rng):
+        p = random_spd(rng, 3)
+        h = np.stack([random_spd(rng, 3) for _ in range(20)])
+        x = rng.standard_normal((20, 3))
+        ld, qd = stacked_quad_logdet(h, x)
+        assert gaussian_path_loglik(h, x) == pytest.approx(
+            -0.5 * (ld + qd), rel=1e-12
+        )
+        assert gaussian_path_loglik(h, x, p) == pytest.approx(
+            -0.5 * (ld + qd) - kl_path_sum(p, h), rel=1e-12
+        )
 
 
 class TestFrobeniusPathLoss:
