@@ -31,7 +31,7 @@ import numpy as np
 from .data import ReturnPanel, synth_dates
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole, _one_pole_adjoint
-from .linalg import chol_sqrt, cholesky, gaussian_path_loglik, symmetrize
+from .linalg import cholesky, gaussian_path_loglik, symmetrize
 from .optimize import (
     FitReport,
     OptimizerOptions,
@@ -311,11 +311,11 @@ def bekk_fit(
             f"need at least {n_params + FIT_BUFFER} rows to fit {n_params} "
             f"parameters, got {t_len}"
         )
-    if h1 is None:
-        h1 = _default_h1(eps)
-    a0, b0 = 0.3, 0.9
     s = _default_h1(eps)
-    c0 = chol_sqrt((1.0 - a0 * a0 - b0 * b0) * s)
+    if h1 is None:
+        h1 = s
+    a0, b0 = 0.3, 0.9
+    c0 = cholesky((1.0 - a0 * a0 - b0 * b0) * s).lower
     start = BekkParams(
         c_lower=c0, a_diag=np.full(n, a0), b_diag=np.full(n, b0)
     ).to_vector()

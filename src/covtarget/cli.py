@@ -19,7 +19,7 @@ import numpy as np
 
 from .bekk import bekk_simulate
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
-from .data import load_panel, sample_moments, write_returns_csv, write_text_atomic
+from .data import ReturnPanel, load_panel, sample_moments, write_returns_csv, write_text_atomic
 from .dcc import dcc_simulate
 from .errors import (
     CovTargetError,
@@ -154,6 +154,8 @@ def _models(opt: dict) -> tuple[str, ...]:
         )
     if not kinds:
         raise UsageError("no model kinds given")
+    if len(set(kinds)) != len(kinds):
+        raise UsageError(f"model kinds repeated in {opt['model']!r}")
     return kinds
 
 
@@ -249,7 +251,8 @@ def cmd_cliques(opt: dict, fmt: str) -> int:
     return 0
 
 
-def cmd_fit(opt: dict) -> int:
+def _load_run(opt: dict) -> tuple[ReturnPanel, RunConfig]:
+    """The input panel and the validated configuration of fit/evaluate."""
     panel = load_panel(_require_input(opt))
     config = RunConfig(
         input=str(opt["input"]),
@@ -259,6 +262,11 @@ def cmd_fit(opt: dict) -> int:
         sim_len=opt["sim_len"],
         opts=_optimizer_options(opt),
     )
+    return panel, config
+
+
+def cmd_fit(opt: dict) -> int:
+    panel, config = _load_run(opt)
     blocks = run_fits(panel, config)
     out = Path(opt["out_dir"])
     for kind, block in blocks.items():
@@ -298,15 +306,7 @@ def cmd_simulate(opt: dict) -> int:
 
 
 def cmd_evaluate(opt: dict, fmt: str) -> int:
-    panel = load_panel(_require_input(opt))
-    config = RunConfig(
-        input=str(opt["input"]),
-        models=_models(opt),
-        delta=float(opt["delta"]),
-        seed=int(opt["seed"]),
-        sim_len=opt["sim_len"],
-        opts=_optimizer_options(opt),
-    )
+    panel, config = _load_run(opt)
     report = run_evaluation(panel, config)
     out = Path(opt["out_dir"])
     write_text_atomic(out / "report.json", report.to_json())

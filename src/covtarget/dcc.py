@@ -128,35 +128,47 @@ class Stage1Result:
     params: tuple[Garch11Params, ...]
     std_resid: np.ndarray  # (T, N)
     q_bar: np.ndarray
-    reports: tuple[FitReport, ...]
+
+
+def _stage1_paths(
+    eps: np.ndarray, univariate: tuple[Garch11Params, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-series variance paths h and standardized residuals z of demeaned
+    returns eps, both (T, N), each filter started at the series' sample
+    variance."""
+    if eps.shape[1] != len(univariate):
+        raise ShapeError(
+            f"panel has {eps.shape[1]} series but params expect {len(univariate)}"
+        )
+    h = np.empty_like(eps)
+    z = np.empty_like(eps)
+    for j, p in enumerate(univariate):
+        path = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1)))
+        h[:, j] = path.h
+        z[:, j] = path.z
+    return h, z
 
 
 def dcc_stage1(panel: ReturnPanel, opts: OptimizerOptions | None = None) -> Stage1Result:
     """Fit GARCH(1,1) to each demeaned series and standardize residuals."""
     eps = panel.demeaned()
     fits: list[Garch11Params] = []
-    reports: list[FitReport] = []
-    z = np.empty_like(eps)
     for j, label in enumerate(panel.labels):
         try:
-            p, rep = garch11_fit(eps[:, j], opts=opts)
+            fits.append(garch11_fit(eps[:, j], opts=opts)[0])
         except CovTargetError as exc:
             raise EstimationError(
                 f"stage-one GARCH fit failed for {label}: {exc}"
             ) from exc
-        path = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1)))
-        z[:, j] = path.z
-        fits.append(p)
-        reports.append(rep)
-    q_bar = correlation_from_series(z)
+    _, z = _stage1_paths(eps, tuple(fits))
     return Stage1Result(
-        params=tuple(fits), std_resid=z, q_bar=q_bar, reports=tuple(reports)
+        params=tuple(fits), std_resid=z, q_bar=correlation_from_series(z)
     )
 
 
-def dcc_filter(z: np.ndarray, params: DccParams, q1: np.ndarray | None = None) -> CorrPath:
+def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
     """Run the quasi-correlation recursion over standardized residuals z,
-    starting from Q_1 = q1 (default: q_bar), and rescale to correlations."""
+    starting from Q_1 = q_bar, and rescale to correlations."""
     z = np.asarray(z, dtype=float)
     n = params.n
     if z.ndim != 2 or z.shape[1] != n:
@@ -165,17 +177,14 @@ def dcc_filter(z: np.ndarray, params: DccParams, q1: np.ndarray | None = None) -
         raise DataError("z has no rows")
     if not np.all(np.isfinite(z)):
         raise DataError("z contains non-finite values")
-    q1 = params.q_bar if q1 is None else symmetrize(q1)
-    if q1.shape != (n, n):
-        raise ShapeError(f"q1 must be ({n}, {n}), got {q1.shape}")
     t_len = z.shape[0]
     t1, t2 = params.theta1, params.theta2
     q = np.empty((t_len, n, n))
-    q[0] = q1
+    q[0] = params.q_bar
     if t_len > 1:
         intercept = (1.0 - t1 - t2) * params.q_bar
         outer = z[:-1, :, None] * z[:-1, None, :]
-        q[1:] = _one_pole(intercept + t1 * outer, t2, q1)
+        q[1:] = _one_pole(intercept + t1 * outer, t2, params.q_bar)
     if not np.all(np.isfinite(q)):
         t = int(np.argwhere(~np.isfinite(q))[0][0])
         raise NumericalOverflowError(
@@ -262,62 +271,37 @@ def dcc_fit(
     if stage1 is None:
         stage1 = dcc_stage1(panel, opts=opts)
     z = stage1.std_resid
-    q_bar = stage1.q_bar
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = DccParams(
+    def params_at(x: np.ndarray) -> DccParams:
+        return DccParams(
             univariate=stage1.params,
             theta1=float(x[0]),
             theta2=float(x[1]),
-            q_bar=q_bar,
+            q_bar=stage1.q_bar,
         )
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        p = params_at(x)
         if target is None:
             return dcc_stage2_loglik(z, p, grad=True)
         return dcc_modified_loglik(z, p, target, grad=True)
 
-    x0 = np.array([0.05, 0.90])
-    x, report = maximize(objective, _ThetaTransform(), x0, opts)
-    params = DccParams(
-        univariate=stage1.params,
-        theta1=float(x[0]),
-        theta2=float(x[1]),
-        q_bar=q_bar,
-    )
-    return params, report
+    x, report = maximize(objective, _ThetaTransform(), np.array([0.05, 0.90]), opts)
+    return params_at(x), report
 
 
 def dcc_std_residuals(panel: ReturnPanel, params: DccParams) -> np.ndarray:
     """Recompute standardized residuals for a panel under fitted stage-one
     parameters (h_1 = per-series sample variance)."""
-    eps = panel.demeaned()
-    if eps.shape[1] != params.n:
-        raise ShapeError(
-            f"panel has {eps.shape[1]} series but params expect {params.n}"
-        )
-    z = np.empty_like(eps)
-    for j, p in enumerate(params.univariate):
-        z[:, j] = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1))).z
-    return z
+    return _stage1_paths(panel.demeaned(), params.univariate)[1]
 
 
 def dcc_cov_path(panel: ReturnPanel, params: DccParams) -> np.ndarray:
     """In-sample conditional covariance path H_t = D_t R_t D_t with
     D_t = diag(sqrt(h_it)) from the fitted stage-one filters."""
-    eps = panel.demeaned()
-    if eps.shape[1] != params.n:
-        raise ShapeError(
-            f"panel has {eps.shape[1]} series but params expect {params.n}"
-        )
-    t_len, n = eps.shape
-    h = np.empty((t_len, n))
-    z = np.empty_like(eps)
-    for j, p in enumerate(params.univariate):
-        path = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1)))
-        h[:, j] = path.h
-        z[:, j] = path.z
-    rpath = dcc_filter(z, params)
+    h, z = _stage1_paths(panel.demeaned(), params.univariate)
     d = np.sqrt(h)
-    return rpath.r * (d[:, :, None] * d[:, None, :])
+    return dcc_filter(z, params).r * (d[:, :, None] * d[:, None, :])
 
 
 def dcc_simulate(
@@ -325,30 +309,18 @@ def dcc_simulate(
     mu: np.ndarray,
     t_len: int,
     seed: int,
-    init: tuple[np.ndarray, np.ndarray] | None = None,
     labels: tuple[str, ...] | None = None,
 ) -> ReturnPanel:
-    """Simulate r_t = mu + D_t R_t^{1/2}-correlated Gaussian shocks.
-
-    ``init`` optionally supplies (h_1 vector, Q_1 matrix); defaults are the
-    per-series unconditional variances and q_bar.
-    """
+    """Simulate r_t = mu + D_t R_t^{1/2}-correlated Gaussian shocks, starting
+    from the per-series unconditional variances and Q_1 = q_bar."""
     n = params.n
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
     if t_len < 2:
         raise DataError(f"t_len must be >= 2, got {t_len}")
-    if init is None:
-        h_t = np.array([p.unconditional_var() for p in params.univariate])
-        q_t = params.q_bar.copy()
-    else:
-        h_t = np.asarray(init[0], dtype=float).copy()
-        q_t = symmetrize(init[1]).copy()
-        if h_t.shape != (n,) or np.any(h_t <= 0.0):
-            raise DataError("init variances must be positive with one per series")
-        if q_t.shape != (n, n):
-            raise ShapeError(f"init Q must be ({n}, {n}), got {q_t.shape}")
+    h_t = np.array([p.unconditional_var() for p in params.univariate])
+    q_t = params.q_bar.copy()
     if labels is None:
         labels = tuple(f"S{i + 1}" for i in range(n))
     rng = np.random.default_rng(seed)

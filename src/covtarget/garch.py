@@ -161,30 +161,27 @@ class _GarchTransform:
 def garch11_fit(
     eps: np.ndarray,
     opts: OptimizerOptions | None = None,
-    h1: float | None = None,
-    min_obs: int = MIN_OBS,
 ) -> tuple[Garch11Params, FitReport]:
     """Fit GARCH(1,1) by Gaussian quasi-likelihood on demeaned returns.
 
-    h_1 defaults to the sample variance. The start is moment-matched:
-    (alpha, beta) = (0.05, 0.90) and omega targeting the sample variance.
+    The filter starts at h_1 = the sample variance. The start is
+    moment-matched: (alpha, beta) = (0.05, 0.90) and omega targeting the
+    sample variance.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1:
         raise DataError(f"eps must be 1-D, got shape {eps.shape}")
-    if eps.size < min_obs:
+    if eps.size < MIN_OBS:
         raise InsufficientDataError(
-            f"need at least {min_obs} observations, got {eps.size}"
+            f"need at least {MIN_OBS} observations, got {eps.size}"
         )
     var = float(eps.var(ddof=1))
     if var == 0.0:
         raise DegenerateSeriesError("series has zero variance")
-    if h1 is None:
-        h1 = var
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = Garch11Params(omega=float(x[0]), alpha=float(x[1]), beta=float(x[2]))
-        return garch11_loglik(eps, p, h1=h1, grad=True)
+        return garch11_loglik(eps, p, h1=var, grad=True)
 
     a0, b0 = 0.05, 0.90
     x0 = np.array([var * (1.0 - a0 - b0), a0, b0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import symmetrize
+from .targeting import threshold_correlation
 
 
 @dataclass(frozen=True)
@@ -51,25 +51,18 @@ class ThresholdGraph:
 
 def build_graph(corr: np.ndarray, labels: tuple[str, ...], delta: float) -> ThresholdGraph:
     """Threshold a correlation matrix into a graph; survival is strict
-    (|rho| > delta)."""
-    c = symmetrize(corr)
-    n = c.shape[0]
+    (|rho| > delta), as in targeting.threshold_correlation."""
+    adj = threshold_correlation(corr, delta)
+    n = adj.shape[0]
     if len(labels) != n:
         raise DataError(f"{len(labels)} labels for a {n}x{n} correlation matrix")
-    if np.abs(np.diag(c) - 1.0).max() > 1e-12:
+    if np.abs(np.diag(np.asarray(corr, dtype=float)) - 1.0).max() > 1e-12:
         raise DataError("correlation matrix must have a unit diagonal")
-    if np.abs(c).max() > 1.0 + 1e-12:
-        raise DataError("correlation entries must lie in [-1, 1]")
-    delta = float(delta)
-    if not (0.0 <= delta < 1.0):
-        raise DataError(f"delta must be in [0, 1), got {delta}")
-    adj = np.where(np.abs(c) > delta, c, 0.0)
-    np.fill_diagonal(adj, 1.0)
     edges = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j] != 0.0
     )
     return ThresholdGraph(
-        labels=tuple(labels), delta=delta, adjacency=adj, edges=edges
+        labels=tuple(labels), delta=float(delta), adjacency=adj, edges=edges
     )
 
 

@@ -16,8 +16,8 @@ from .errors import DataError, NotPositiveDefiniteError, ShapeError
 SYM_TOL = 1e-12
 
 
-def symmetrize(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    """Validate that ``m`` is square, finite, and symmetric to ``tol``
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Validate that ``m`` is square, finite, and symmetric to SYM_TOL
     (relative to its largest entry), and return (M + M') / 2."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -26,7 +26,7 @@ def symmetrize(m: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
         raise DataError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     gap = float(np.abs(a - a.T).max(initial=0.0))
-    if gap > tol * scale:
+    if gap > SYM_TOL * scale:
         raise ShapeError(f"matrix is not symmetric (max asymmetry {gap:.3e})")
     return 0.5 * (a + a.T)
 
@@ -74,11 +74,6 @@ def cholesky(m: np.ndarray) -> CholFactor:
         ) from None
     logdet = 2.0 * float(np.log(np.diag(lower)).sum())
     return CholFactor(lower=lower, logdet=logdet)
-
-
-def chol_sqrt(m: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of ``m`` (the square root used for sampling)."""
-    return cholesky(m).lower
 
 
 def nearest_pd(m: np.ndarray, floor: float = 1e-8) -> np.ndarray:

@@ -25,6 +25,7 @@ log = logging.getLogger(__name__)
 # large enough to lose every line-search comparison.
 _BIG = 1e12
 
+MAX_ITERS = 2000  # BFGS iterations per start
 _BFGS_GTOL = 1e-6
 _CONV_RTOL = 1e-6
 _PERTURB_SCALE = 0.3
@@ -32,13 +33,10 @@ _PERTURB_SCALE = 0.3
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    max_iters: int = 2000
     n_starts: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise DataError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.n_starts < 1:
             raise DataError(f"n_starts must be >= 1, got {self.n_starts}")
 
@@ -118,30 +116,6 @@ def fd_gradient(objective, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     return g
 
 
-def _make_starts(
-    x0, transform, n_starts: int, seed: int
-) -> list[np.ndarray]:
-    """Normalize x0 (one vector or a sequence of vectors, constrained space)
-    to exactly n_starts unconstrained start points; extras are seeded
-    perturbations of the provided starts."""
-    arr = np.asarray(x0, dtype=float)
-    if arr.ndim == 1:
-        given = [arr]
-    elif arr.ndim == 2:
-        given = [arr[i] for i in range(arr.shape[0])]
-    else:
-        raise DataError(f"x0 must be a vector or a matrix of rows, got ndim={arr.ndim}")
-    base = [np.asarray(transform.inverse(x), dtype=float) for x in given]
-    starts = list(base[:n_starts])
-    rng = np.random.default_rng(seed)
-    k = 0
-    while len(starts) < n_starts:
-        u = base[k % len(base)]
-        starts.append(u + _PERTURB_SCALE * rng.standard_normal(u.size))
-        k += 1
-    return starts
-
-
 def maximize(
     objective,
     transform,
@@ -151,13 +125,19 @@ def maximize(
     """Maximize ``objective(transform.forward(u))`` over unconstrained u.
 
     ``objective(x)`` returns ``(value, gradient in x)``; the transform's
-    ``vjp(u, g)`` carries that gradient back to u. x0 is one point (or
-    several) in the *constrained* space. Returns the best constrained point
-    and a FitReport. Ties between starts break toward the lowest start
-    index. Raises EstimationError if no start produces a finite objective.
+    ``vjp(u, g)`` carries that gradient back to u. x0 is one point in the
+    *constrained* space; further starts are seeded perturbations of its
+    image. Returns the best constrained point and a FitReport. Ties between
+    starts break toward the lowest start index. Raises EstimationError if
+    no start produces a finite objective.
     """
     opts = opts or OptimizerOptions()
-    starts = _make_starts(x0, transform, opts.n_starts, opts.seed)
+    u0 = np.asarray(transform.inverse(np.asarray(x0, dtype=float)), dtype=float)
+    rng = np.random.default_rng(opts.seed)
+    starts = [u0] + [
+        u0 + _PERTURB_SCALE * rng.standard_normal(u0.size)
+        for _ in range(opts.n_starts - 1)
+    ]
 
     def neg(u: np.ndarray) -> tuple[float, np.ndarray]:
         try:
@@ -177,7 +157,7 @@ def maximize(
             u_s,
             method="BFGS",
             jac=True,
-            options=dict(maxiter=opts.max_iters, gtol=_BFGS_GTOL),
+            options=dict(maxiter=MAX_ITERS, gtol=_BFGS_GTOL),
         )
         obj = -float(r.fun) if float(r.fun) < _BIG else -np.inf
         grad_norm = float(np.linalg.norm(r.jac)) if np.isfinite(obj) else np.inf

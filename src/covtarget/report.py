@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
-from .data import ReturnPanel, SampleMoments, sample_moments
+from .data import ReturnPanel, sample_moments
 from .dcc import (
     DccParams,
-    Stage1Result,
     dcc_cov_path,
     dcc_fit,
     dcc_simulate,
     dcc_stage1,
 )
-from .errors import DataError
+from .errors import DataError, NotPositiveDefiniteError
 from .garch import Garch11Params
 from .graphs import (
     ThresholdGraph,
@@ -33,7 +32,7 @@ from .graphs import (
     graph_to_json,
     maximal_cliques,
 )
-from .linalg import frobenius_path_loss, kl_divergence
+from .linalg import cholesky, frobenius_path_loss, kl_divergence
 from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target
 
@@ -199,37 +198,70 @@ def _graph_block(graph: ThresholdGraph) -> dict:
     }
 
 
+def _setup(panel: ReturnPanel, config: RunConfig) -> tuple:
+    """What every fit kind of one run shares: the panel's moments, the
+    threshold target, and the stage-one fits (None without a DCC kind)."""
+    moments = sample_moments(panel)
+    try:
+        cholesky(moments.cov)
+    except NotPositiveDefiniteError as exc:
+        raise DataError(
+            f"sample covariance is singular: series {panel.labels[exc.pivot]} "
+            "is a linear combination of the series before it"
+        ) from exc
+    target = build_target(moments, config.delta)
+    stage1 = None
+    if any(k.startswith("dcc") for k in config.models):
+        # both DCC variants share identical first-stage fits
+        stage1 = dcc_stage1(panel, opts=config.opts)
+    return moments, target, stage1
+
+
+def _fit(
+    kind: str, panel: ReturnPanel, setup: tuple, opts: OptimizerOptions
+) -> tuple:
+    """Fit one model kind, penalized toward the target for the _mod kinds.
+
+    Returns its params document and FitReport, plus callables giving its
+    in-sample covariance path and a simulated panel of (t_len, seed).
+    """
+    moments, target, stage1 = setup
+    fit_target = target if kind.endswith("_mod") else None
+    if kind.startswith("bekk"):
+        eps, h1 = panel.demeaned(), moments.cov
+        params, fit = bekk_fit(eps, target=fit_target, opts=opts, h1=h1)
+        return (
+            bekk_document(params, panel.mean, h1, fit_target),
+            fit,
+            lambda: bekk_filter(eps, params, h1).h,
+            lambda t_len, seed: bekk_simulate(
+                params, panel.mean, t_len, seed, h1=h1, labels=panel.labels
+            ),
+        )
+    params, fit = dcc_fit(panel, target=fit_target, opts=opts, stage1=stage1)
+    return (
+        dcc_document(params, panel.mean, fit_target),
+        fit,
+        lambda: dcc_cov_path(panel, params),
+        lambda t_len, seed: dcc_simulate(
+            params, panel.mean, t_len, seed, labels=panel.labels
+        ),
+    )
+
+
 def evaluate_model(
     kind: str,
     panel: ReturnPanel,
-    moments: SampleMoments,
-    target: TargetSpec,
+    setup: tuple,
     observed_graph: ThresholdGraph,
     config: RunConfig,
-    stage1: Stage1Result | None = None,
 ) -> dict:
     """Fit one model kind and assemble its report block."""
-    eps = panel.demeaned()
+    moments, target, _ = setup
+    doc, fit, path_of, simulate = _fit(kind, panel, setup, config.opts)
+    path = path_of()
     sim_len = config.sim_len if config.sim_len is not None else panel.t_len
-    fit_target = target if kind.endswith("_mod") else None
-    if kind.startswith("bekk"):
-        h1 = moments.cov
-        params, fit = bekk_fit(eps, target=fit_target, opts=config.opts, h1=h1)
-        path = bekk_filter(eps, params, h1).h
-        doc = bekk_document(params, panel.mean, h1, fit_target)
-        sim = bekk_simulate(
-            params, panel.mean, sim_len, config.seed, h1=h1, labels=panel.labels
-        )
-    else:
-        params, fit = dcc_fit(
-            panel, target=fit_target, opts=config.opts, stage1=stage1
-        )
-        path = dcc_cov_path(panel, params)
-        doc = dcc_document(params, panel.mean, fit_target)
-        sim = dcc_simulate(
-            params, panel.mean, sim_len, config.seed, labels=panel.labels
-        )
-    sim_moments = sample_moments(sim)
+    sim_moments = sample_moments(simulate(sim_len, config.seed))
     sim_graph = build_graph(sim_moments.corr, panel.labels, config.delta)
     comparison = compare_graphs(observed_graph, sim_graph)
     losses = {
@@ -254,42 +286,21 @@ def evaluate_model(
 
 def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
     """Fit the requested kinds only; returns {kind: {params, fit}} blocks."""
-    moments = sample_moments(panel)
-    target = build_target(moments, config.delta)
-    eps = panel.demeaned()
-    stage1 = None
-    if any(k.startswith("dcc") for k in config.models):
-        stage1 = dcc_stage1(panel, opts=config.opts)
+    setup = _setup(panel, config)
     blocks: dict[str, dict] = {}
     for kind in config.models:
-        fit_target = target if kind.endswith("_mod") else None
-        if kind.startswith("bekk"):
-            params, fit = bekk_fit(
-                eps, target=fit_target, opts=config.opts, h1=moments.cov
-            )
-            doc = bekk_document(params, panel.mean, moments.cov, fit_target)
-        else:
-            params, fit = dcc_fit(
-                panel, target=fit_target, opts=config.opts, stage1=stage1
-            )
-            doc = dcc_document(params, panel.mean, fit_target)
+        doc, fit, _, _ = _fit(kind, panel, setup, config.opts)
         blocks[kind] = {"params": doc, "fit": fit_report_to_json(fit)}
     return blocks
 
 
 def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
     """Run the full pipeline over every requested model kind."""
-    moments = sample_moments(panel)
-    target = build_target(moments, config.delta)
+    setup = _setup(panel, config)
+    moments, target, _ = setup
     observed_graph = build_graph(moments.corr, panel.labels, config.delta)
-    stage1 = None
-    if any(k.startswith("dcc") for k in config.models):
-        # both DCC variants share identical first-stage fits
-        stage1 = dcc_stage1(panel, opts=config.opts)
     blocks = {
-        kind: evaluate_model(
-            kind, panel, moments, target, observed_graph, config, stage1=stage1
-        )
+        kind: evaluate_model(kind, panel, setup, observed_graph, config)
         for kind in config.models
     }
     doc = {

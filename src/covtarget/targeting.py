@@ -18,13 +18,6 @@ from .linalg import cholesky, nearest_pd, symmetrize
 PD_FLOOR = 1e-8
 
 
-def _check_delta(delta: float) -> float:
-    delta = float(delta)
-    if not (0.0 <= delta < 1.0):
-        raise DataError(f"threshold delta must be in [0, 1), got {delta}")
-    return delta
-
-
 @dataclass(frozen=True)
 class TargetSpec:
     """A fitted-model target: thresholded correlation and its covariance form.
@@ -55,7 +48,9 @@ class TargetSpec:
 def threshold_correlation(corr: np.ndarray, delta: float) -> np.ndarray:
     """Zero out correlations with |rho| <= delta (strict survival: |rho| >
     delta); diagonal stays exactly one."""
-    delta = _check_delta(delta)
+    delta = float(delta)
+    if not (0.0 <= delta < 1.0):
+        raise DataError(f"threshold delta must be in [0, 1), got {delta}")
     c = symmetrize(corr)
     if np.abs(c).max() > 1.0 + 1e-12:
         raise DataError("correlation entries must lie in [-1, 1]")
@@ -64,41 +59,18 @@ def threshold_correlation(corr: np.ndarray, delta: float) -> np.ndarray:
     return z
 
 
-def target_covariance(
-    z_hat: np.ndarray, moments: SampleMoments, floor: float = PD_FLOOR
-) -> TargetSpec:
-    """Repair ``z_hat`` to PD (eigenvalue floor) and rescale to covariance."""
-    z = symmetrize(z_hat)
-    if z.shape != moments.corr.shape:
-        raise DataError(
-            f"target shape {z.shape} does not match panel with {moments.n} series"
-        )
-    z_pd = nearest_pd(z, floor=floor)
-    adjusted = not np.array_equal(z_pd, z)
+def build_target(moments: SampleMoments, delta: float) -> TargetSpec:
+    """Threshold the sample correlation at ``delta``, repair it to PD
+    (eigenvalue floor PD_FLOOR) and rescale it to covariance."""
+    z = threshold_correlation(moments.corr, delta)
+    z_pd = nearest_pd(z, floor=PD_FLOOR)
     sigma = moments.gamma @ z_pd @ moments.gamma
     sigma = 0.5 * (sigma + sigma.T)
     cholesky(sigma)  # fail fast if the floor was too small for this scale
-    # delta is unknown at this level; build_target fills it in.
     return TargetSpec(
-        delta=float("nan"),
+        delta=float(delta),
         z_hat=z,
         z_hat_pd=z_pd,
         sigma_hat=sigma,
-        pd_adjusted=adjusted,
-    )
-
-
-def build_target(
-    moments: SampleMoments, delta: float, floor: float = PD_FLOOR
-) -> TargetSpec:
-    """Threshold the sample correlation at ``delta`` and build the target."""
-    delta = _check_delta(delta)
-    z = threshold_correlation(moments.corr, delta)
-    spec = target_covariance(z, moments, floor=floor)
-    return TargetSpec(
-        delta=delta,
-        z_hat=spec.z_hat,
-        z_hat_pd=spec.z_hat_pd,
-        sigma_hat=spec.sigma_hat,
-        pd_adjusted=spec.pd_adjusted,
+        pd_adjusted=not np.array_equal(z_pd, z),
     )

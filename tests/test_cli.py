@@ -72,6 +72,23 @@ class TestUsageErrors:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
+    def test_repeated_model(self, capsys, panel_csv, tmp_path, command):
+        rc, _, err = run(
+            capsys,
+            command,
+            "--input",
+            str(panel_csv),
+            "--out-dir",
+            str(tmp_path),
+            "--model",
+            "bekk,bekk",
+            "--sim-len",
+            "50",
+        )
+        assert rc == 2
+        assert "repeated" in err
+
     def test_simulate_needs_sim_len(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "simulate", "--out-dir", str(tmp_path), "--model", "bekk"
@@ -113,6 +130,33 @@ class TestDataErrors:
             "50",
         )
         assert rc == 3
+
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("model", ["bekk", "dcc"])
+    def test_singular_covariance_names_the_series(
+        self, capsys, tmp_path, command, model
+    ):
+        r = gaussian_panel(4, t_len=252, n=4).returns.copy()
+        r[:, 3] = r[:, 1]
+        from covtarget import ReturnPanel
+
+        path = tmp_path / "dup.csv"
+        write_returns_csv(ReturnPanel(labels=("A", "B", "C", "DUP"), returns=r), path)
+        rc, _, err = run(
+            capsys,
+            command,
+            "--input",
+            str(path),
+            "--out-dir",
+            str(tmp_path),
+            "--model",
+            model,
+            "--starts",
+            "1",
+        )
+        assert rc == 3
+        assert "singular" in err and "DUP" in err
 
 
 class TestEstimationErrors:

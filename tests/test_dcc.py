@@ -101,15 +101,6 @@ class TestFilter:
         assert np.allclose(path.q, QBAR3, atol=1e-14)
         assert np.allclose(path.r, QBAR3, atol=1e-14)
 
-    def test_custom_start(self, rng):
-        p = dcc3()
-        q1 = np.array([[1.0, 0.1, 0.0], [0.1, 1.0, 0.1], [0.0, 0.1, 1.0]])
-        z = rng.standard_normal((25, 3))
-        path = dcc_filter(z, p, q1=q1)
-        q, r = naive_filter(z, p, q1)
-        assert np.allclose(path.q, q, rtol=1e-12, atol=1e-14)
-        assert np.array_equal(path.q[0], q1)
-
     def test_rejects_bad_inputs(self, rng):
         p = dcc3()
         with pytest.raises(ShapeError):
@@ -118,8 +109,6 @@ class TestFilter:
             z = rng.standard_normal((10, 3))
             z[4, 0] = np.nan
             dcc_filter(z, p)
-        with pytest.raises(ShapeError):
-            dcc_filter(rng.standard_normal((10, 3)), p, q1=np.eye(2))
 
 
 class TestStage1:
@@ -264,21 +253,8 @@ class TestSimulate:
 
     def test_init_and_labels(self):
         p = dcc3()
-        panel = dcc_simulate(
-            p,
-            np.zeros(3),
-            50,
-            seed=2,
-            init=(np.array([0.3, 0.4, 0.5]), QBAR3),
-            labels=("X", "Y", "Z"),
-        )
+        panel = dcc_simulate(p, np.zeros(3), 50, seed=2, labels=("X", "Y", "Z"))
         assert panel.labels == ("X", "Y", "Z")
-        with pytest.raises(DataError):
-            dcc_simulate(p, np.zeros(3), 50, seed=2, init=(np.zeros(3), QBAR3))
-        with pytest.raises(ShapeError):
-            dcc_simulate(
-                p, np.zeros(3), 50, seed=2, init=(np.array([0.3, 0.4, 0.5]), np.eye(2))
-            )
 
     def test_rejects_bad_args(self):
         p = dcc3()

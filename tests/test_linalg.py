@@ -5,7 +5,6 @@ from covtarget import (
     DataError,
     NotPositiveDefiniteError,
     ShapeError,
-    chol_sqrt,
     cholesky,
     frobenius_path_loss,
     kl_divergence,
@@ -73,11 +72,6 @@ class TestCholesky:
     def test_singular_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             cholesky(np.ones((3, 3)))
-
-    def test_chol_sqrt_samples(self, rng):
-        m = random_spd(rng, 3)
-        low = chol_sqrt(m)
-        assert np.allclose(low @ low.T, m)
 
 
 class TestNearestPd:

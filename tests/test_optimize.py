@@ -165,14 +165,6 @@ class TestMaximize:
         )
         assert x[0] == pytest.approx(1.0, abs=1e-5)
 
-    def test_multiple_explicit_starts(self):
-        f = lambda x: (-((x - 5.0) ** 2).sum(), -2.0 * (x - 5.0))
-        starts = np.array([[0.0], [4.9]])
-        x, report = maximize(f, IdentityTransform(), starts, OptimizerOptions(n_starts=2))
-        assert x[0] == pytest.approx(5.0, abs=1e-5)
-
     def test_options_validation(self):
         with pytest.raises(DataError):
             OptimizerOptions(n_starts=0)
-        with pytest.raises(DataError):
-            OptimizerOptions(max_iters=0)
