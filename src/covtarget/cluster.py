@@ -1,9 +1,17 @@
 """Agglomerative complete-linkage clustering of correlation distances.
 
-The linkage is written out by hand so tie-breaking is fully deterministic:
-at every step the candidate pair with the smallest (distance, id pair) wins,
-comparing id pairs lexicographically. Complete linkage makes merge heights
-nondecreasing, which the Dendrogram type asserts on every construction.
+The linkage works on a dense N x N float matrix of distances between the
+clusters currently held in N slots; the diagonal and retired slots hold
++inf, and a slot -> cluster id array says which cluster sits where. Each
+merge takes the matrix minimum, gathers every entry equal to it, and breaks
+ties by the lexicographically smallest (min id, max id) pair, so the run is
+fully deterministic. The Lance-Williams update for complete linkage,
+d(A u B, C) = max(d(A, C), d(B, C)), is one elementwise maximum of two rows
+written into the surviving slot's row and column; the other slot is retired.
+The maximum of two floats is exact, so heights are input entries. Cost:
+O(N^2) memory and one vectorised O(N^2) pass per merge. Complete linkage
+makes merge heights nondecreasing, which the Dendrogram type asserts on
+every construction.
 
 Cluster ids: leaves are 0..N-1; the cluster created by merge k is N+k.
 """
@@ -80,24 +88,25 @@ def complete_linkage(dist: np.ndarray, labels: tuple[str, ...]) -> Dendrogram:
         raise DataError("distances must be nonnegative")
     if n == 0:
         raise DataError("empty distance matrix")
-    # pair distances keyed by (smaller id, larger id) over active cluster ids
-    pair: dict[tuple[int, int], float] = {
-        (i, j): float(d[i, j]) for i in range(n) for j in range(i + 1, n)
-    }
-    active = set(range(n))
+    work = d  # symmetrize returned a fresh array
+    np.fill_diagonal(work, np.inf)
+    ids = np.arange(n)
     merges: list[tuple[int, int, float]] = []
     for k in range(n - 1):
-        (a, b), height = min(pair.items(), key=lambda kv: (kv[1], kv[0]))
-        new = n + k
-        active.discard(a)
-        active.discard(b)
-        for c in active:
-            da = pair.pop((min(a, c), max(a, c)))
-            db = pair.pop((min(b, c), max(b, c)))
-            pair[(c, new)] = max(da, db)
-        del pair[(a, b)]
-        active.add(new)
-        merges.append((a, b, height))
+        height = work.min()
+        # flat indices: 2-D np.nonzero is ~6x slower at N = 500
+        rows, cols = np.divmod(np.flatnonzero(work == height), n)
+        lo = np.minimum(ids[rows], ids[cols])
+        hi = np.maximum(ids[rows], ids[cols])
+        pick = np.lexsort((hi, lo))[0]
+        keep, drop = rows[pick], cols[pick]
+        merged = np.maximum(work[keep], work[drop])
+        work[keep] = merged
+        work[:, keep] = merged
+        work[drop] = np.inf
+        work[:, drop] = np.inf
+        ids[keep] = n + k
+        merges.append((int(lo[pick]), int(hi[pick]), float(height)))
     return Dendrogram(labels=tuple(labels), merges=tuple(merges))
 
 

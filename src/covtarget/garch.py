@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     DataError,
@@ -79,6 +78,8 @@ class VariancePath:
 def _one_pole(x: np.ndarray, coef: float, init) -> np.ndarray:
     """y_t = x_t + coef * y_{t-1} along axis 0, y_0 seeded so the first
     output is x_0 + coef * init (init has the shape of one x_t)."""
+    from scipy.signal import lfilter  # deferred: only fits pay its import
+
     zi = coef * np.asarray(init, dtype=float)[None]
     y, _ = lfilter([1.0], [1.0, -coef], x, axis=0, zi=zi)
     return y
@@ -87,6 +88,8 @@ def _one_pole(x: np.ndarray, coef: float, init) -> np.ndarray:
 def _one_pole_adjoint(g: np.ndarray, coef: float) -> np.ndarray:
     """Adjoint of _one_pole along axis 0: given dL/dy returns dL/dx, the
     same filter run backwards, lambda_t = g_t + coef * lambda_{t+1}."""
+    from scipy.signal import lfilter
+
     return lfilter([1.0], [1.0, -coef], g[::-1], axis=0)[::-1]
 
 

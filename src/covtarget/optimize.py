@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import CovTargetError, DataError, EstimationError
 
@@ -131,6 +130,8 @@ def maximize(
     starts break toward the lowest start index. Raises EstimationError if
     no start produces a finite objective.
     """
+    from scipy.optimize import minimize  # deferred: only fits pay its import
+
     opts = opts or OptimizerOptions()
     u0 = np.asarray(transform.inverse(np.asarray(x0, dtype=float)), dtype=float)
     rng = np.random.default_rng(opts.seed)

@@ -37,6 +37,11 @@ from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target
 
 MODEL_KINDS = ("bekk", "bekk_mod", "dcc", "dcc_mod")
+# Smallest accepted squared Cholesky pivot of the sample correlation, i.e.
+# the share of a series' variance left unexplained by the series before it.
+# Scale-free; the benchmark's desk5 and dcc15 panels read 0.08-0.30, a column
+# equal to 2x another plus 1e-9 noise reads ~1e-15.
+MIN_CORR_PIVOT_SQ = 1e-8
 
 
 @dataclass(frozen=True)
@@ -203,12 +208,17 @@ def _setup(panel: ReturnPanel, config: RunConfig) -> tuple:
     threshold target, and the stage-one fits (None without a DCC kind)."""
     moments = sample_moments(panel)
     try:
-        cholesky(moments.cov)
+        pivot_sq = np.diag(cholesky(moments.corr).lower) ** 2
+        bad = np.flatnonzero(pivot_sq < MIN_CORR_PIVOT_SQ)
+        pivot = int(bad[0]) if bad.size else None
     except NotPositiveDefiniteError as exc:
+        pivot = exc.pivot
+    if pivot is not None:
         raise DataError(
-            f"sample covariance is singular: series {panel.labels[exc.pivot]} "
-            "is a linear combination of the series before it"
-        ) from exc
+            f"sample covariance is (numerically) singular: series "
+            f"{panel.labels[pivot]} is a linear combination of the series "
+            "before it"
+        )
     target = build_target(moments, config.delta)
     stage1 = None
     if any(k.startswith("dcc") for k in config.models):

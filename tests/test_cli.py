@@ -132,18 +132,19 @@ class TestDataErrors:
         assert rc == 3
 
 
-    @pytest.mark.parametrize("command", ["fit", "evaluate"])
-    @pytest.mark.parametrize("model", ["bekk", "dcc"])
-    def test_singular_covariance_names_the_series(
-        self, capsys, tmp_path, command, model
-    ):
+    @staticmethod
+    def run_with_dependent_column(capsys, tmp_path, command, model, scale, noise):
+        """Run `command` on a 252-row panel whose column DUP is `scale` times
+        column B plus `noise`-sized Gaussian noise."""
         r = gaussian_panel(4, t_len=252, n=4).returns.copy()
-        r[:, 3] = r[:, 1]
+        r[:, 3] = scale * r[:, 1]
+        if noise:
+            r[:, 3] += noise * np.random.default_rng(9).standard_normal(252)
         from covtarget import ReturnPanel
 
         path = tmp_path / "dup.csv"
         write_returns_csv(ReturnPanel(labels=("A", "B", "C", "DUP"), returns=r), path)
-        rc, _, err = run(
+        return run(
             capsys,
             command,
             "--input",
@@ -154,6 +155,26 @@ class TestDataErrors:
             model,
             "--starts",
             "1",
+        )
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("model", ["bekk", "dcc"])
+    def test_singular_covariance_names_the_series(
+        self, capsys, tmp_path, command, model
+    ):
+        rc, _, err = self.run_with_dependent_column(
+            capsys, tmp_path, command, model, 1.0, 0.0
+        )
+        assert rc == 3
+        assert "singular" in err and "DUP" in err
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("model", ["bekk", "dcc"])
+    def test_near_singular_covariance_names_the_series(
+        self, capsys, tmp_path, command, model
+    ):
+        rc, _, err = self.run_with_dependent_column(
+            capsys, tmp_path, command, model, 2.0, 1e-9
         )
         assert rc == 3
         assert "singular" in err and "DUP" in err

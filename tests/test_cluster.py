@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
@@ -16,6 +18,44 @@ from covtarget import (
 from conftest import random_corr
 
 from tables import CORR5, LABELS5
+
+
+def reference_complete_linkage(dist, labels):
+    """Dict-of-pairs complete linkage: at every merge the pair with the
+    smallest (distance, (id_a, id_b)) wins, comparing id pairs
+    lexicographically. The oracle for the work-matrix implementation."""
+    d = np.asarray(dist, dtype=float)
+    n = d.shape[0]
+    pair = {(i, j): float(d[i, j]) for i in range(n) for j in range(i + 1, n)}
+    active = set(range(n))
+    merges = []
+    for k in range(n - 1):
+        (a, b), height = min(pair.items(), key=lambda kv: (kv[1], kv[0]))
+        new = n + k
+        active.discard(a)
+        active.discard(b)
+        for c in active:
+            da = pair.pop((min(a, c), max(a, c)))
+            db = pair.pop((min(b, c), max(b, c)))
+            pair[(c, new)] = max(da, db)
+        del pair[(a, b)]
+        active.add(new)
+        merges.append((a, b, height))
+    return Dendrogram(labels=tuple(labels), merges=tuple(merges))
+
+
+@st.composite
+def tied_distances(draw):
+    """Symmetric distance matrices with entries in {0, ..., 4}, so most
+    merges face ties."""
+    n = draw(st.integers(1, 30))
+    upper = draw(
+        st.lists(st.integers(0, 4), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2)
+    )
+    d = np.zeros((n, n))
+    d[np.triu_indices(n, 1)] = upper
+    return d + d.T
 
 
 def partition(assign):
@@ -99,6 +139,24 @@ class TestCompleteLinkage:
                 ours = partition(cut_tree(dend, k))
                 ref = partition(fcluster(z, t=k, criterion="maxclust") - 1)
                 assert ours == ref
+
+    @given(d=tied_distances())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle_exactly_under_ties(self, d):
+        labels = tuple(f"V{i}" for i in range(d.shape[0]))
+        assert (
+            complete_linkage(d, labels).merges
+            == reference_complete_linkage(d, labels).merges
+        )
+
+    def test_matches_dict_oracle_on_correlation_distances(self, rng):
+        n = 60
+        d = corr_distance(random_corr(rng, n))
+        labels = tuple(f"V{i}" for i in range(n))
+        assert (
+            complete_linkage(d, labels).merges
+            == reference_complete_linkage(d, labels).merges
+        )
 
     def test_validation(self):
         with pytest.raises(DataError):

@@ -1,0 +1,64 @@
+"""Screening and simulation commands load no scipy module that only fits use.
+
+scipy.signal (lfilter) and scipy.optimize (minimize) take most of a fresh
+process's start-up time, so they are imported where the fit path calls them.
+A fresh interpreter checks sys.modules after importing the CLI, after
+running graph, cliques, cluster and simulate, and after a fit.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from covtarget import bekk_simulate, write_returns_csv
+from covtarget.cli import main
+
+from conftest import bekk2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import sys
+
+FIT_ONLY = ("scipy.signal", "scipy.optimize")
+
+
+def loaded():
+    return [m for m in FIT_ONLY if m in sys.modules]
+
+
+from covtarget.cli import main
+
+assert not loaded(), f"after import covtarget.cli: {loaded()}"
+panel, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["graph", "--input", panel, "--out-dir", out],
+    ["cliques", "--input", panel, "--out-dir", out],
+    ["cluster", "--input", panel, "--out-dir", out, "--k", "2"],
+    ["simulate", "--out-dir", out, "--model", "bekk,dcc", "--sim-len", "50"],
+):
+    assert main(argv) == 0, argv
+assert not loaded(), f"after graph, cliques, cluster, simulate: {loaded()}"
+fit = ["fit", "--input", panel, "--out-dir", out, "--model", "bekk", "--starts", "1"]
+assert main(fit) == 0
+assert loaded() == list(FIT_ONLY), f"after fit: {loaded()}"
+"""
+
+
+def test_fit_only_scipy_modules_load_only_on_the_fit_path(tmp_path):
+    panel = tmp_path / "panel.csv"
+    write_returns_csv(
+        bekk_simulate(bekk2(), np.array([0.001, -0.001]), 200, seed=31), panel
+    )
+    out = tmp_path / "out"
+    # params.*.json for simulate come from a fit in this process
+    assert main(["fit", "--input", str(panel), "--out-dir", str(out),
+                 "--model", "bekk,dcc", "--starts", "1"]) == 0
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    r = subprocess.run(
+        [sys.executable, "-c", CHILD, str(panel), str(out)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
