@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -153,12 +154,46 @@ def _parse_header(row: list[str], path: str) -> tuple[str, ...]:
     return labels
 
 
+# The characters of a body of ISO dates and plain decimal numbers. On such
+# text no csv quoting can occur, and numpy's C number parser accepts exactly
+# the cells that float() accepts, with the same values: both end in Python's
+# correctly rounded string-to-double conversion.
+_PLAIN_CHARS = b"0123456789eE.+-,\r\n"
+
+
+def _parse_plain(body: str, n_labels: int) -> tuple[list[dt.date], np.ndarray] | None:
+    """The rows of a regular body in the plain alphabet, parsed in C; None
+    when anything is irregular (another character, a blank line, a bad date
+    or number, a row of the wrong width), so that the cell-by-cell parse
+    takes over and names the fault."""
+    if not body.isascii() or body.encode("ascii").translate(None, _PLAIN_CHARS):
+        return None
+    heads = [line.partition(",") for line in body.splitlines()]
+    if not heads or not all(rest for _, _, rest in heads):
+        return None
+    try:
+        dates = [dt.date.fromisoformat(date) for date, _, _ in heads]
+        values = np.loadtxt(
+            [rest for _, _, rest in heads], delimiter=",", comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(dates), n_labels):
+        return None
+    return dates, values
+
+
 def _parse_rows(
-    reader, labels: tuple[str, ...], path: str, line0: int
+    body: str, labels: tuple[str, ...], path: str, line0: int
 ) -> tuple[list[dt.date], np.ndarray]:
+    """Dates and values of the data rows; ``body`` is the text after the
+    header, whose first line is line ``line0`` of the file."""
+    plain = _parse_plain(body, len(labels))
+    if plain is not None:
+        return plain
     dates: list[dt.date] = []
     values: list[list[float]] = []
-    for k, row in enumerate(reader):
+    for k, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
         line = line0 + k
         if not row or all(not c.strip() for c in row):
             continue  # ignore blank lines
@@ -216,7 +251,7 @@ def load_prices(path: str | Path) -> PricePanel:
                 "use load_returns"
             )
         labels = _parse_header(first, path)
-        dates, values = _parse_rows(reader, labels, path, line0=2)
+        dates, values = _parse_rows(fh.read(), labels, path, line0=2)
     dates, values = _sorted_by_date(dates, values, path)
     return PricePanel(dates=dates, labels=labels, prices=values)
 
@@ -239,7 +274,7 @@ def load_returns(path: str | Path) -> ReturnPanel:
         except StopIteration:
             raise ParseError(f"{path}: missing header after sentinel") from None
         labels = _parse_header(header, path)
-        dates, values = _parse_rows(reader, labels, path, line0=3)
+        dates, values = _parse_rows(fh.read(), labels, path, line0=3)
     dates, values = _sorted_by_date(dates, values, path)
     return ReturnPanel(labels=labels, returns=values, dates=dates)
 

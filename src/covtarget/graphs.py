@@ -41,9 +41,7 @@ class ThresholdGraph:
         return len(self.labels)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(
-            j for j in range(self.n) if j != v and self.adjacency[v, j] != 0.0
-        )
+        return frozenset(np.flatnonzero(self.adjacency[v]).tolist()) - {v}
 
     def weight(self, i: int, j: int) -> float:
         return float(self.adjacency[i, j])
@@ -58,9 +56,8 @@ def build_graph(corr: np.ndarray, labels: tuple[str, ...], delta: float) -> Thre
         raise DataError(f"{len(labels)} labels for a {n}x{n} correlation matrix")
     if np.abs(np.diag(np.asarray(corr, dtype=float)) - 1.0).max() > 1e-12:
         raise DataError("correlation matrix must have a unit diagonal")
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if adj[i, j] != 0.0
-    )
+    rows, cols = np.nonzero(np.triu(adj, 1))  # row-major: sorted by i, then j
+    edges = tuple(zip(rows.tolist(), cols.tolist()))
     return ThresholdGraph(
         labels=tuple(labels), delta=float(delta), adjacency=adj, edges=edges
     )

@@ -2,6 +2,8 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
     DataError,
@@ -16,7 +18,7 @@ from covtarget import (
     log_returns,
     sample_moments,
 )
-from covtarget.data import synth_dates, write_returns_csv
+from covtarget.data import _parse_plain, synth_dates, write_returns_csv
 
 from conftest import gaussian_panel
 
@@ -92,6 +94,70 @@ class TestLoadPrices:
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ParseError, match="empty"):
             load_prices(write(tmp_path, "p.csv", ""))
+
+
+# Cells in the plain alphabet, regular and not: float() accepts some and
+# rejects the others.
+PLAIN_CELLS = ["1.5", "2", "+3.25", "-1", ".5", "5.", "1e3", "1E-2", "1e+2",
+               "100.00000000000004", "0.1", "1e500", "", "e", "-", "1..2",
+               "1.5e", "+-1"]
+
+
+def reference_rows(body: str):
+    """Dates and values of a body parsed cell by cell, or None if a cell is
+    not a date or a float, or a row has a width other than its first."""
+    rows = [line.split(",") for line in body.splitlines()]
+    try:
+        dates = [dt.date.fromisoformat(r[0]) for r in rows]
+        values = [[float(c) for c in r[1:]] for r in rows]
+    except ValueError:
+        return None
+    if not rows or len({len(v) for v in values}) != 1:
+        return None
+    return dates, np.array(values)
+
+
+class TestPlainFastPath:
+    @given(
+        n=st.integers(1, 4),
+        cells=st.lists(st.sampled_from(PLAIN_CELLS), min_size=1, max_size=24),
+        eol=st.sampled_from(["\n", "\r\n", "\r"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cell_by_cell(self, n, cells, eol):
+        # The C parse either declines or returns exactly what float() gives.
+        lines = [",".join([f"2020-01-{k + 10:02d}", *cells[k * n:(k + 1) * n]])
+                 for k in range(max(1, len(cells) // n))]
+        body = eol.join(lines) + eol
+        got, want = _parse_plain(body, n), reference_rows(body)
+        if want is not None and want[1].shape[1] == n:
+            assert got is not None
+        if got is not None:
+            assert got[1].shape[1] == n
+            assert got[0] == want[0]
+            assert got[1].shape == want[1].shape
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_declines_irregular_bodies(self):
+        assert _parse_plain("2020-01-02,1.0\n\n2020-01-03,2.0\n", 1) is None
+        assert _parse_plain("2020-01-02,1.0,2.0\n", 1) is None
+        assert _parse_plain('2020-01-02,"1.0"\n', 1) is None
+        assert _parse_plain("2020-01-02,1_0\n", 1) is None
+        assert _parse_plain("", 1) is None
+
+    @pytest.mark.parametrize("body, err, match", [
+        ("2020-01-02,1.0\n2020-01-03,1.5e\n", ParseError, ":3: bad number"),
+        ("2020-01-02,1.0\n2020-01-03\n", ParseError, ":3: expected 2 cells"),
+        ("2020-01-02,1.0\n2020-02-30,2.0\n", ParseError, ":3: bad date"),
+    ])
+    def test_errors_name_the_line(self, tmp_path, body, err, match):
+        with pytest.raises(err, match=match):
+            load_prices(write(tmp_path, "p.csv", "date,AA\n" + body))
+
+    def test_quoted_and_blank_rows_load_as_before(self, tmp_path):
+        text = 'date,AA,BB\n2020-01-02,"100.0",50.0\n\n2020-01-03,101.0, 49.5\n'
+        panel = load_prices(write(tmp_path, "p.csv", text))
+        assert panel.prices.tolist() == [[100.0, 50.0], [101.0, 49.5]]
 
 
 class TestLogReturns:
