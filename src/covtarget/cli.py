@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bekk import bekk_simulate
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
 from .data import ReturnPanel, load_panel, sample_moments, write_returns_csv, write_text_atomic
@@ -32,7 +30,9 @@ from .optimize import OptimizerOptions
 from .report import (
     MODEL_KINDS,
     RunConfig,
+    check_models,
     params_from_document,
+    render_json,
     run_evaluation,
     run_fits,
 )
@@ -45,7 +45,7 @@ _DEFAULTS = {
     "delta": 0.5,
     "model": ",".join(MODEL_KINDS),
     "sim_len": None,
-    "starts": None,
+    "starts": OptimizerOptions.n_starts,
     "input": None,
     "format": None,
     "k": None,
@@ -145,18 +145,17 @@ def merge_options(args: argparse.Namespace) -> dict:
     return merged
 
 
+def _usage(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its DataError reported as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _models(opt: dict) -> tuple[str, ...]:
     kinds = tuple(s.strip() for s in str(opt["model"]).split(",") if s.strip())
-    bad = [k for k in kinds if k not in MODEL_KINDS]
-    if bad:
-        raise UsageError(
-            f"unknown model kinds {bad}; valid: {', '.join(MODEL_KINDS)}"
-        )
-    if not kinds:
-        raise UsageError("no model kinds given")
-    if len(set(kinds)) != len(kinds):
-        raise UsageError(f"model kinds repeated in {opt['model']!r}")
-    return kinds
+    return _usage(check_models, kinds)
 
 
 def _format(opt: dict, command: str) -> str:
@@ -177,18 +176,6 @@ def _require_input(opt: dict) -> str:
     return str(opt["input"])
 
 
-def _optimizer_options(opt: dict) -> OptimizerOptions:
-    if opt["starts"] is not None:
-        if opt["starts"] < 1:
-            raise UsageError(f"--starts must be >= 1, got {opt['starts']}")
-        return OptimizerOptions(n_starts=int(opt["starts"]), seed=int(opt["seed"]))
-    return OptimizerOptions(seed=int(opt["seed"]))
-
-
-def _dump_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def cmd_cluster(opt: dict, k: int | None, fmt: str) -> int:
     panel = load_panel(_require_input(opt))
     moments = sample_moments(panel)
@@ -197,9 +184,9 @@ def cmd_cluster(opt: dict, k: int | None, fmt: str) -> int:
     if k is not None:
         assign = cut_tree(dend, int(k))
         doc["clusters"] = {lab: int(c) for lab, c in zip(panel.labels, assign)}
-    write_text_atomic(Path(opt["out_dir"]) / "dendrogram.json", _dump_json(doc))
+    write_text_atomic(Path(opt["out_dir"]) / "dendrogram.json", render_json(doc))
     if fmt == "json":
-        sys.stdout.write(_dump_json(doc))
+        sys.stdout.write(render_json(doc))
     else:
         for a, b, h in dend.merges:
             sys.stdout.write(f"merge {a} + {b} at height {h:.6g}\n")
@@ -215,10 +202,10 @@ def cmd_graph(opt: dict, fmt: str) -> int:
     moments = sample_moments(panel)
     graph = build_graph(moments.corr, panel.labels, float(opt["delta"]))
     out = Path(opt["out_dir"])
-    write_text_atomic(out / "graph.json", _dump_json(graph_to_json(graph)))
+    write_text_atomic(out / "graph.json", render_json(graph_to_json(graph)))
     write_text_atomic(out / "graph.dot", graph_to_dot(graph))
     sys.stdout.write(
-        graph_to_dot(graph) if fmt == "dot" else _dump_json(graph_to_json(graph))
+        graph_to_dot(graph) if fmt == "dot" else render_json(graph_to_json(graph))
     )
     return 0
 
@@ -242,9 +229,9 @@ def cmd_cliques(opt: dict, fmt: str) -> int:
         "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
         "orders": list(cliques.orders()),
     }
-    write_text_atomic(Path(opt["out_dir"]) / "cliques.json", _dump_json(doc))
+    write_text_atomic(Path(opt["out_dir"]) / "cliques.json", render_json(doc))
     if fmt == "json":
-        sys.stdout.write(_dump_json(doc))
+        sys.stdout.write(render_json(doc))
     else:
         for c in doc["cliques"]:
             sys.stdout.write("{" + ", ".join(c) + "}\n")
@@ -260,7 +247,7 @@ def _load_run(opt: dict) -> tuple[ReturnPanel, RunConfig]:
         delta=float(opt["delta"]),
         seed=int(opt["seed"]),
         sim_len=opt["sim_len"],
-        opts=_optimizer_options(opt),
+        opts=_usage(OptimizerOptions, n_starts=opt["starts"], seed=opt["seed"]),
     )
     return panel, config
 
@@ -270,7 +257,7 @@ def cmd_fit(opt: dict) -> int:
     blocks = run_fits(panel, config)
     out = Path(opt["out_dir"])
     for kind, block in blocks.items():
-        write_text_atomic(out / f"params.{kind}.json", _dump_json(block["params"]))
+        write_text_atomic(out / f"params.{kind}.json", render_json(block["params"]))
         fit = block["fit"]
         sys.stdout.write(
             f"{kind}: objective {fit['objective']:.6f} "
@@ -313,7 +300,7 @@ def cmd_evaluate(opt: dict, fmt: str) -> int:
     for kind in config.models:
         write_text_atomic(
             out / f"params.{kind}.json",
-            _dump_json(report.doc["models"][kind]["params"]),
+            render_json(report.doc["models"][kind]["params"]),
         )
     sys.stdout.write(report.to_json() if fmt == "json" else report.to_text())
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import symmetrize
+from .linalg import check_correlation, symmetrize
 
 _HEIGHT_TOL = 1e-12
 
@@ -67,13 +67,9 @@ class Dendrogram:
 
 
 def corr_distance(corr: np.ndarray) -> np.ndarray:
-    """Distance d_ij = 1 - rho_ij; zero diagonal exactly."""
-    c = symmetrize(corr)
-    if np.abs(np.diag(c) - 1.0).max() > 1e-12:
-        raise DataError("correlation matrix must have a unit diagonal")
-    if np.abs(c).max() > 1.0 + 1e-12:
-        raise DataError("correlation entries must lie in [-1, 1]")
-    d = 1.0 - c
+    """Distance d_ij = 1 - rho_ij of a matrix that passes
+    linalg.check_correlation; zero diagonal exactly."""
+    d = 1.0 - check_correlation(corr)
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -4,8 +4,9 @@ Two file layouts are supported:
 
 * price panels:   header ``date,TICKER1,...``; one ISO date plus strictly
   positive prices per row;
-* return panels:  a ``#returns`` sentinel on line 1, then the same layout
-  with returns instead of prices (this is the format ``simulate`` writes).
+* return panels:  a ``#returns`` sentinel as the first CSV cell of line 1
+  (quoted or not), then the same layout with returns instead of prices
+  (this is the format ``simulate`` writes).
 
 Rows with any missing or unparseable cell are rejected loudly; nothing is
 imputed.
@@ -146,14 +147,6 @@ class SampleMoments:
         return len(self.labels)
 
 
-def _parse_header(row: list[str], path: str) -> tuple[str, ...]:
-    if not row or row[0].strip().lower() != "date":
-        raise ParseError(f"{path}: first header column must be 'date'")
-    labels = tuple(c.strip() for c in row[1:])
-    _check_labels(labels)
-    return labels
-
-
 # The characters of a body of ISO dates and plain decimal numbers. On such
 # text no csv quoting can occur, and numpy's C number parser accepts exactly
 # the cells that float() accepts, with the same values: both end in Python's
@@ -225,71 +218,68 @@ def _parse_rows(
     return dates, np.asarray(values, dtype=float)
 
 
-def _sorted_by_date(
-    dates: list[dt.date], values: np.ndarray, path: str
-) -> tuple[tuple[dt.date, ...], np.ndarray]:
+def _read_panel(
+    path: str | Path, returns: bool | None = None
+) -> tuple[bool, tuple[str, ...], tuple[dt.date, ...], np.ndarray]:
+    """Read a panel file once: (is a returns panel, labels, dates, values),
+    rows sorted by date. The layout is the first CSV cell of line 1; when
+    ``returns`` is given, the other layout is refused before the header is
+    parsed."""
+    path = str(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
+        if returns is not None and is_returns != returns:
+            raise ParseError(
+                f"{path}: file is a returns panel ('{RETURNS_SENTINEL}' sentinel); "
+                "use load_returns"
+                if is_returns
+                else f"{path}: missing '{RETURNS_SENTINEL}' sentinel on line 1"
+            )
+        if is_returns:
+            try:
+                first = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: missing header after sentinel") from None
+        if not first or first[0].strip().lower() != "date":
+            raise ParseError(f"{path}: first header column must be 'date'")
+        labels = tuple(c.strip() for c in first[1:])
+        _check_labels(labels)
+        dates, values = _parse_rows(fh.read(), labels, path, reader.line_num + 1)
     order = sorted(range(len(dates)), key=lambda i: dates[i])
-    dates = [dates[i] for i in order]
+    dates = tuple(dates[i] for i in order)
     for a, b in zip(dates, dates[1:]):
         if a == b:
             raise DataError(f"{path}: duplicate date {a}")
-    return tuple(dates), values[order]
+    return is_returns, labels, dates, values[order]
 
 
 def load_prices(path: str | Path) -> PricePanel:
     """Load a price CSV (header ``date,T1,...``), sorted by date."""
-    path = str(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if first and first[0].strip() == RETURNS_SENTINEL:
-            raise ParseError(
-                f"{path}: file is a returns panel ('{RETURNS_SENTINEL}' sentinel); "
-                "use load_returns"
-            )
-        labels = _parse_header(first, path)
-        dates, values = _parse_rows(fh.read(), labels, path, line0=2)
-    dates, values = _sorted_by_date(dates, values, path)
-    return PricePanel(dates=dates, labels=labels, prices=values)
+    _, labels, dates, prices = _read_panel(path, returns=False)
+    return PricePanel(dates=dates, labels=labels, prices=prices)
 
 
 def load_returns(path: str | Path) -> ReturnPanel:
     """Load a returns CSV: ``#returns`` sentinel line, then the price layout."""
-    path = str(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if not first or first[0].strip() != RETURNS_SENTINEL:
-            raise ParseError(
-                f"{path}: missing '{RETURNS_SENTINEL}' sentinel on line 1"
-            )
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: missing header after sentinel") from None
-        labels = _parse_header(header, path)
-        dates, values = _parse_rows(fh.read(), labels, path, line0=3)
-    dates, values = _sorted_by_date(dates, values, path)
-    return ReturnPanel(labels=labels, returns=values, dates=dates)
+    _, labels, dates, returns = _read_panel(path, returns=True)
+    return ReturnPanel(labels=labels, returns=returns, dates=dates)
 
 
 def load_panel(path: str | Path) -> ReturnPanel:
     """Load either file layout and return a ReturnPanel.
 
     Price files are converted with log_returns; returns files are loaded
-    as-is (dispatch on the sentinel line).
+    as-is.
     """
-    with open(str(path), newline="") as fh:
-        first = fh.readline()
-    if first.split(",")[0].strip() == RETURNS_SENTINEL:
-        return load_returns(path)
-    return log_returns(load_prices(path))
+    is_returns, labels, dates, values = _read_panel(path)
+    if is_returns:
+        return ReturnPanel(labels=labels, returns=values, dates=dates)
+    return log_returns(PricePanel(dates=dates, labels=labels, prices=values))
 
 
 def log_returns(panel: PricePanel) -> ReturnPanel:

@@ -48,14 +48,12 @@ class ThresholdGraph:
 
 
 def build_graph(corr: np.ndarray, labels: tuple[str, ...], delta: float) -> ThresholdGraph:
-    """Threshold a correlation matrix into a graph; survival is strict
-    (|rho| > delta), as in targeting.threshold_correlation."""
+    """Threshold a correlation matrix into a graph; validation and survival
+    (strict, |rho| > delta) are those of targeting.threshold_correlation."""
     adj = threshold_correlation(corr, delta)
     n = adj.shape[0]
     if len(labels) != n:
         raise DataError(f"{len(labels)} labels for a {n}x{n} correlation matrix")
-    if np.abs(np.diag(np.asarray(corr, dtype=float)) - 1.0).max() > 1e-12:
-        raise DataError("correlation matrix must have a unit diagonal")
     rows, cols = np.nonzero(np.triu(adj, 1))  # row-major: sorted by i, then j
     edges = tuple(zip(rows.tolist(), cols.tolist()))
     return ThresholdGraph(

@@ -1,8 +1,9 @@
 """Symmetric-matrix kernels used by the likelihood and loss code.
 
 Every determinant, inverse, and quadratic form here goes through a Cholesky
-factorization. Only gaussian_path_loglik forms H_t^{-1}, from the inverted
-factor, because the score of the Gaussian likelihood is written in it.
+factorization. The one path kernel, gaussian_path_loglik, gives a path's
+Gaussian log-likelihood, KL penalty and gradient from one stacked
+factorization; only it forms H_t^{-1}, because the score is written in it.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from .errors import DataError, NotPositiveDefiniteError, ShapeError
 
 # Relative tolerance for symmetry validation of user-supplied matrices.
 SYM_TOL = 1e-12
+# Smallest eigenvalue nearest_pd leaves in a repaired matrix.
+PD_FLOOR = 1e-8
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -29,6 +32,18 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     if gap > SYM_TOL * scale:
         raise ShapeError(f"matrix is not symmetric (max asymmetry {gap:.3e})")
     return 0.5 * (a + a.T)
+
+
+def check_correlation(corr: np.ndarray) -> np.ndarray:
+    """Validate a correlation matrix (symmetric as in symmetrize, unit
+    diagonal and entries in [-1, 1], both to 1e-12) and return it
+    symmetrized."""
+    c = symmetrize(corr)
+    if np.abs(np.diag(c) - 1.0).max(initial=0.0) > 1e-12:
+        raise DataError("correlation matrix must have a unit diagonal")
+    if np.abs(c).max(initial=0.0) > 1.0 + 1e-12:
+        raise DataError("correlation entries must lie in [-1, 1]")
+    return c
 
 
 @dataclass(frozen=True)
@@ -76,22 +91,21 @@ def cholesky(m: np.ndarray) -> CholFactor:
     return CholFactor(lower=lower, logdet=logdet)
 
 
-def nearest_pd(m: np.ndarray, floor: float = 1e-8) -> np.ndarray:
+def nearest_pd(m: np.ndarray) -> np.ndarray:
     """Eigenvalue-clipped positive definite repair.
 
-    Eigenvalues below ``floor`` are raised to ``floor`` and the matrix is
-    reassembled. A matrix already PD with min eigenvalue >= floor is returned
-    unchanged (up to exact symmetrization). Output is exactly symmetric.
+    Eigenvalues below PD_FLOOR are raised to PD_FLOOR and the matrix is
+    reassembled. A matrix already PD with min eigenvalue >= PD_FLOOR is
+    returned unchanged (up to exact symmetrization). Output is exactly
+    symmetric.
     """
-    if not floor > 0.0:
-        raise DataError(f"floor must be positive, got {floor}")
     a = symmetrize(m)
     w, v = np.linalg.eigh(a)
     # slack absorbs eigh roundoff so repairing is idempotent
     slack = 1e-12 * max(1.0, float(np.abs(a).max()))
-    if float(w.min()) >= floor - slack:
+    if float(w.min()) >= PD_FLOOR - slack:
         return a
-    w = np.maximum(w, floor)
+    w = np.maximum(w, PD_FLOOR)
     out = (v * w) @ v.T
     return 0.5 * (out + out.T)
 
@@ -140,35 +154,6 @@ def stacked_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diags = np.diagonal(lowers, axis1=1, axis2=2)
     logdets = 2.0 * np.log(diags).sum(axis=1)
     return lowers, logdets
-
-
-def kl_path_sum(p: np.ndarray, h: np.ndarray) -> float:
-    """Sum over t of KL(P, H_t) for a (T, N, N) stack of covariances.
-
-    Matches summing kl_divergence(p, h[t]) over t, but factors the stack once.
-    """
-    cp = cholesky(p)
-    lowers, logdets = stacked_cholesky(h)
-    t_len, n = h.shape[0], h.shape[1]
-    if cp.n != n:
-        raise ShapeError(f"target is {cp.n}x{cp.n} but path matrices are {n}x{n}")
-    # Tr(H_t^{-1} P) = ||L_t^{-1} Lp||_F^2, solved for all t at once.
-    y = np.linalg.solve(lowers, np.broadcast_to(cp.lower, (t_len, n, n)))
-    traces = (y * y).sum(axis=(1, 2))
-    return 0.5 * float(
-        logdets.sum() - t_len * cp.logdet + traces.sum() - t_len * n
-    )
-
-
-def stacked_quad_logdet(h: np.ndarray, x: np.ndarray) -> tuple[float, float]:
-    """For a (T, N, N) stack and (T, N) vectors, return
-    (sum_t log|H_t|, sum_t x_t' H_t^{-1} x_t) via one stacked factorization."""
-    lowers, logdets = stacked_cholesky(h)
-    x = np.asarray(x, dtype=float)
-    if x.shape != h.shape[:2]:
-        raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
-    y = np.linalg.solve(lowers, x[:, :, None])
-    return float(logdets.sum()), float((y * y).sum())
 
 
 def gaussian_path_loglik(

@@ -44,6 +44,18 @@ MODEL_KINDS = ("bekk", "bekk_mod", "dcc", "dcc_mod")
 MIN_CORR_PIVOT_SQ = 1e-8
 
 
+def check_models(models: tuple[str, ...]) -> tuple[str, ...]:
+    """``models`` if it names one kind or more, all known, none repeated."""
+    if not models:
+        raise DataError("no model kinds given")
+    unknown = [m for m in models if m not in MODEL_KINDS]
+    if unknown:
+        raise DataError(f"unknown model kinds {unknown}; valid: {', '.join(MODEL_KINDS)}")
+    if len(set(models)) != len(models):
+        raise DataError(f"model kinds repeated in {','.join(models)!r}")
+    return models
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated evaluation configuration."""
@@ -56,15 +68,7 @@ class RunConfig:
     opts: OptimizerOptions = field(default_factory=OptimizerOptions)
 
     def __post_init__(self):
-        if not self.models:
-            raise DataError("no models requested")
-        unknown = [m for m in self.models if m not in MODEL_KINDS]
-        if unknown:
-            raise DataError(
-                f"unknown model kinds {unknown}; valid kinds: {list(MODEL_KINDS)}"
-            )
-        if len(set(self.models)) != len(self.models):
-            raise DataError("duplicate model kinds requested")
+        check_models(self.models)
         if not (0.0 <= float(self.delta) < 1.0):
             raise DataError(f"delta must be in [0, 1), got {self.delta}")
         if self.sim_len is not None and self.sim_len < 2:
@@ -78,10 +82,15 @@ class EvalReport:
     doc: dict
 
     def to_json(self) -> str:
-        return json.dumps(self.doc, sort_keys=True, indent=2) + "\n"
+        return render_json(self.doc)
 
     def to_text(self) -> str:
         return render_text_table(self.doc)
+
+
+def render_json(doc) -> str:
+    """The text of every JSON document: sorted keys, indent 2, newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _f(x) -> float | None:

@@ -13,9 +13,7 @@ import numpy as np
 
 from .data import SampleMoments
 from .errors import DataError
-from .linalg import cholesky, nearest_pd, symmetrize
-
-PD_FLOOR = 1e-8
+from .linalg import check_correlation, cholesky, nearest_pd
 
 
 @dataclass(frozen=True)
@@ -47,13 +45,12 @@ class TargetSpec:
 
 def threshold_correlation(corr: np.ndarray, delta: float) -> np.ndarray:
     """Zero out correlations with |rho| <= delta (strict survival: |rho| >
-    delta); diagonal stays exactly one."""
+    delta); diagonal stays exactly one. ``corr`` must pass
+    linalg.check_correlation."""
     delta = float(delta)
     if not (0.0 <= delta < 1.0):
         raise DataError(f"threshold delta must be in [0, 1), got {delta}")
-    c = symmetrize(corr)
-    if np.abs(c).max() > 1.0 + 1e-12:
-        raise DataError("correlation entries must lie in [-1, 1]")
+    c = check_correlation(corr)
     z = np.where(np.abs(c) > delta, c, 0.0)
     np.fill_diagonal(z, 1.0)
     return z
@@ -61,9 +58,9 @@ def threshold_correlation(corr: np.ndarray, delta: float) -> np.ndarray:
 
 def build_target(moments: SampleMoments, delta: float) -> TargetSpec:
     """Threshold the sample correlation at ``delta``, repair it to PD
-    (eigenvalue floor PD_FLOOR) and rescale it to covariance."""
+    (eigenvalue floor linalg.PD_FLOOR) and rescale it to covariance."""
     z = threshold_correlation(moments.corr, delta)
-    z_pd = nearest_pd(z, floor=PD_FLOOR)
+    z_pd = nearest_pd(z)
     sigma = moments.gamma @ z_pd @ moments.gamma
     sigma = 0.5 * (sigma + sigma.T)
     cholesky(sigma)  # fail fast if the floor was too small for this scale

@@ -179,6 +179,19 @@ class TestDataErrors:
         assert rc == 3
         assert "singular" in err and "DUP" in err
 
+    @pytest.mark.parametrize("command", ["graph", "evaluate"])
+    def test_quoted_sentinel_is_a_returns_panel(
+        self, capsys, panel_csv, tmp_path, command
+    ):
+        # The sentinel is the first CSV cell of line 1, quoted or not.
+        path = tmp_path / "quoted.csv"
+        path.write_text('"#returns"' + panel_csv.read_text()[len("#returns"):])
+        rc, _, err = run(
+            capsys, command, "--input", str(path), "--out-dir", str(tmp_path),
+            "--model", "bekk", "--starts", "1", "--sim-len", "40",
+        )
+        assert rc == 0, err
+
 
 class TestEstimationErrors:
     def test_constant_series_fails_with_4(self, capsys, tmp_path):

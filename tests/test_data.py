@@ -1,4 +1,6 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtarget import (
+    CovTargetError,
     DataError,
     DegenerateSeriesError,
     InsufficientDataError,
@@ -244,3 +247,44 @@ class TestReturnsCsv:
     def test_sentinel_required(self, tmp_path):
         with pytest.raises(ParseError, match="sentinel"):
             load_returns(write(tmp_path, "r.csv", PRICES_CSV))
+
+
+def load_outcome(load, path):
+    """What a loader gives: the panel's contents, or its error."""
+    try:
+        p = load(path)
+    except CovTargetError as exc:
+        return type(exc), str(exc)
+    return p.labels, p.dates, p.returns.shape, p.returns.tobytes()
+
+
+class TestLoadPanelDispatch:
+    @given(
+        returns=st.booleans(),
+        quoted=st.booleans(),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        n=st.integers(1, 3),
+        cells=st.lists(
+            st.sampled_from(["0.5", "1.25", "2", "3e-1", "-0.5", "", "x"]),
+            min_size=1, max_size=12,
+        ),
+        days=st.permutations(range(2, 14)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_layout_loader(self, returns, quoted, eol, n, cells, days):
+        # load_panel reads the layout as load_returns and load_prices do,
+        # and gives what the loader of that layout gives.
+        lines = ['"#returns"' if quoted else "#returns"] if returns else []
+        lines.append(",".join(["date", *"ABC"[:n]]))
+        for k in range(max(1, len(cells) // n)):
+            row = cells[k * n:(k + 1) * n]
+            lines.append(",".join([f"2020-01-{days[k]:02d}", *row]))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "panel.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(eol.join(lines) + eol)
+            want = load_outcome(
+                load_returns if returns else lambda p: log_returns(load_prices(p)),
+                path,
+            )
+            assert load_outcome(load_panel, path) == want

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from covtarget import (
+    CovTargetError,
     DataError,
     build_graph,
     compare_graphs,
+    corr_distance,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     maximal_cliques,
+    threshold_correlation,
 )
 
 from tables import (
@@ -85,6 +88,37 @@ class TestBuildGraph:
             build_graph(np.array([[1.0, 1.2], [1.2, 1.0]]), ("A", "B"), 0.5)
         with pytest.raises(DataError):
             build_graph(np.eye(2), ("A", "B"), 1.0)
+
+
+def corr_with(i, j, value, mirror=True):
+    """A valid 3x3 correlation matrix with entry (i, j), and (j, i) when
+    ``mirror``, set to ``value``."""
+    c = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]])
+    c[i, j] = value
+    if mirror:
+        c[j, i] = value
+    return c
+
+
+@pytest.mark.parametrize("corr", [
+    corr_with(1, 1, 0.5),
+    corr_with(0, 1, 1.2),
+    corr_with(0, 1, 0.6 + 1e-6, mirror=False),
+    corr_with(2, 0, np.nan),
+], ids=["diagonal", "above-one", "asymmetric", "nan"])
+def test_one_correlation_rule(corr):
+    # threshold_correlation, build_graph and corr_distance refuse the same
+    # matrices with the same error.
+    errors = []
+    for call in (
+        lambda: threshold_correlation(corr, 0.5),
+        lambda: build_graph(corr, ("A", "B", "C"), 0.5),
+        lambda: corr_distance(corr),
+    ):
+        with pytest.raises(CovTargetError) as err:
+            call()
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == errors[2]
 
 
 class TestMaximalCliques:

@@ -11,12 +11,7 @@ from covtarget import (
     nearest_pd,
     symmetrize,
 )
-from covtarget.linalg import (
-    gaussian_path_loglik,
-    kl_path_sum,
-    stacked_cholesky,
-    stacked_quad_logdet,
-)
+from covtarget.linalg import PD_FLOOR, gaussian_path_loglik, stacked_cholesky
 
 from conftest import random_spd
 
@@ -82,8 +77,8 @@ class TestNearestPd:
     def test_repairs_indefinite(self):
         m = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, 0.0], [0.9, 0.0, 1.0]])
         assert np.linalg.eigvalsh(m).min() < 0
-        out = nearest_pd(m, floor=1e-8)
-        assert np.linalg.eigvalsh(out).min() >= 1e-8 - 1e-12
+        out = nearest_pd(m)
+        assert np.linalg.eigvalsh(out).min() >= PD_FLOOR - 1e-12
         cholesky(out)
 
     def test_idempotent(self):
@@ -93,12 +88,8 @@ class TestNearestPd:
 
     def test_floor_respected(self):
         m = np.diag([1.0, 1e-12])
-        out = nearest_pd(m, floor=1e-6)
-        assert np.linalg.eigvalsh(out).min() >= 1e-6 - 1e-15
-
-    def test_bad_floor(self):
-        with pytest.raises(DataError):
-            nearest_pd(np.eye(2), floor=0.0)
+        out = nearest_pd(m)
+        assert np.linalg.eigvalsh(out).min() >= PD_FLOOR - 1e-15
 
 
 class TestKlDivergence:
@@ -158,16 +149,20 @@ class TestStackedOps:
     def test_quad_logdet_matches_loop(self, rng):
         h = np.stack([random_spd(rng, 3) for _ in range(30)])
         x = rng.standard_normal((30, 3))
-        ld, qd = stacked_quad_logdet(h, x)
         ld_ref = sum(np.linalg.slogdet(h[t])[1] for t in range(30))
         qd_ref = sum(x[t] @ np.linalg.solve(h[t], x[t]) for t in range(30))
+        # With zero vectors the kernel is the log-determinant term alone.
+        ld = -2.0 * gaussian_path_loglik(h, np.zeros_like(x))
+        qd = -2.0 * gaussian_path_loglik(h, x) - ld
         assert ld == pytest.approx(ld_ref, rel=1e-10)
         assert qd == pytest.approx(qd_ref, rel=1e-10)
 
     def test_kl_path_sum_matches_per_step(self, rng):
         p = random_spd(rng, 3)
         h = np.stack([random_spd(rng, 3) for _ in range(25)])
-        total = kl_path_sum(p, h)
+        x = rng.standard_normal((25, 3))
+        # The target enters the kernel only through -sum_t KL(P, H_t).
+        total = gaussian_path_loglik(h, x) - gaussian_path_loglik(h, x, p)
         ref = sum(kl_divergence(p, h[t]) for t in range(25))
         assert total == pytest.approx(ref, abs=1e-10)
 
@@ -175,12 +170,16 @@ class TestStackedOps:
         p = random_spd(rng, 3)
         h = np.stack([random_spd(rng, 3) for _ in range(20)])
         x = rng.standard_normal((20, 3))
-        ld, qd = stacked_quad_logdet(h, x)
-        assert gaussian_path_loglik(h, x) == pytest.approx(
-            -0.5 * (ld + qd), rel=1e-12
-        )
+        plain = 0.0
+        kl = 0.0
+        for t in range(20):
+            f = cholesky(h[t])
+            z = np.linalg.solve(f.lower, x[t])
+            plain -= 0.5 * (f.logdet + z @ z)
+            kl += kl_divergence(p, h[t])
+        assert gaussian_path_loglik(h, x) == pytest.approx(plain, rel=1e-12)
         assert gaussian_path_loglik(h, x, p) == pytest.approx(
-            -0.5 * (ld + qd) - kl_path_sum(p, h), rel=1e-12
+            plain - kl, rel=1e-12
         )
 
 
