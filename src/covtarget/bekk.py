@@ -8,9 +8,10 @@ decouples into one scalar one-pole filter per matrix entry:
 
     h_{ij,t} = (CC')_{ij} + a_i a_j e_{ij,t-1} + b_i b_j h_{ij,t-1}
 
-so the full path is computed entrywise with scipy.signal.lfilter.
+so the lower triangle runs as one scan along time with one pole b_i b_j
+per entry, and is mirrored to the upper triangle.
 
-The score runs the same filters backwards. With G_t = dl/dH_t from
+The score runs the same scan backwards. With G_t = dl/dH_t from
 linalg.gaussian_path_loglik (the likelihood term, plus the KL term when a
 target is given), the adjoint
 
@@ -162,12 +163,10 @@ def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> CovPath:
         bb = np.outer(params.b_diag, params.b_diag)
         outer = eps[:-1, :, None] * eps[:-1, None, :]
         x = cc + aa * outer
-        for i in range(n):
-            for j in range(i + 1):
-                path = _one_pole(x[:, i, j], float(bb[i, j]), float(h1[i, j]))
-                h[1:, i, j] = path
-                if j != i:
-                    h[1:, j, i] = path
+        rows, cols = np.tril_indices(n)
+        path = _one_pole(x[:, rows, cols], bb[rows, cols], h1[rows, cols])
+        h[1:, rows, cols] = path
+        h[1:, cols, rows] = path
     if not np.all(np.isfinite(h)):
         t = int(np.argwhere(~np.isfinite(h))[0][0])
         raise NumericalOverflowError(f"covariance recursion overflowed at t={t}", t=t)
@@ -190,14 +189,14 @@ def _bekk_objective(eps, params, h1, target, grad):
         return const + gaussian_path_loglik(h, eps, p)
     value, g = gaussian_path_loglik(h, eps, p, grad=True)
     bb = np.outer(params.b_diag, params.b_diag)
+    rows, cols = np.tril_indices(n)
     lam = np.empty((t_len - 1, n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            lam[:, i, j] = lam[:, j, i] = _one_pole_adjoint(g[1:, i, j], bb[i, j])
+    lam[:, rows, cols] = lam[:, cols, rows] = _one_pole_adjoint(
+        g[1:, rows, cols], bb[rows, cols]
+    )
     s = lam.sum(axis=0)
     m = np.einsum("tij,ti,tj->ij", lam, eps[:-1], eps[:-1])
     k = (lam * h[:-1]).sum(axis=0)
-    rows, cols = np.tril_indices(n)
     return const + value, np.concatenate([
         2.0 * (s @ params.c_lower)[rows, cols],
         2.0 * m @ params.a_diag,

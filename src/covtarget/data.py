@@ -292,39 +292,37 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(labels=panel.labels, returns=r, dates=panel.dates[1:])
 
 
-def correlation_from_series(x: np.ndarray) -> np.ndarray:
-    """Sample correlation of the columns of ``x`` (T-1 divisor), with an
-    exact unit diagonal and entries clipped to [-1, 1]."""
-    x = np.asarray(x, dtype=float)
+def _moments(x: np.ndarray, names) -> tuple[np.ndarray, ...]:
+    """Column standard deviations, covariance (T-1 divisor) and correlation
+    of ``x``, the correlation with an exact unit diagonal and entries
+    clipped to [-1, 1]; a zero-variance column is named by ``names[j]``."""
     s = x.std(axis=0, ddof=1)
     if np.any(s == 0.0):
         j = int(np.flatnonzero(s == 0.0)[0])
-        raise DegenerateSeriesError(f"series {j} has zero variance")
-    c = np.cov(x, rowvar=False, ddof=1)
-    c = np.atleast_2d(c)
+        raise DegenerateSeriesError(f"series {names[j]} has zero variance")
+    c = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
     corr = c / np.outer(s, s)
     corr = 0.5 * (corr + corr.T)
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
-    return corr
+    return s, c, corr
+
+
+def correlation_from_series(x: np.ndarray) -> np.ndarray:
+    """Sample correlation of the columns of ``x`` (T-1 divisor), with an
+    exact unit diagonal and entries clipped to [-1, 1]."""
+    x = np.asarray(x, dtype=float)
+    return _moments(x, range(x.shape[-1]))[2]
 
 
 def sample_moments(panel: ReturnPanel) -> SampleMoments:
     """Whole-sample covariance/correlation/scale of a return panel."""
     if panel.t_len < 2:
         raise InsufficientDataError("need at least two return rows for moments")
-    r = panel.returns
-    s = r.std(axis=0, ddof=1)
-    if np.any(s == 0.0):
-        j = int(np.flatnonzero(s == 0.0)[0])
-        raise DegenerateSeriesError(
-            f"series {panel.labels[j]} has zero variance"
-        )
-    cov = np.atleast_2d(np.cov(r, rowvar=False, ddof=1))
-    cov = 0.5 * (cov + cov.T)
-    corr = correlation_from_series(r)
-    gamma = np.diag(s)
-    return SampleMoments(labels=panel.labels, cov=cov, corr=corr, gamma=gamma)
+    s, c, corr = _moments(panel.returns, panel.labels)
+    return SampleMoments(
+        labels=panel.labels, cov=0.5 * (c + c.T), corr=corr, gamma=np.diag(s)
+    )
 
 
 def synth_dates(t_len: int) -> tuple[dt.date, ...]:

@@ -7,7 +7,7 @@ residuals; stage two drives the quasi-correlation recursion
 
 and rescales R_t = diag(Q_t)^{-1/2} Q_t diag(Q_t)^{-1/2}, which has a unit
 diagonal by construction. Each Q entry is again a scalar one-pole filter,
-all with the pole theta2, so the stack runs through one lfilter along time.
+all with the pole theta2, so the stack runs as one scan along time.
 
 The stage-two score chains G_t = dl/dR_t (linalg.gaussian_path_loglik)
 through the rescaling, with d_i = sqrt(q_ii):
@@ -16,7 +16,7 @@ through the rescaling, with d_i = sqrt(q_ii):
     dl/dq_kk = -sum_{j != k} G_kj R_kj / q_kk,
 
 then through the adjoint of the Q filter, which shares theta2 across all
-entries and so runs as one backward lfilter along time:
+entries and so runs as one backward scan along time:
 
     Lambda_t = dl/dQ_t + theta2 Lambda_{t+1},    Lambda_T = 0,
     dl/dtheta1 = sum_t <Lambda_t, Z_{t-1} - Q_bar>,

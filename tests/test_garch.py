@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
     DataError,
@@ -13,6 +15,7 @@ from covtarget import (
     garch11_loglik,
     garch11_simulate,
 )
+from covtarget.garch import _FLOAT_ROW_MAX, _one_pole, _one_pole_adjoint
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -83,6 +86,67 @@ class TestFilter:
         with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as ei:
             garch11_filter(eps, p, h1=1.0)
         assert ei.value.t == 2
+
+
+def scan_oracle(x, coef, init):
+    """y_t = x_t + coef * y_{t-1}, one entry and one step at a time."""
+    coef = np.broadcast_to(coef, x.shape[1:])
+    init = np.broadcast_to(init, x.shape[1:])
+    y = np.empty_like(x)
+    for idx in np.ndindex(x.shape[1:]):
+        c, prev = float(coef[idx]), float(init[idx])
+        for t in range(x.shape[0]):
+            prev = float(x[(t, *idx)]) + c * prev
+            y[(t, *idx)] = prev
+    return y
+
+
+def adjoint_oracle(g, coef):
+    """lambda_t = g_t + coef * lambda_{t+1} from lambda_T = 0, backwards."""
+    coef = np.broadcast_to(coef, g.shape[1:])
+    lam = np.empty_like(g)
+    for idx in np.ndindex(g.shape[1:]):
+        c, nxt = float(coef[idx]), 0.0
+        for t in reversed(range(g.shape[0])):
+            nxt = float(g[(t, *idx)]) + c * nxt
+            lam[(t, *idx)] = nxt
+    return lam
+
+
+@st.composite
+def scan_inputs(draw):
+    """A scalar series, a row with one pole per entry, or a stack of square
+    matrices sharing one pole; widths on both sides of _FLOAT_ROW_MAX."""
+    kind = draw(st.sampled_from(["scalar", "per_entry", "shared"]))
+    if kind == "scalar":
+        shape = ()
+    elif kind == "per_entry":
+        shape = (draw(st.integers(1, 2 * _FLOAT_ROW_MAX + 3)),)
+    else:
+        n = draw(st.integers(1, 5))
+        shape = (n, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 2))
+    x = rng.standard_normal((draw(st.integers(0, 40)), *shape)) * scale
+    if kind == "per_entry":
+        coef = rng.uniform(0.0, 0.999, shape)
+    else:
+        coef = float(rng.uniform(0.0, 0.999))
+    return x, coef, rng.standard_normal(shape) * scale
+
+
+class TestOnePoleScan:
+    @settings(max_examples=60, deadline=None)
+    @given(scan_inputs())
+    def test_matches_step_by_step_loop_bit_for_bit(self, case):
+        x, coef, init = case
+        y = _one_pole(x, coef, init)
+        lam = _one_pole_adjoint(x, coef)
+        assert y.shape == lam.shape == x.shape
+        want = scan_oracle(x, coef, init).view(np.int64)
+        assert np.array_equal(y.view(np.int64), want)
+        want = adjoint_oracle(x, coef).view(np.int64)
+        assert np.array_equal(lam.view(np.int64), want)
 
 
 class TestLoglik:

@@ -144,6 +144,71 @@ def test_dcc_loglik_gradient(point):
     assert_matches_fd(f, np.array([params.theta1, params.theta2]))
 
 
+# Every objective on one and two rows. One row has no recursion step, so
+# the gradient is exactly zero; two rows take one step. The expected values
+# are those of the scipy.signal.lfilter filters the scan replaced.
+SHORT_GARCH = Garch11Params(omega=0.1, alpha=0.1, beta=0.8)
+SHORT_BEKK = BekkParams(c_lower=np.array([[0.30, 0.0], [0.10, 0.25]]),
+                        a_diag=np.array([0.30, 0.35]),
+                        b_diag=np.array([0.90, 0.85]))
+SHORT_DCC = DccParams(univariate=(SHORT_GARCH, SHORT_GARCH), theta1=0.05,
+                      theta2=0.9, q_bar=np.array([[1.0, 0.3], [0.3, 1.0]]))
+SHORT_H1 = np.array([[1.0, 0.2], [0.2, 0.8]])
+SHORT_EPS = np.array([[0.3, -0.2], [0.1, 0.4]])
+SHORT_Z = np.array([[0.5, -1.0], [1.2, 0.3]])
+SHORT_OBJECTIVES = {
+    "garch": lambda t, _: garch11_loglik(
+        np.array([0.5, -1.2])[:t], SHORT_GARCH, h1=1.0, grad=True),
+    "bekk": lambda t, _: bekk_loglik(
+        SHORT_EPS[:t], SHORT_BEKK, h1=SHORT_H1, grad=True),
+    "bekk_mod": lambda t, target: bekk_modified_loglik(
+        SHORT_EPS[:t], SHORT_BEKK, target, h1=SHORT_H1, grad=True),
+    "dcc": lambda t, _: dcc_stage2_loglik(SHORT_Z[:t], SHORT_DCC, grad=True),
+    "dcc_mod": lambda t, target: dcc_modified_loglik(
+        SHORT_Z[:t], SHORT_DCC, target, grad=True),
+}
+SHORT_ONE_ROW = {
+    "garch": (-1.0439385332046727, 3),
+    "bekk": (-1.7901323277689916, 7),
+    "bekk_mod": (-1.9306298260063628, 7),
+    "dcc": (-0.8044930119127308, 2),
+    "dcc_mod": (-0.8046286592201793, 2),
+}
+SHORT_TWO_ROWS = {
+    "garch": (-2.702274674052868,
+              [0.30094959824689543, 0.07523739956172386, 0.30094959824689543]),
+    "bekk": (-3.463709475009847,
+             [-0.3178512800006705, -0.03115431326231035, -0.30869298829362846,
+              -0.03783890340557444, -0.022826180267751656, -0.9935604222259059,
+              -0.7842511989255848]),
+    "bekk_mod": (-3.684182007392468,
+                 [-0.4005435305022838, -0.039947594172943676,
+                  -0.47101247815765135, -0.05089465745421723,
+                  -0.03528414260223549, -1.2659621302459023,
+                  -1.1920795023347415]),
+    "dcc": (-1.4882565907238754, [-0.18636305410069615, 0.0]),
+    "dcc_mod": (-1.4899385555768627, [-0.22980915383724854, 0.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def short_target():
+    panel = bekk_simulate(SHORT_BEKK, np.zeros(2), 100, seed=5)
+    return build_target(sample_moments(panel), 0.3)
+
+
+@pytest.mark.parametrize("kind", list(SHORT_OBJECTIVES))
+def test_objectives_on_one_and_two_rows(kind, short_target):
+    value, grad = SHORT_OBJECTIVES[kind](1, short_target)
+    want_value, dim = SHORT_ONE_ROW[kind]
+    assert value == pytest.approx(want_value, rel=1e-12)
+    assert grad.shape == (dim,) and np.all(grad == 0.0)
+    value, grad = SHORT_OBJECTIVES[kind](2, short_target)
+    want_value, want_grad = SHORT_TWO_ROWS[kind]
+    assert value == pytest.approx(want_value, rel=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-15)
+
+
 def test_value_only_call_matches_gradient_call():
     params = BekkParams(c_lower=np.array([[0.4, 0.0], [0.1, 0.3]]),
                         a_diag=np.array([0.3, 0.2]), b_diag=np.array([0.9, 0.8]))

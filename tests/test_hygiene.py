@@ -1,7 +1,8 @@
-"""Source hygiene: every name a package module imports is used in it.
+"""Source hygiene: every name a package module imports is used in it, and
+no module imports scipy.signal.
 
-``__init__.py`` is exempt (its imports are re-exports), and so are
-``__future__`` imports.
+``__init__.py`` is exempt from the first check (its imports are
+re-exports), and so are ``__future__`` imports.
 """
 import ast
 from pathlib import Path
@@ -36,3 +37,21 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names of the modules ``source`` imports, or imports from."""
+    mods = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            mods.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            mods.add(node.module)
+            mods.update(f"{node.module}.{a.name}" for a in node.names)
+    return mods
+
+
+def test_no_module_imports_scipy_signal():
+    assert "scipy.signal" in imported_modules("from scipy import signal\n")
+    for path in Path(covtarget.__file__).parent.glob("*.py"):
+        assert "scipy.signal" not in imported_modules(path.read_text()), path.name
