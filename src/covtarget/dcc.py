@@ -46,14 +46,7 @@ from .garch import (
     garch11_fit,
 )
 from .linalg import gaussian_path_loglik, symmetrize
-from .optimize import (
-    FitReport,
-    OptimizerOptions,
-    maximize,
-    simplex_map,
-    simplex_unmap,
-    simplex_vjp,
-)
+from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
 from .targeting import TargetSpec
 
 _PSD_TOL = 1e-10
@@ -242,19 +235,6 @@ def dcc_modified_loglik(
     return _dcc_objective(z, params, target, grad)
 
 
-class _ThetaTransform:
-    """(u1, u2) -> (theta1, theta2) strictly inside the open simplex."""
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        return simplex_map(np.asarray(u, dtype=float))
-
-    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        return simplex_vjp(self.forward(u), g)
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return simplex_unmap(np.asarray(x, dtype=float))
-
-
 def dcc_fit(
     panel: ReturnPanel,
     target: TargetSpec | None = None,
@@ -286,7 +266,7 @@ def dcc_fit(
             return dcc_stage2_loglik(z, p, grad=True)
         return dcc_modified_loglik(z, p, target, grad=True)
 
-    x, report = maximize(objective, _ThetaTransform(), np.array([0.05, 0.90]), opts)
+    x, report = maximize(objective, _SimplexTransform(), np.array([0.05, 0.90]), opts)
     return params_at(x), report
 
 

@@ -13,6 +13,12 @@ g_t = dl/dh_t = (eps_t^2 / h_t - 1) / (2 h_t) and
 
 the gradient is sum_{t>=1} lambda_t * (1, eps_{t-1}^2, h_{t-1}) in
 (omega, alpha, beta).
+
+Fits target the variance (Engle & Mezrich 1996), as DCC stage two targets
+Q_bar: omega = s2 (1 - alpha - beta) with s2 the sample variance, which is
+also the filter's h_1, so the search runs over (alpha, beta) on the open
+simplex and the omega score folds in as g_alpha - s2 g_omega and
+g_beta - s2 g_omega.
 """
 from __future__ import annotations
 
@@ -27,14 +33,7 @@ from .errors import (
     InsufficientDataError,
     NumericalOverflowError,
 )
-from .optimize import (
-    FitReport,
-    OptimizerOptions,
-    maximize,
-    simplex_map,
-    simplex_unmap,
-    simplex_vjp,
-)
+from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -160,37 +159,17 @@ def garch11_loglik(
     return value, np.array([lam.sum(), lam @ e2[:-1], lam @ h[:-1]])
 
 
-class _GarchTransform:
-    """(u_omega, u_a, u_b) -> (omega, alpha, beta) = (exp(u_omega),
-    simplex_map(u_a, u_b)); keeps omega > 0 and alpha + beta < 1 strictly."""
-
-    def forward(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        ab = simplex_map(u[1:3])
-        return np.array([np.exp(u[0]), ab[0], ab[1]])
-
-    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.concatenate(
-            ([g[0] * np.exp(u[0])], simplex_vjp(simplex_map(u[1:3]), g[1:3]))
-        )
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x[0] <= 0.0:
-            raise DataError(f"omega must be positive, got {x[0]}")
-        return np.concatenate(([np.log(x[0])], simplex_unmap(x[1:3])))
-
-
 def garch11_fit(
     eps: np.ndarray,
     opts: OptimizerOptions | None = None,
 ) -> tuple[Garch11Params, FitReport]:
-    """Fit GARCH(1,1) by Gaussian quasi-likelihood on demeaned returns.
+    """Fit a variance-targeted GARCH(1,1) by Gaussian quasi-likelihood on
+    demeaned returns.
 
-    The filter starts at h_1 = the sample variance. The start is
-    moment-matched: (alpha, beta) = (0.05, 0.90) and omega targeting the
-    sample variance.
+    omega is fixed at s2 (1 - alpha - beta), where s2 is the sample
+    variance, so the unconditional variance is s2 at every point; (alpha,
+    beta) are searched on the open simplex from (0.05, 0.90). The filter
+    starts at h_1 = s2.
     """
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1:
@@ -203,15 +182,16 @@ def garch11_fit(
     if var == 0.0:
         raise DegenerateSeriesError("series has zero variance")
 
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = Garch11Params(omega=float(x[0]), alpha=float(x[1]), beta=float(x[2]))
-        return garch11_loglik(eps, p, h1=var, grad=True)
+    def params_at(x: np.ndarray) -> Garch11Params:
+        alpha, beta = float(x[0]), float(x[1])
+        return Garch11Params(omega=var * (1.0 - alpha - beta), alpha=alpha, beta=beta)
 
-    a0, b0 = 0.05, 0.90
-    x0 = np.array([var * (1.0 - a0 - b0), a0, b0])
-    x, report = maximize(objective, _GarchTransform(), x0, opts)
-    params = Garch11Params(omega=float(x[0]), alpha=float(x[1]), beta=float(x[2]))
-    return params, report
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = garch11_loglik(eps, params_at(x), h1=var, grad=True)
+        return value, g[1:] - var * g[0]
+
+    x, report = maximize(objective, _SimplexTransform(), np.array([0.05, 0.90]), opts)
+    return params_at(x), report
 
 
 def garch11_simulate(

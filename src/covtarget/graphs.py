@@ -129,8 +129,14 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / len(a | b)
 
 
-def compare_graphs(observed: ThresholdGraph, simulated: ThresholdGraph) -> GraphComparison:
-    """Compare two graphs built over the same labels and threshold."""
+def compare_graphs(
+    observed: ThresholdGraph,
+    simulated: ThresholdGraph,
+    observed_cliques: CliqueSet,
+    simulated_cliques: CliqueSet,
+) -> GraphComparison:
+    """Compare two graphs built over the same labels and threshold, given
+    each graph's maximal_cliques."""
     if observed.labels != simulated.labels:
         raise DataError("graphs have different vertex labels")
     if observed.delta != simulated.delta:
@@ -140,11 +146,10 @@ def compare_graphs(observed: ThresholdGraph, simulated: ThresholdGraph) -> Graph
     e_obs = set(observed.edges)
     e_sim = set(simulated.edges)
     edge_jaccard = _jaccard(frozenset(e_obs), frozenset(e_sim))
-    c_obs = maximal_cliques(observed).cliques
-    c_sim = [frozenset(c) for c in maximal_cliques(simulated).cliques]
+    c_sim = [frozenset(c) for c in simulated_cliques.cliques]
     matched = 0
     best: list[float] = []
-    for c in c_obs:
+    for c in observed_cliques.cliques:
         cs = frozenset(c)
         if c_sim:
             score = max(_jaccard(cs, s) for s in c_sim)

@@ -91,6 +91,20 @@ def simplex_unmap(w: np.ndarray) -> np.ndarray:
     return np.log(w / rest)
 
 
+class _SimplexTransform:
+    """u -> simplex_map(u), strictly inside the open simplex: the (alpha,
+    beta) of a variance-targeted GARCH and the (theta1, theta2) of DCC."""
+
+    def forward(self, u: np.ndarray) -> np.ndarray:
+        return simplex_map(np.asarray(u, dtype=float))
+
+    def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
+        return simplex_vjp(self.forward(u), g)
+
+    def inverse(self, x: np.ndarray) -> np.ndarray:
+        return simplex_unmap(np.asarray(x, dtype=float))
+
+
 def fd_gradient(objective, x: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient with a per-coordinate relative step; the
     tests' oracle for the analytic gradients.

@@ -26,6 +26,7 @@ from .dcc import (
 from .errors import DataError, NotPositiveDefiniteError
 from .garch import Garch11Params
 from .graphs import (
+    CliqueSet,
     ThresholdGraph,
     build_graph,
     compare_graphs,
@@ -204,8 +205,7 @@ def params_from_document(doc: dict):
         raise DataError(f"malformed params document: {exc}") from exc
 
 
-def _graph_block(graph: ThresholdGraph) -> dict:
-    cliques = maximal_cliques(graph)
+def _graph_block(graph: ThresholdGraph, cliques: CliqueSet) -> dict:
     return {
         "graph": graph_to_json(graph),
         "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
@@ -273,6 +273,7 @@ def evaluate_model(
     panel: ReturnPanel,
     setup: tuple,
     observed_graph: ThresholdGraph,
+    observed_cliques: CliqueSet,
     config: RunConfig,
 ) -> dict:
     """Fit one model kind and assemble its report block."""
@@ -282,7 +283,10 @@ def evaluate_model(
     sim_len = config.sim_len if config.sim_len is not None else panel.t_len
     sim_moments = sample_moments(simulate(sim_len, config.seed))
     sim_graph = build_graph(sim_moments.corr, panel.labels, config.delta)
-    comparison = compare_graphs(observed_graph, sim_graph)
+    sim_cliques = maximal_cliques(sim_graph)
+    comparison = compare_graphs(
+        observed_graph, sim_graph, observed_cliques, sim_cliques
+    )
     losses = {
         "frobenius_vs_target": _f(frobenius_path_loss(path, target.sigma_hat)),
         "frobenius_vs_sample": _f(frobenius_path_loss(path, moments.cov)),
@@ -292,7 +296,7 @@ def evaluate_model(
         "params": doc,
         "fit": fit_report_to_json(fit),
         "losses": losses,
-        "simulated": _graph_block(sim_graph),
+        "simulated": _graph_block(sim_graph, sim_cliques),
         "comparison": {
             "edge_jaccard": _f(comparison.edge_jaccard),
             "cliques_matched": int(comparison.cliques_matched),
@@ -318,8 +322,11 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
     setup = _setup(panel, config)
     moments, target, _ = setup
     observed_graph = build_graph(moments.corr, panel.labels, config.delta)
+    observed_cliques = maximal_cliques(observed_graph)
     blocks = {
-        kind: evaluate_model(kind, panel, setup, observed_graph, config)
+        kind: evaluate_model(
+            kind, panel, setup, observed_graph, observed_cliques, config
+        )
         for kind in config.models
     }
     doc = {
@@ -342,7 +349,7 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
             "z_hat": _matrix(target.z_hat),
             "sigma_hat": _matrix(target.sigma_hat),
         },
-        "observed": _graph_block(observed_graph),
+        "observed": _graph_block(observed_graph, observed_cliques),
         "models": blocks,
     }
     return EvalReport(doc=doc)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
     DataError,
@@ -195,6 +197,37 @@ class TestFit:
             if qpath_kl(pen) <= qpath_kl(plain) + 1e-6:
                 wins += 1
         assert wins >= 4
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), perm=st.permutations(range(3)))
+    def test_fits_are_permutation_equivariant(self, seed, perm):
+        uni = tuple(
+            Garch11Params(omega=w, alpha=a, beta=b)
+            for w, a, b in [(0.05, 0.05, 0.90), (0.2, 0.10, 0.70), (0.1, 0.02, 0.95)]
+        )
+        truth = DccParams(univariate=uni, theta1=0.05, theta2=0.90, q_bar=QBAR3)
+        panel = dcc_simulate(truth, np.zeros(3), 300, seed=seed)
+        perm = list(perm)
+        # C order, as the original: the column means then sum in the same order
+        permuted = ReturnPanel(
+            labels=tuple(panel.labels[j] for j in perm),
+            returns=np.ascontiguousarray(panel.returns[:, perm]),
+        )
+        opts = OptimizerOptions(n_starts=1, seed=0)
+        for delta in (None, 0.3):
+            base, moved = (
+                dcc_fit(p, target=None if delta is None else
+                        build_target(sample_moments(p), delta), opts=opts)[0]
+                for p in (panel, permuted)
+            )
+            for j, k in enumerate(perm):
+                got, want = moved.univariate[j], base.univariate[k]
+                for name in ("omega", "alpha", "beta"):
+                    assert getattr(got, name) == pytest.approx(
+                        getattr(want, name), rel=1e-12
+                    )
+            assert abs(moved.theta1 - base.theta1) <= 1e-6
+            assert abs(moved.theta2 - base.theta2) <= 1e-6
 
     def test_short_panel_fails_loudly(self):
         panel = gaussian_panel(5, t_len=30, n=2)

@@ -15,7 +15,7 @@ from covtarget import (
     garch11_loglik,
     garch11_simulate,
 )
-from covtarget.garch import _FLOAT_ROW_MAX, _one_pole, _one_pole_adjoint
+from covtarget.garch import _FLOAT_ROW_MAX, MIN_OBS, _one_pole, _one_pole_adjoint
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -188,6 +188,25 @@ class TestFit:
         eps, _ = garch11_simulate(truth, 400, seed=5)
         params, report = garch11_fit(eps, OptimizerOptions(n_starts=1, seed=0))
         assert np.isclose(report.objective, garch11_loglik(eps, params), rtol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.0, 0.3),
+        beta=st.floats(0.0, 0.95),
+        t_len=st.integers(MIN_OBS, 400),
+        log_scale=st.integers(-4, 2),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_fit_targets_the_sample_variance(self, alpha, beta, t_len, log_scale, seed):
+        truth = Garch11Params(
+            omega=10.0 ** (2 * log_scale), alpha=alpha, beta=min(beta, 0.99 - alpha)
+        )
+        eps, _ = garch11_simulate(truth, t_len, seed=seed)
+        params, _ = garch11_fit(eps, OptimizerOptions(n_starts=2, seed=0))
+        assert params.unconditional_var() == pytest.approx(eps.var(ddof=1), rel=1e-12)
+        assert params.alpha > 0.0 and params.beta > 0.0
+        assert params.alpha + params.beta < 1.0
+        assert type(params.omega) is float
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -6,6 +6,8 @@ with returns at unit scale so that fd_gradient's step suits every
 coordinate.
 Any RuntimeWarning (overflow, division by zero) fails the test.
 """
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,14 +26,14 @@ from covtarget import (
     dcc_modified_loglik,
     dcc_stage2_loglik,
     fd_gradient,
+    garch11_fit,
     garch11_loglik,
     garch11_simulate,
     sample_moments,
 )
 from covtarget.bekk import _BekkTransform
 from covtarget.data import correlation_from_series
-from covtarget.dcc import _ThetaTransform
-from covtarget.garch import _GarchTransform
+from covtarget.optimize import _SimplexTransform
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -109,6 +111,28 @@ def test_garch11_loglik_gradient(point):
     assert_matches_fd(
         lambda y: garch11_loglik(eps, Garch11Params(*y), h1=h1, grad=True), x
     )
+
+
+class _Captured(Exception):
+    pass
+
+
+@SETTINGS
+@given(garch_points())
+def test_garch11_fit_objective_gradient(point):
+    """The objective garch11_fit hands to maximize: (alpha, beta) with
+    omega = s2 (1 - alpha - beta) folded into their gradient."""
+    params, seed = point
+    eps, _ = garch11_simulate(params, 120, seed=seed)
+
+    def capture(objective, *args, **kwargs):
+        raise _Captured(objective)
+
+    with mock.patch("covtarget.garch.maximize", capture):
+        with pytest.raises(_Captured) as caught:
+            garch11_fit(eps)
+    objective = caught.value.args[0]
+    assert_matches_fd(objective, np.array([params.alpha, params.beta]))
 
 
 @SETTINGS
@@ -218,7 +242,7 @@ def test_value_only_call_matches_gradient_call():
 
 @pytest.mark.parametrize(
     "transform, dim",
-    [(_GarchTransform(), 3), (_ThetaTransform(), 2),
+    [(_SimplexTransform(), 3), (_SimplexTransform(), 2),
      (_BekkTransform(1), 3), (_BekkTransform(3), 12)],
 )
 @SETTINGS

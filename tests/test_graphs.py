@@ -165,10 +165,14 @@ class TestMaximalCliques:
         assert cs.as_labels(g.labels)[0] == ("MSFT", "AMZN", "CRM")
 
 
+def compare(obs, sim):
+    return compare_graphs(obs, sim, maximal_cliques(obs), maximal_cliques(sim))
+
+
 class TestCompare:
     def test_identical_graphs(self):
         g = build_graph(CORR5, LABELS5, 0.5)
-        cmp = compare_graphs(g, g)
+        cmp = compare(g, g)
         assert cmp.edge_jaccard == 1.0
         assert cmp.edges_only_observed == ()
         assert cmp.edges_only_simulated == ()
@@ -187,7 +191,7 @@ class TestCompare:
             labels,
             0.5,
         )
-        cmp = compare_graphs(obs, sim)
+        cmp = compare(obs, sim)
         assert cmp.edge_jaccard == 0.0
         assert cmp.edges_only_observed == ((0, 1),)
         assert cmp.edges_only_simulated == ((0, 2),)
@@ -195,7 +199,7 @@ class TestCompare:
 
     def test_both_empty_graphs_agree(self):
         obs = build_graph(np.eye(3), ("A", "B", "C"), 0.5)
-        cmp = compare_graphs(obs, obs)
+        cmp = compare(obs, obs)
         assert cmp.edge_jaccard == 1.0
         assert cmp.cliques_matched == 3
 
@@ -204,9 +208,9 @@ class TestCompare:
         b = build_graph(np.eye(2), ("A", "C"), 0.5)
         c = build_graph(np.eye(2), ("A", "B"), 0.6)
         with pytest.raises(DataError):
-            compare_graphs(a, b)
+            compare(a, b)
         with pytest.raises(DataError):
-            compare_graphs(a, c)
+            compare(a, c)
 
 
 class TestSerialization:

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-no module imports scipy.signal.
+"""Source hygiene: every name a package module imports is used in it,
+every private module-level name is read somewhere in the package, and no
+module imports scipy.signal.
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports), and so are ``__future__`` imports.
@@ -11,9 +12,8 @@ import pytest
 
 import covtarget
 
-MODULES = sorted(
-    p for p in Path(covtarget.__file__).parent.glob("*.py") if p.name != "__init__.py"
-)
+SOURCES = sorted(Path(covtarget.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,6 +39,38 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private (single-underscore) names that a module of ``sources``
+    defines at top level and no expression in any of them reads."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    private = {d for d in defined if d.startswith("_") and not d.startswith("__")}
+    return sorted(private - read)
+
+
+def test_unread_private_names_are_found():
+    sources = [
+        "_A = 1\n_B: int = 2\ndef _f(): return _A\nclass _T: pass\n__all__ = []\n",
+        "from m import _f\n_f()\n",
+    ]
+    assert unread_private_names(sources) == ["_B", "_T"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names([p.read_text() for p in SOURCES]) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Dotted names of the modules ``source`` imports, or imports from."""
     mods = set()
@@ -53,5 +85,5 @@ def imported_modules(source: str) -> set[str]:
 
 def test_no_module_imports_scipy_signal():
     assert "scipy.signal" in imported_modules("from scipy import signal\n")
-    for path in Path(covtarget.__file__).parent.glob("*.py"):
+    for path in SOURCES:
         assert "scipy.signal" not in imported_modules(path.read_text()), path.name
