@@ -8,8 +8,9 @@ decouples into one scalar one-pole filter per matrix entry:
 
     h_{ij,t} = (CC')_{ij} + a_i a_j e_{ij,t-1} + b_i b_j h_{ij,t-1}
 
-so the lower triangle runs as one scan along time with one pole b_i b_j
-per entry, and is mirrored to the upper triangle.
+so H_t runs through the lower-triangle recursion shared with DCC
+(garch._sym_one_pole): one scan along time with one pole b_i b_j per
+entry, mirrored to the upper triangle.
 
 The score runs the same scan backwards. With G_t = dl/dH_t from
 linalg.gaussian_path_loglik (the likelihood term, plus the KL term when a
@@ -31,7 +32,7 @@ import numpy as np
 
 from .data import ReturnPanel, synth_dates
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
-from .garch import _one_pole, _one_pole_adjoint
+from .garch import _one_pole_adjoint, _sym_one_pole
 from .linalg import cholesky, gaussian_path_loglik, symmetrize
 from .optimize import (
     FitReport,
@@ -124,24 +125,9 @@ class BekkParams:
         return cls(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
 
-@dataclass(frozen=True)
-class CovPath:
-    """Conditional covariance path (T, N, N); every slice symmetric PD by
-    construction of the filter. Treat as read-only."""
-
-    h: np.ndarray
-
-    @property
-    def t_len(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.h.shape[1]
-
-
-def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> CovPath:
-    """Run the covariance recursion from H_1 = h1 over demeaned returns eps."""
+def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarray:
+    """Run the covariance recursion from H_1 = h1 over demeaned returns eps;
+    returns the (T, N, N) path, every slice symmetric PD by construction."""
     eps = np.asarray(eps, dtype=float)
     n = params.n
     if eps.ndim != 2 or eps.shape[1] != n:
@@ -154,23 +140,11 @@ def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> CovPath:
     if h1.shape != (n, n):
         raise ShapeError(f"h1 must be ({n}, {n}), got {h1.shape}")
     cholesky(h1)  # starting covariance must be PD
-    t_len = eps.shape[0]
-    h = np.empty((t_len, n, n))
-    h[0] = h1
-    if t_len > 1:
-        cc = params.c_lower @ params.c_lower.T
-        aa = np.outer(params.a_diag, params.a_diag)
-        bb = np.outer(params.b_diag, params.b_diag)
-        outer = eps[:-1, :, None] * eps[:-1, None, :]
-        x = cc + aa * outer
-        rows, cols = np.tril_indices(n)
-        path = _one_pole(x[:, rows, cols], bb[rows, cols], h1[rows, cols])
-        h[1:, rows, cols] = path
-        h[1:, cols, rows] = path
-    if not np.all(np.isfinite(h)):
-        t = int(np.argwhere(~np.isfinite(h))[0][0])
-        raise NumericalOverflowError(f"covariance recursion overflowed at t={t}", t=t)
-    return CovPath(h=h)
+    a, b = params.a_diag, params.b_diag
+    return _sym_one_pole(
+        eps, params.c_lower @ params.c_lower.T, np.outer(a, a), np.outer(b, b),
+        h1, "covariance",
+    )
 
 
 def _default_h1(eps: np.ndarray) -> np.ndarray:
@@ -181,7 +155,7 @@ def _bekk_objective(eps, params, h1, target, grad):
     eps = np.asarray(eps, dtype=float)
     if h1 is None:
         h1 = _default_h1(eps)
-    h = bekk_filter(eps, params, h1).h
+    h = bekk_filter(eps, params, h1)
     t_len, n = eps.shape
     const = -0.5 * t_len * n * _LOG_2PI
     p = None if target is None else target.sigma_hat

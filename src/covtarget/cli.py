@@ -15,10 +15,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bekk import bekk_simulate
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
 from .data import ReturnPanel, load_panel, sample_moments, write_returns_csv, write_text_atomic
-from .dcc import dcc_simulate
 from .errors import (
     CovTargetError,
     DataError,
@@ -31,10 +29,10 @@ from .report import (
     MODEL_KINDS,
     RunConfig,
     check_models,
-    params_from_document,
     render_json,
     run_evaluation,
     run_fits,
+    simulate_document,
 )
 
 log = logging.getLogger(__name__)
@@ -282,11 +280,7 @@ def cmd_simulate(opt: dict) -> int:
             ) from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"malformed params file {params_path}: {exc}") from exc
-        model, params, mu, h1 = params_from_document(doc)
-        if model == "bekk":
-            panel = bekk_simulate(params, mu, int(sim_len), seed, h1=h1)
-        else:
-            panel = dcc_simulate(params, mu, int(sim_len), seed)
+        panel = simulate_document(doc, int(sim_len), seed)
         write_returns_csv(panel, out / f"sim.{kind}.csv")
         sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({sim_len} rows)\n")
     return 0

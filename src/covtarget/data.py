@@ -36,7 +36,7 @@ _EPOCH = dt.date(1970, 1, 1)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

@@ -7,7 +7,9 @@ residuals; stage two drives the quasi-correlation recursion
 
 and rescales R_t = diag(Q_t)^{-1/2} Q_t diag(Q_t)^{-1/2}, which has a unit
 diagonal by construction. Each Q entry is again a scalar one-pole filter,
-all with the pole theta2, so the stack runs as one scan along time.
+all with the pole theta2, so Q_t runs through the lower-triangle recursion
+shared with BEKK (garch._sym_one_pole): N(N+1)/2 entries in one scan along
+time, mirrored to the upper triangle.
 
 The stage-two score chains G_t = dl/dR_t (linalg.gaussian_path_loglik)
 through the rescaling, with d_i = sqrt(q_ii):
@@ -40,8 +42,8 @@ from .errors import (
 )
 from .garch import (
     Garch11Params,
-    _one_pole,
     _one_pole_adjoint,
+    _sym_one_pole,
     garch11_filter,
     garch11_fit,
 )
@@ -170,19 +172,8 @@ def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
         raise DataError("z has no rows")
     if not np.all(np.isfinite(z)):
         raise DataError("z contains non-finite values")
-    t_len = z.shape[0]
-    t1, t2 = params.theta1, params.theta2
-    q = np.empty((t_len, n, n))
-    q[0] = params.q_bar
-    if t_len > 1:
-        intercept = (1.0 - t1 - t2) * params.q_bar
-        outer = z[:-1, :, None] * z[:-1, None, :]
-        q[1:] = _one_pole(intercept + t1 * outer, t2, params.q_bar)
-    if not np.all(np.isfinite(q)):
-        t = int(np.argwhere(~np.isfinite(q))[0][0])
-        raise NumericalOverflowError(
-            f"quasi-correlation recursion overflowed at t={t}", t=t
-        )
+    t1, t2, q_bar = params.theta1, params.theta2, params.q_bar
+    q = _sym_one_pole(z, (1.0 - t1 - t2) * q_bar, t1, t2, q_bar, "quasi-correlation")
     d = np.sqrt(np.diagonal(q, axis1=1, axis2=2))
     if np.any(~(d > 0.0)):
         t = int(np.argwhere(~(d > 0.0))[0][0])

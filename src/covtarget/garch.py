@@ -1,9 +1,11 @@
 """Univariate GARCH(1,1): filtering, Gaussian likelihood, and fitting.
 
 The variance recursion h_t = omega + alpha * eps_{t-1}^2 + beta * h_{t-1}
-is a one-pole linear filter in h. Every such filter in the package (this
-one, the BEKK entries, the DCC quasi-correlations) runs through one scan,
-stepped in time order, so each path rounds exactly as the naive loop does.
+is a one-pole linear filter in h. Every such filter in the package runs
+through one scan, stepped in time order, so each path rounds exactly as the
+naive loop does. BEKK's H_t and DCC's Q_t share one symmetric matrix
+recursion on top of it, X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1},
+which scans the lower triangle and mirrors it.
 
 The score comes from the adjoint of that filter, which is the same filter
 run backwards in time (Fiorentini, Calzolari & Panattoni 1996): with
@@ -107,6 +109,28 @@ def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
     return y.reshape(x.shape)
 
 
+def _sym_one_pole(
+    e: np.ndarray, omega: np.ndarray, load, pole, x1: np.ndarray, what: str
+) -> np.ndarray:
+    """(T, N, N) stack X_0 = x1, X_t = omega + load o e_{t-1} e_{t-1}' +
+    pole o X_{t-1}, with load and pole scalars or (N, N). Only the lower
+    triangles of the matrices are read: that triangle runs through _one_pole
+    and is mirrored. Raises NumericalOverflowError naming the ``what``
+    recursion."""
+    t_len, n = e.shape
+    x = np.empty((t_len, n, n))
+    x[0] = x1
+    if t_len > 1:
+        rows, cols = np.tril_indices(n)
+        load, pole = (np.broadcast_to(v, (n, n))[rows, cols] for v in (load, pole))
+        drive = omega[rows, cols] + load * (e[:-1, rows] * e[:-1, cols])
+        x[1:, rows, cols] = x[1:, cols, rows] = _one_pole(drive, pole, x1[rows, cols])
+    if not np.all(np.isfinite(x)):
+        t = int(np.argwhere(~np.isfinite(x))[0][0])
+        raise NumericalOverflowError(f"{what} recursion overflowed at t={t}", t=t)
+    return x
+
+
 def _one_pole_adjoint(g: np.ndarray, coef) -> np.ndarray:
     """Adjoint of _one_pole along axis 0: given dL/dy returns dL/dx, the
     same filter run backwards, lambda_t = g_t + coef * lambda_{t+1}."""
@@ -193,25 +217,3 @@ def garch11_fit(
     x, report = maximize(objective, _SimplexTransform(), np.array([0.05, 0.90]), opts)
     return params_at(x), report
 
-
-def garch11_simulate(
-    params: Garch11Params, t_len: int, seed: int, h1: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate (eps, h) of length t_len with Gaussian shocks; h_1 defaults
-    to the unconditional variance."""
-    if t_len < 1:
-        raise DataError(f"t_len must be >= 1, got {t_len}")
-    if h1 is None:
-        h1 = params.unconditional_var()
-    if not h1 > 0.0:
-        raise DataError(f"h1 must be positive, got {h1}")
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal(t_len)
-    h = np.empty(t_len)
-    eps = np.empty(t_len)
-    h_t = float(h1)
-    for t in range(t_len):
-        h[t] = h_t
-        eps[t] = np.sqrt(h_t) * eta[t]
-        h_t = params.omega + params.alpha * eps[t] ** 2 + params.beta * h_t
-    return eps, h

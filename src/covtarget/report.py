@@ -16,13 +16,7 @@ import numpy as np
 
 from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
 from .data import ReturnPanel, sample_moments
-from .dcc import (
-    DccParams,
-    dcc_cov_path,
-    dcc_fit,
-    dcc_simulate,
-    dcc_stage1,
-)
+from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
 from .errors import DataError, NotPositiveDefiniteError
 from .garch import Garch11Params
 from .graphs import (
@@ -205,6 +199,16 @@ def params_from_document(doc: dict):
         raise DataError(f"malformed params document: {exc}") from exc
 
 
+def simulate_document(
+    doc: dict, t_len: int, seed: int, labels: tuple[str, ...] | None = None
+) -> ReturnPanel:
+    """Simulate a (t_len)-row panel from the model of a params document."""
+    model, params, mu, h1 = params_from_document(doc)
+    if model == "bekk":
+        return bekk_simulate(params, mu, t_len, seed, h1=h1, labels=labels)
+    return dcc_simulate(params, mu, t_len, seed, labels=labels)
+
+
 def _graph_block(graph: ThresholdGraph, cliques: CliqueSet) -> dict:
     return {
         "graph": graph_to_json(graph),
@@ -241,8 +245,8 @@ def _fit(
 ) -> tuple:
     """Fit one model kind, penalized toward the target for the _mod kinds.
 
-    Returns its params document and FitReport, plus callables giving its
-    in-sample covariance path and a simulated panel of (t_len, seed).
+    Returns its params document and FitReport, plus a callable giving its
+    in-sample covariance path.
     """
     moments, target, stage1 = setup
     fit_target = target if kind.endswith("_mod") else None
@@ -252,19 +256,13 @@ def _fit(
         return (
             bekk_document(params, panel.mean, h1, fit_target),
             fit,
-            lambda: bekk_filter(eps, params, h1).h,
-            lambda t_len, seed: bekk_simulate(
-                params, panel.mean, t_len, seed, h1=h1, labels=panel.labels
-            ),
+            lambda: bekk_filter(eps, params, h1),
         )
     params, fit = dcc_fit(panel, target=fit_target, opts=opts, stage1=stage1)
     return (
         dcc_document(params, panel.mean, fit_target),
         fit,
         lambda: dcc_cov_path(panel, params),
-        lambda t_len, seed: dcc_simulate(
-            params, panel.mean, t_len, seed, labels=panel.labels
-        ),
     )
 
 
@@ -278,10 +276,11 @@ def evaluate_model(
 ) -> dict:
     """Fit one model kind and assemble its report block."""
     moments, target, _ = setup
-    doc, fit, path_of, simulate = _fit(kind, panel, setup, config.opts)
+    doc, fit, path_of = _fit(kind, panel, setup, config.opts)
     path = path_of()
     sim_len = config.sim_len if config.sim_len is not None else panel.t_len
-    sim_moments = sample_moments(simulate(sim_len, config.seed))
+    sim = simulate_document(doc, sim_len, config.seed, labels=panel.labels)
+    sim_moments = sample_moments(sim)
     sim_graph = build_graph(sim_moments.corr, panel.labels, config.delta)
     sim_cliques = maximal_cliques(sim_graph)
     comparison = compare_graphs(
@@ -312,7 +311,7 @@ def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
     setup = _setup(panel, config)
     blocks: dict[str, dict] = {}
     for kind in config.models:
-        doc, fit, _, _ = _fit(kind, panel, setup, config.opts)
+        doc, fit, _ = _fit(kind, panel, setup, config.opts)
         blocks[kind] = {"params": doc, "fit": fit_report_to_json(fit)}
     return blocks
 

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make tables importable
 
-from covtarget import BekkParams, ReturnPanel
+from covtarget import BekkParams, DataError, Garch11Params, ReturnPanel
 
 
 def random_spd(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
@@ -48,6 +48,29 @@ def gaussian_panel(
     if labels is None:
         labels = tuple(f"A{i + 1}" for i in range(n))
     return ReturnPanel(labels=labels, returns=r)
+
+
+def garch11_simulate(
+    params: Garch11Params, t_len: int, seed: int, h1: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate (eps, h) of length t_len with Gaussian shocks; h_1 defaults
+    to the unconditional variance."""
+    if t_len < 1:
+        raise DataError(f"t_len must be >= 1, got {t_len}")
+    if h1 is None:
+        h1 = params.unconditional_var()
+    if not h1 > 0.0:
+        raise DataError(f"h1 must be positive, got {h1}")
+    rng = np.random.default_rng(seed)
+    eta = rng.standard_normal(t_len)
+    h = np.empty(t_len)
+    eps = np.empty(t_len)
+    h_t = float(h1)
+    for t in range(t_len):
+        h[t] = h_t
+        eps[t] = np.sqrt(h_t) * eta[t]
+        h_t = params.omega + params.alpha * eps[t] ** 2 + params.beta * h_t
+    return eps, h
 
 
 @pytest.fixture

@@ -213,7 +213,7 @@ def test_ac06_penalty_optimality_property():
         modified, _ = bekk_fit(eps, target=target, opts=opts, h1=h1)
 
         def kl_path(p):
-            h = bekk_filter(eps, p, h1).h
+            h = bekk_filter(eps, p, h1)
             return sum(kl_divergence(target.sigma_hat, ht) for ht in h)
 
         if kl_path(modified) <= kl_path(plain) + 1e-6:
@@ -380,7 +380,7 @@ def test_ac10_invariance_suite():
     gaps = (gap_bekk, gap_bekk_mod, gap_dcc, gap_dcc_mod)
 
     # every filtered covariance/correlation is PD with the right diagonal
-    hpath = bekk_filter(eps, truth, h1).h
+    hpath = bekk_filter(eps, truth, h1)
     stacked_cholesky(hpath)  # raises if any H_t is not PD
     rpath = dcc_filter(z, dp)
     ii = np.arange(3)

@@ -114,7 +114,7 @@ class TestFilter:
             )
             eps = rng.standard_normal((50, n))
             h1 = random_spd(rng, n)
-            got = bekk_filter(eps, p, h1).h
+            got = bekk_filter(eps, p, h1)
             assert np.allclose(got, naive_filter(eps, p, h1), rtol=1e-12, atol=1e-14)
 
     def test_one_asset_reduces_to_garch(self, rng):
@@ -124,7 +124,7 @@ class TestFilter:
         )
         pg = Garch11Params(omega=c * c, alpha=a * a, beta=b * b)
         eps = rng.standard_normal(200)
-        hm = bekk_filter(eps[:, None], p1, np.array([[1.5]])).h[:, 0, 0]
+        hm = bekk_filter(eps[:, None], p1, np.array([[1.5]]))[:, 0, 0]
         hu = garch11_filter(eps, pg, h1=1.5).h
         assert np.allclose(hm, hu, rtol=1e-13, atol=0)
 
@@ -133,7 +133,7 @@ class TestFilter:
         c = np.linalg.cholesky(random_spd(rng, n))
         p = BekkParams(c_lower=c, a_diag=np.zeros(n), b_diag=np.zeros(n))
         eps = rng.standard_normal((20, n))
-        h = bekk_filter(eps, p, random_spd(rng, n)).h
+        h = bekk_filter(eps, p, random_spd(rng, n))
         assert np.allclose(h[1:], c @ c.T, atol=1e-14)
 
     def test_rejects_bad_inputs(self, rng):
@@ -178,7 +178,7 @@ class TestLoglik:
         target = build_target(sample_moments(panel_r), 0.3)
         h1 = np.cov(eps, rowvar=False, ddof=1)
         path = bekk_filter(eps, p, h1)
-        penalty = sum(kl_divergence(target.sigma_hat, ht) for ht in path.h)
+        penalty = sum(kl_divergence(target.sigma_hat, ht) for ht in path)
         got = bekk_modified_loglik(eps, p, target)
         assert np.isclose(got, bekk_loglik(eps, p) - penalty, rtol=0, atol=1e-10)
         assert got < bekk_loglik(eps, p)  # penalty is strictly positive here
@@ -231,7 +231,7 @@ class TestFit:
 
         def qpath_kl(p):
             path = bekk_filter(eps, p, np.cov(eps, rowvar=False, ddof=1))
-            return sum(kl_divergence(target.sigma_hat, ht) for ht in path.h)
+            return sum(kl_divergence(target.sigma_hat, ht) for ht in path)
 
         assert qpath_kl(pen) <= qpath_kl(plain) + 1e-6
 

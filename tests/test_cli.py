@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from covtarget import bekk_simulate, load_panel, write_returns_csv
+from covtarget import (
+    bekk_simulate,
+    kl_divergence,
+    load_panel,
+    sample_moments,
+    write_returns_csv,
+)
 from covtarget.cli import main
 
 from conftest import bekk2, gaussian_panel
@@ -364,6 +370,26 @@ class TestFitSimulateEvaluate:
         assert doc["config"]["seed"] == 0
         assert "bekk" in doc["models"]
         assert (tmp_path / "a" / "params.bekk.json").exists()
+
+    def test_simulate_from_evaluate_params_reproduces_kl_simulated(
+        self, capsys, panel_csv, tmp_path
+    ):
+        """`simulate` from the params files `evaluate` wrote draws the same
+        panels that `evaluate` scored, at the same --seed and --sim-len."""
+        common = ("--out-dir", str(tmp_path), "--model", "bekk,dcc",
+                  "--seed", "3", "--sim-len", "80")
+        rc, *_ = run(capsys, "evaluate", "--input", str(panel_csv),
+                     "--starts", "1", *common)
+        assert rc == 0
+        rc, *_ = run(capsys, "simulate", *common)
+        assert rc == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        sigma_hat = np.array(report["target"]["sigma_hat"])
+        for kind in ("bekk", "dcc"):
+            sim = load_panel(tmp_path / f"sim.{kind}.csv")
+            assert sim.t_len == 80
+            kl = kl_divergence(sigma_hat, sample_moments(sim).cov)
+            assert float(kl) == report["models"][kind]["losses"]["kl_simulated"]
 
     def test_evaluate_json_stdout_matches_file(self, capsys, panel_csv, tmp_path):
         rc, out, _ = run(

@@ -196,6 +196,16 @@ class TestReturnPanel:
         assert np.allclose(panel.mean, panel.returns.mean(axis=0))
         assert np.allclose(panel.demeaned().mean(axis=0), 0.0, atol=1e-18)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_moments_do_not_depend_on_memory_layout(self, seed):
+        x = np.random.default_rng(seed).standard_normal((300, 3))
+        labels = ("A", "B", "C")
+        strided = ReturnPanel(labels=labels, returns=x[:, [0, 1, 2]])
+        contiguous = ReturnPanel(labels=labels, returns=x.copy())
+        assert strided.mean.tobytes() == contiguous.mean.tobytes()
+        assert strided.demeaned().tobytes() == contiguous.demeaned().tobytes()
+
     def test_arrays_read_only(self, rng):
         panel = gaussian_panel(rng)
         with pytest.raises(ValueError):

@@ -85,6 +85,7 @@ class TestFilter:
         q, r = naive_filter(z, p, p.q_bar)
         assert np.allclose(path.q, q, rtol=1e-12, atol=1e-14)
         assert np.allclose(path.r, r, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(path.q, path.q.transpose(0, 2, 1))
 
     def test_unit_diagonal_exact(self, rng):
         p = dcc3()
@@ -208,10 +209,9 @@ class TestFit:
         truth = DccParams(univariate=uni, theta1=0.05, theta2=0.90, q_bar=QBAR3)
         panel = dcc_simulate(truth, np.zeros(3), 300, seed=seed)
         perm = list(perm)
-        # C order, as the original: the column means then sum in the same order
         permuted = ReturnPanel(
             labels=tuple(panel.labels[j] for j in perm),
-            returns=np.ascontiguousarray(panel.returns[:, perm]),
+            returns=panel.returns[:, perm],
         )
         opts = OptimizerOptions(n_starts=1, seed=0)
         for delta in (None, 0.3):

@@ -13,9 +13,16 @@ from covtarget import (
     garch11_filter,
     garch11_fit,
     garch11_loglik,
-    garch11_simulate,
 )
-from covtarget.garch import _FLOAT_ROW_MAX, MIN_OBS, _one_pole, _one_pole_adjoint
+from covtarget.garch import (
+    _FLOAT_ROW_MAX,
+    MIN_OBS,
+    _one_pole,
+    _one_pole_adjoint,
+    _sym_one_pole,
+)
+
+from conftest import garch11_simulate
 
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -135,6 +142,28 @@ def scan_inputs(draw):
     return x, coef, rng.standard_normal(shape) * scale
 
 
+@st.composite
+def sym_inputs(draw):
+    """Shocks and symmetric matrices of the BEKK/DCC recursion: one scalar
+    (load, pole) pair as in DCC or one per entry as in BEKK, N from 1 to 6,
+    and T from 1 so the lone-start stack is covered."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = 10.0 ** draw(st.integers(-8, 2))
+    e = rng.standard_normal((draw(st.integers(1, 40)), n)) * np.sqrt(scale)
+
+    def sym():
+        a = rng.standard_normal((n, n))
+        return (a + a.T) * scale
+
+    if draw(st.booleans()):
+        load, pole = float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.95))
+    else:
+        a, b = rng.uniform(0.0, 0.5, n), rng.uniform(0.0, 0.95, n)
+        load, pole = np.outer(a, a), np.outer(b, b)
+    return e, sym(), load, pole, sym()
+
+
 class TestOnePoleScan:
     @settings(max_examples=60, deadline=None)
     @given(scan_inputs())
@@ -147,6 +176,16 @@ class TestOnePoleScan:
         assert np.array_equal(y.view(np.int64), want)
         want = adjoint_oracle(x, coef).view(np.int64)
         assert np.array_equal(lam.view(np.int64), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sym_inputs())
+    def test_symmetric_recursion_matches_step_by_step_loop_bit_for_bit(self, case):
+        e, omega, load, pole, x1 = case
+        x = _sym_one_pole(e, omega, load, pole, x1, "test")
+        # every entry of the matrix, not just the scanned lower triangle
+        drive = omega + load * (e[:-1, :, None] * e[:-1, None, :])
+        want = np.concatenate([x1[None], scan_oracle(drive, pole, x1)])
+        assert np.array_equal(x.view(np.int64), want.view(np.int64))
 
 
 class TestLoglik:

@@ -28,12 +28,13 @@ from covtarget import (
     fd_gradient,
     garch11_fit,
     garch11_loglik,
-    garch11_simulate,
     sample_moments,
 )
 from covtarget.bekk import _BekkTransform
 from covtarget.data import correlation_from_series
 from covtarget.optimize import _SimplexTransform
+
+from conftest import garch11_simulate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 

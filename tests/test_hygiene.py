@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it,
-every private module-level name is read somewhere in the package, and no
-module imports scipy.signal.
+every private module-level name is read somewhere in the package, every
+public module-level function and class is read by the package or the
+benchmark, and no module imports scipy.signal.
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports), and so are ``__future__`` imports.
@@ -69,6 +70,47 @@ def test_unread_private_names_are_found():
 
 def test_every_private_name_is_read():
     assert unread_private_names([p.read_text() for p in SOURCES]) == []
+
+
+def unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
+    """Public functions and classes that a module of ``defining`` defines at
+    top level and no expression in ``reading`` reads."""
+    defined, read = set(), set()
+    for tree in map(ast.parse, defining):
+        defined.update(
+            node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+        )
+    for tree in map(ast.parse, reading):
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted(defined - read)
+
+
+# Public names with no reader in the package or the benchmark, and why.
+UNREAD_PUBLIC_ALLOWED = {
+    "fd_gradient": "the gradient tests' finite-difference oracle",
+    "load_prices": "public layout-strict loader (load_panel dispatches by sentinel)",
+    "load_returns": "public layout-strict loader (load_panel dispatches by sentinel)",
+}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_unread_public_names_are_found():
+    defining = ["def f(): pass\ndef g(): pass\nclass C: pass\ndef _h(): pass\n"]
+    reading = ["f()\nx.C\n", "def g(): pass\n"]
+    assert unread_public_names(defining, reading) == ["g"]
+
+
+def test_every_public_name_is_read():
+    reading = [p.read_text() for p in MODULES]
+    reading += [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    unread = unread_public_names([p.read_text() for p in SOURCES], reading)
+    assert unread == sorted(UNREAD_PUBLIC_ALLOWED)
 
 
 def imported_modules(source: str) -> set[str]:

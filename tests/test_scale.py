@@ -31,9 +31,10 @@ from covtarget import (
     dcc_stage2_loglik,
     dcc_std_residuals,
     garch11_loglik,
-    garch11_simulate,
     sample_moments,
 )
+
+from conftest import garch11_simulate
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
