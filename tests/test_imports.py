@@ -1,12 +1,11 @@
-"""No command loads scipy.signal, and only fit commands load scipy.optimize.
+"""No command loads scipy.
 
-scipy.optimize (minimize) takes most of a fresh process's start-up time, so
-it is imported where the fit path calls it; every one-pole recursion is an
-in-house scan, so nothing needs scipy.signal. A fresh interpreter checks
-sys.modules after importing the CLI, after running graph, cliques, cluster
-and simulate, and after a fit of BEKK and DCC, which also fits the GARCH
-stage one. fit and evaluate share that path, and ``test_hygiene`` checks
-that no package module imports scipy.signal at all.
+Every one-pole recursion is an in-house scan and every fit runs the
+in-house BFGS in ``covtarget.optimize``, so the package needs numpy alone.
+A fresh interpreter checks sys.modules after importing the CLI, after
+running graph, cliques, cluster and simulate, and after a fit of BEKK and
+DCC, which also fits the GARCH stage one. fit and evaluate share that path,
+and ``test_hygiene`` checks that no package module imports scipy at all.
 """
 import os
 import subprocess
@@ -25,11 +24,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 CHILD = """
 import sys
 
-FIT_ONLY = ("scipy.signal", "scipy.optimize")
-
 
 def loaded():
-    return [m for m in FIT_ONLY if m in sys.modules]
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 
 from covtarget.cli import main
@@ -47,11 +44,11 @@ assert not loaded(), f"after graph, cliques, cluster, simulate: {loaded()}"
 fit = ["fit", "--input", panel, "--out-dir", out, "--model", "bekk,dcc",
        "--starts", "1"]
 assert main(fit) == 0
-assert loaded() == ["scipy.optimize"], f"after fit: {loaded()}"
+assert not loaded(), f"after fit: {loaded()}"
 """
 
 
-def test_fit_only_scipy_modules_load_only_on_the_fit_path(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     panel = tmp_path / "panel.csv"
     write_returns_csv(
         bekk_simulate(bekk2(), np.array([0.001, -0.001]), 200, seed=31), panel

@@ -1,15 +1,34 @@
+import logging
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
+    CovTargetError,
     DataError,
     EstimationError,
     FitReport,
     OptimizerOptions,
     fd_gradient,
     maximize,
+    optimize,
 )
-from covtarget.optimize import simplex_map, simplex_unmap, simplex_vjp
+from covtarget.optimize import (
+    _BFGS_GTOL,
+    _WOLFE_C1,
+    _WOLFE_C2,
+    _bfgs,
+    _line_search,
+    simplex_map,
+    simplex_unmap,
+    simplex_vjp,
+)
+
+from conftest import random_spd
 
 
 class IdentityTransform:
@@ -168,3 +187,106 @@ class TestMaximize:
     def test_options_validation(self):
         with pytest.raises(DataError):
             OptimizerOptions(n_starts=0)
+
+
+def rosenbrock(x):
+    """Rosenbrock's function and its gradient; minimum 0 at (1, 1)."""
+    r = x[1] - x[0] ** 2
+    f = 100.0 * r * r + (1.0 - x[0]) ** 2
+    return float(f), np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]), 200.0 * r])
+
+
+def recorded(fg):
+    """fg, plus the list of points it has been evaluated at."""
+    points = []
+
+    def wrapped(x):
+        points.append(np.array(x, copy=True))
+        return fg(x)
+
+    return wrapped, points
+
+
+class TestBfgs:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_every_accepted_step_meets_the_strong_wolfe_conditions(self, seed, n):
+        rng = np.random.default_rng(seed)
+        a = random_spd(rng, n)
+        b = rng.standard_normal(n) * 10.0
+        fg = lambda x: (float(0.5 * x @ a @ x - b @ x), a @ x - b)
+        steps = []
+
+        def search(fg_, x, f0, g0, p, f_prev):
+            step = _line_search(fg_, x, f0, g0, p, f_prev)
+            steps.append((f0, float(g0 @ p), p, step))
+            return step
+
+        with mock.patch.object(optimize, "_line_search", search):
+            u, f, g, iters, reason = _bfgs(fg, rng.standard_normal(n) * 5.0)
+        # |f| reaches ~1e2 here, so the start may stop for rounding just
+        # above the gradient tolerance
+        assert reason in ("gradient below tolerance", "precision loss")
+        assert np.allclose(u, np.linalg.solve(a, b), atol=1e-5)
+        assert len(steps) == iters
+        for f0, d0, p, (alpha, f1, g1) in steps:
+            assert d0 < 0.0
+            assert f1 <= f0 + _WOLFE_C1 * alpha * d0
+            assert abs(float(g1 @ p)) <= _WOLFE_C2 * abs(d0)
+
+    def test_rosenbrock_reaches_the_gradient_tolerance(self):
+        u, f, g, iters, reason = _bfgs(rosenbrock, np.array([-1.2, 1.0]))
+        assert reason == "gradient below tolerance"
+        assert np.max(np.abs(g)) <= _BFGS_GTOL
+        assert np.allclose(u, [1.0, 1.0], atol=1e-6)
+        assert f < 1e-12
+
+    def test_flat_to_rounding_stops_for_precision_loss(self):
+        # f = 1e8 + x'Dx/2 rounds to a multiple of ~1.5e-8 near x = 0, where
+        # the exact gradient is still far above the tolerance
+        d = np.array([1.0, 100.0])
+        fg, points = recorded(lambda x: (float(1e8 + 0.5 * x @ (d * x)), d * x))
+        u, f, g, iters, reason = _bfgs(fg, np.array([3.0, -2.0]))
+        assert reason == "precision loss"
+        assert np.max(np.abs(g)) > _BFGS_GTOL
+        assert f - 1e8 < 1e-5
+        # the start ends where it was last evaluated: no search is spent on
+        # a decrease that rounding hides
+        assert np.array_equal(points[-1], u)
+
+    def test_infeasible_trials_shrink_the_step(self):
+        raised = []
+
+        def f(x):
+            if np.linalg.norm(x) > 0.8:
+                raised.append(x)
+                raise CovTargetError("outside the feasible ball")
+            return -((x - 0.5) ** 2).sum(), -2.0 * (x - 0.5)
+
+        x, report = maximize(
+            f, IdentityTransform(), np.zeros(2), OptimizerOptions(n_starts=1)
+        )
+        assert raised  # the first trial step leaves the ball
+        assert report.converged
+        assert np.allclose(x, 0.5, atol=1e-6)
+
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_ITERS", 3)
+        u, f, g, iters, reason = _bfgs(rosenbrock, np.array([-1.2, 1.0]))
+        assert (iters, reason) == (3, "iteration limit")
+        neg = lambda x: tuple(-v for v in rosenbrock(x))
+        _, report = maximize(
+            neg, IdentityTransform(), np.array([-1.2, 1.0]), OptimizerOptions(n_starts=1)
+        )
+        assert report.iterations == 3
+        assert not report.converged
+
+    def test_log_line_per_start_names_reason_and_evaluations(self, caplog):
+        f = lambda x: (-((x - 2.0) ** 2).sum(), -2.0 * (x - 2.0))
+        with caplog.at_level(logging.DEBUG, logger="covtarget.optimize"):
+            maximize(f, IdentityTransform(), np.zeros(2), OptimizerOptions(n_starts=2))
+        for s in (0, 1):
+            assert re.search(
+                rf"start {s}: .*, \d+ evaluations \(gradient below tolerance\)",
+                caplog.text,
+            )
