@@ -196,17 +196,6 @@ def rosenbrock(x):
     return float(f), np.array([-400.0 * x[0] * r - 2.0 * (1.0 - x[0]), 200.0 * r])
 
 
-def recorded(fg):
-    """fg, plus the list of points it has been evaluated at."""
-    points = []
-
-    def wrapped(x):
-        points.append(np.array(x, copy=True))
-        return fg(x)
-
-    return wrapped, points
-
-
 class TestBfgs:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
@@ -245,7 +234,12 @@ class TestBfgs:
         # f = 1e8 + x'Dx/2 rounds to a multiple of ~1.5e-8 near x = 0, where
         # the exact gradient is still far above the tolerance
         d = np.array([1.0, 100.0])
-        fg, points = recorded(lambda x: (float(1e8 + 0.5 * x @ (d * x)), d * x))
+        points = []
+
+        def fg(x):
+            points.append(x.copy())
+            return float(1e8 + 0.5 * x @ (d * x)), d * x
+
         u, f, g, iters, reason = _bfgs(fg, np.array([3.0, -2.0]))
         assert reason == "precision loss"
         assert np.max(np.abs(g)) > _BFGS_GTOL
