@@ -16,14 +16,10 @@ from .cluster import (
     to_newick,
 )
 from .data import (
-    PricePanel,
     ReturnPanel,
     SampleMoments,
     correlation_from_series,
     load_panel,
-    load_prices,
-    load_returns,
-    log_returns,
     sample_moments,
     write_returns_csv,
 )
@@ -103,7 +99,6 @@ __all__ = [
     "NumericalOverflowError",
     "OptimizerOptions",
     "ParseError",
-    "PricePanel",
     "ReturnPanel",
     "RunConfig",
     "SampleMoments",
@@ -145,9 +140,6 @@ __all__ = [
     "graph_to_json",
     "kl_divergence",
     "load_panel",
-    "load_prices",
-    "load_returns",
-    "log_returns",
     "maximal_cliques",
     "maximize",
     "nearest_pd",

@@ -125,6 +125,15 @@ class BekkParams:
         return cls(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
 
+def _start_cov(h1: np.ndarray, n: int) -> np.ndarray:
+    """The starting covariance H_1, symmetrized; it must be (n, n) and PD."""
+    h1 = symmetrize(h1)
+    if h1.shape != (n, n):
+        raise ShapeError(f"h1 must be ({n}, {n}), got {h1.shape}")
+    cholesky(h1)
+    return h1
+
+
 def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarray:
     """Run the covariance recursion from H_1 = h1 over demeaned returns eps;
     returns the (T, N, N) path, every slice symmetric PD by construction."""
@@ -136,10 +145,7 @@ def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarr
         raise DataError("eps has no rows")
     if not np.all(np.isfinite(eps)):
         raise DataError("eps contains non-finite values")
-    h1 = symmetrize(h1)
-    if h1.shape != (n, n):
-        raise ShapeError(f"h1 must be ({n}, {n}), got {h1.shape}")
-    cholesky(h1)  # starting covariance must be PD
+    h1 = _start_cov(h1, n)
     a, b = params.a_diag, params.b_diag
     return _sym_one_pole(
         eps, params.c_lower @ params.c_lower.T, np.outer(a, a), np.outer(b, b),
@@ -321,8 +327,7 @@ def bekk_simulate(
         raise DataError(f"t_len must be >= 2, got {t_len}")
     if h1 is None:
         h1 = params.unconditional_cov()
-    h1 = symmetrize(h1)
-    cholesky(h1)
+    h1 = _start_cov(h1, n)
     if labels is None:
         labels = tuple(f"S{i + 1}" for i in range(n))
     rng = np.random.default_rng(seed)

@@ -303,9 +303,11 @@ def cmd_evaluate(opt: dict, fmt: str) -> int:
 def _setup_logging() -> None:
     level = os.environ.get("COVTARGET_LOG", "").upper()
     if level:
+        # A level's name maps to its number; any other value means INFO.
+        number = logging.getLevelName(level)
         logging.basicConfig(
             stream=sys.stderr,
-            level=getattr(logging, level, logging.INFO),
+            level=number if isinstance(number, int) else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
 

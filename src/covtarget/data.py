@@ -3,7 +3,7 @@
 Two file layouts are supported:
 
 * price panels:   header ``date,TICKER1,...``; one ISO date plus strictly
-  positive prices per row;
+  positive prices per row, loaded as their log returns;
 * return panels:  a ``#returns`` sentinel as the first CSV cell of line 1
   (quoted or not), then the same layout with returns instead of prices
   (this is the format ``simulate`` writes).
@@ -48,40 +48,6 @@ def _check_labels(labels: tuple[str, ...]) -> None:
         raise DataError("empty series label in header")
     if len(set(labels)) != len(labels):
         raise DataError("duplicate series labels in header")
-
-
-@dataclass(frozen=True)
-class PricePanel:
-    """Date-sorted price panel; prices strictly positive, dates strictly
-    increasing."""
-
-    dates: tuple[dt.date, ...]
-    labels: tuple[str, ...]
-    prices: np.ndarray  # (T, N)
-
-    def __post_init__(self):
-        _check_labels(self.labels)
-        p = _readonly(self.prices)
-        if p.ndim != 2 or p.shape != (len(self.dates), len(self.labels)):
-            raise DataError(
-                f"price array shape {p.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.labels)} labels"
-            )
-        if not np.all(np.isfinite(p)):
-            raise DataError("prices contain non-finite values")
-        if np.any(p <= 0.0):
-            t, j = map(int, np.argwhere(p <= 0.0)[0])
-            raise DataError(
-                f"non-positive price for {self.labels[j]} on {self.dates[t]}"
-            )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if not a < b:
-                raise DataError(f"dates not strictly increasing at {b}")
-        object.__setattr__(self, "prices", p)
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -218,13 +184,11 @@ def _parse_rows(
     return dates, np.asarray(values, dtype=float)
 
 
-def _read_panel(
-    path: str | Path, returns: bool | None = None
-) -> tuple[bool, tuple[str, ...], tuple[dt.date, ...], np.ndarray]:
-    """Read a panel file once: (is a returns panel, labels, dates, values),
-    rows sorted by date. The layout is the first CSV cell of line 1; when
-    ``returns`` is given, the other layout is refused before the header is
-    parsed."""
+def load_panel(path: str | Path) -> ReturnPanel:
+    """Load a panel file as a ReturnPanel, rows sorted by date. The layout
+    is the first CSV cell of line 1: a returns panel is loaded as-is, and a
+    price panel becomes its log returns r_t = log(p_t / p_{t-1}), dated by
+    the later row."""
     path = str(path)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -233,13 +197,6 @@ def _read_panel(
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
-        if returns is not None and is_returns != returns:
-            raise ParseError(
-                f"{path}: file is a returns panel ('{RETURNS_SENTINEL}' sentinel); "
-                "use load_returns"
-                if is_returns
-                else f"{path}: missing '{RETURNS_SENTINEL}' sentinel on line 1"
-            )
         if is_returns:
             try:
                 first = next(reader)
@@ -255,41 +212,18 @@ def _read_panel(
     for a, b in zip(dates, dates[1:]):
         if a == b:
             raise DataError(f"{path}: duplicate date {a}")
-    return is_returns, labels, dates, values[order]
-
-
-def load_prices(path: str | Path) -> PricePanel:
-    """Load a price CSV (header ``date,T1,...``), sorted by date."""
-    _, labels, dates, prices = _read_panel(path, returns=False)
-    return PricePanel(dates=dates, labels=labels, prices=prices)
-
-
-def load_returns(path: str | Path) -> ReturnPanel:
-    """Load a returns CSV: ``#returns`` sentinel line, then the price layout."""
-    _, labels, dates, returns = _read_panel(path, returns=True)
-    return ReturnPanel(labels=labels, returns=returns, dates=dates)
-
-
-def load_panel(path: str | Path) -> ReturnPanel:
-    """Load either file layout and return a ReturnPanel.
-
-    Price files are converted with log_returns; returns files are loaded
-    as-is.
-    """
-    is_returns, labels, dates, values = _read_panel(path)
+    values = values[order]
     if is_returns:
         return ReturnPanel(labels=labels, returns=values, dates=dates)
-    return log_returns(PricePanel(dates=dates, labels=labels, prices=values))
-
-
-def log_returns(panel: PricePanel) -> ReturnPanel:
-    """Log returns r_t = log(p_t / p_{t-1}); needs at least two price rows."""
-    if panel.prices.shape[0] < 2:
-        raise InsufficientDataError(
-            "need at least two price rows to form returns"
-        )
-    r = np.log(panel.prices[1:] / panel.prices[:-1])
-    return ReturnPanel(labels=panel.labels, returns=r, dates=panel.dates[1:])
+    if not np.all(np.isfinite(values)):
+        raise DataError("prices contain non-finite values")
+    if np.any(values <= 0.0):
+        t, j = map(int, np.argwhere(values <= 0.0)[0])
+        raise DataError(f"non-positive price for {labels[j]} on {dates[t]}")
+    if len(dates) < 2:
+        raise InsufficientDataError("need at least two price rows to form returns")
+    returns = np.log(values[1:] / values[:-1])
+    return ReturnPanel(labels=labels, returns=returns, dates=dates[1:])
 
 
 def _moments(x: np.ndarray, names) -> tuple[np.ndarray, ...]:

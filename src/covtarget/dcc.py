@@ -110,10 +110,6 @@ class CorrPath:
     r: np.ndarray
     q: np.ndarray
 
-    @property
-    def t_len(self) -> int:
-        return self.r.shape[0]
-
 
 @dataclass(frozen=True)
 class Stage1Result:

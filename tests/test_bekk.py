@@ -305,3 +305,7 @@ class TestSimulate:
             bekk_simulate(p, np.zeros(2), 1, seed=0)
         with pytest.raises(NotPositiveDefiniteError):
             bekk_simulate(p, np.zeros(2), 50, seed=0, h1=np.zeros((2, 2)))
+
+    def test_rejects_mis_sized_start(self):
+        with pytest.raises(ShapeError, match=r"h1 must be \(2, 2\), got \(3, 3\)"):
+            bekk_simulate(bekk2(), np.zeros(2), 50, seed=0, h1=np.eye(3))

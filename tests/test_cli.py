@@ -1,9 +1,15 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covtarget import (
+    BekkParams,
     bekk_simulate,
     kl_divergence,
     load_panel,
@@ -11,8 +17,11 @@ from covtarget import (
     write_returns_csv,
 )
 from covtarget.cli import main
+from covtarget.report import bekk_document
 
 from conftest import bekk2, gaussian_panel
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +146,19 @@ class TestDataErrors:
         )
         assert rc == 3
 
+    def test_simulate_with_mis_sized_start(self, capsys, tmp_path):
+        # A three-asset params file whose h1 is 2 x 2.
+        params = BekkParams(
+            c_lower=0.2 * np.eye(3), a_diag=np.full(3, 0.3), b_diag=np.full(3, 0.9)
+        )
+        doc = bekk_document(params, np.zeros(3), np.eye(2), None)
+        (tmp_path / "params.bekk.json").write_text(json.dumps(doc))
+        rc, _, err = run(
+            capsys, "simulate", "--out-dir", str(tmp_path), "--model", "bekk",
+            "--sim-len", "50",
+        )
+        assert rc == 3
+        assert "h1 must be (3, 3), got (2, 2)" in err
 
     @staticmethod
     def run_with_dependent_column(capsys, tmp_path, command, model, scale, noise):
@@ -222,6 +244,33 @@ class TestEstimationErrors:
         )
         assert rc == 4
         assert "FLAT" in err
+
+
+class TestLogging:
+    CHILD = (
+        "import logging, sys\n"
+        "from covtarget.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(logging.getLogger().level)\n"
+        "sys.exit(rc)\n"
+    )
+
+    @pytest.mark.parametrize("value, level", [
+        ("debug", logging.DEBUG),
+        ("basic_format", logging.INFO),
+        ("chatty", logging.INFO),
+    ])
+    def test_level_or_info(self, panel_csv, tmp_path, value, level):
+        # COVTARGET_LOG names a level, or means INFO. Logging is set up once
+        # per process, so each case runs in a fresh interpreter.
+        env = {**os.environ, "COVTARGET_LOG": value, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "graph", "--input", str(panel_csv),
+             "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(level)
 
 
 class TestCluster:

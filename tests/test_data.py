@@ -13,12 +13,8 @@ from covtarget import (
     DegenerateSeriesError,
     InsufficientDataError,
     ParseError,
-    PricePanel,
     ReturnPanel,
     load_panel,
-    load_prices,
-    load_returns,
-    log_returns,
     sample_moments,
 )
 from covtarget.data import _parse_plain, synth_dates, write_returns_csv
@@ -44,59 +40,64 @@ class TestLoadPrices:
     def test_loads_and_sorts(self, tmp_path):
         shuffled = "date,AA,BB\n2020-01-06,99.5,50.5\n2020-01-02,100.0,50.0\n" \
                    "2020-01-07,102.0,51.0\n2020-01-03,101.0,49.5\n"
-        panel = load_prices(write(tmp_path, "p.csv", shuffled))
+        panel = load_panel(write(tmp_path, "p.csv", shuffled))
         assert panel.labels == ("AA", "BB")
-        assert panel.dates[0] == dt.date(2020, 1, 2)
-        assert list(panel.prices[:, 0]) == [100.0, 101.0, 99.5, 102.0]
+        assert panel.dates[0] == dt.date(2020, 1, 3)
+        p = np.array([100.0, 101.0, 99.5, 102.0])
+        assert panel.returns[:, 0].tolist() == np.log(p[1:] / p[:-1]).tolist()
 
     def test_rejects_bad_date(self, tmp_path):
         bad = "date,AA\n2020-13-40,1.0\n"
         with pytest.raises(ParseError, match="bad date"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_bad_number(self, tmp_path):
         bad = "date,AA\n2020-01-02,abc\n"
         with pytest.raises(ParseError, match="bad number"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_missing_cell(self, tmp_path):
         bad = "date,AA,BB\n2020-01-02,1.0,\n"
         with pytest.raises(DataError, match="missing value"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_short_row(self, tmp_path):
         bad = "date,AA,BB\n2020-01-02,1.0\n"
         with pytest.raises(ParseError, match="expected 3 cells"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_duplicate_dates(self, tmp_path):
         bad = "date,AA\n2020-01-02,1.0\n2020-01-02,2.0\n"
         with pytest.raises(DataError, match="duplicate date"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_nonpositive_price(self, tmp_path):
         bad = "date,AA\n2020-01-02,0.0\n"
         with pytest.raises(DataError, match="non-positive price"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_duplicate_labels(self, tmp_path):
         bad = "date,AA,AA\n2020-01-02,1.0,2.0\n"
         with pytest.raises(DataError, match="duplicate"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
     def test_rejects_missing_date_header(self, tmp_path):
         bad = "day,AA\n2020-01-02,1.0\n"
         with pytest.raises(ParseError, match="first header column"):
-            load_prices(write(tmp_path, "p.csv", bad))
+            load_panel(write(tmp_path, "p.csv", bad))
 
-    def test_rejects_returns_file(self, tmp_path):
-        bad = "#returns\ndate,AA\n2020-01-02,0.01\n"
-        with pytest.raises(ParseError, match="returns panel"):
-            load_prices(write(tmp_path, "p.csv", bad))
+    @pytest.mark.parametrize("cell, plain", [("1e500", True), ("nan", False)])
+    def test_rejects_non_finite_price(self, tmp_path, cell, plain):
+        # 1e500 overflows in the C parse of plain bodies; nan takes the
+        # cell-by-cell parse.
+        body = f"2020-01-02,1.0\n2020-01-03,{cell}\n"
+        assert (_parse_plain(body, 1) is not None) == plain
+        with pytest.raises(DataError, match="prices contain non-finite values"):
+            load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ParseError, match="empty"):
-            load_prices(write(tmp_path, "p.csv", ""))
+            load_panel(write(tmp_path, "p.csv", ""))
 
 
 # Cells in the plain alphabet, regular and not: float() accepts some and
@@ -155,39 +156,38 @@ class TestPlainFastPath:
     ])
     def test_errors_name_the_line(self, tmp_path, body, err, match):
         with pytest.raises(err, match=match):
-            load_prices(write(tmp_path, "p.csv", "date,AA\n" + body))
+            load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
 
     def test_quoted_and_blank_rows_load_as_before(self, tmp_path):
         text = 'date,AA,BB\n2020-01-02,"100.0",50.0\n\n2020-01-03,101.0, 49.5\n'
-        panel = load_prices(write(tmp_path, "p.csv", text))
-        assert panel.prices.tolist() == [[100.0, 50.0], [101.0, 49.5]]
+        panel = load_panel(write(tmp_path, "p.csv", text))
+        want = np.log(np.array([[101.0, 49.5]]) / np.array([[100.0, 50.0]]))
+        assert panel.returns.tolist() == want.tolist()
 
 
 class TestLogReturns:
     def test_values(self, tmp_path):
-        panel = load_prices(write(tmp_path, "p.csv", PRICES_CSV))
-        r = log_returns(panel)
+        r = load_panel(write(tmp_path, "p.csv", PRICES_CSV))
         assert r.returns.shape == (3, 2)
         assert r.returns[0, 0] == pytest.approx(np.log(101.0 / 100.0), abs=1e-15)
         assert r.dates[0] == dt.date(2020, 1, 3)
 
-    def test_round_trip(self, rng):
+    def test_round_trip(self, tmp_path, rng):
         # prices reconstructed from cumulative returns reproduce the input
         t = 40
         prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal((t, 2)), axis=0))
-        panel = PricePanel(
-            dates=synth_dates(t), labels=("A", "B"), prices=prices
-        )
-        r = log_returns(panel)
+        lines = ["date,A,B"] + [
+            f"{d.isoformat()},{a!r},{b!r}" for d, (a, b) in zip(synth_dates(t), prices.tolist())
+        ]
+        r = load_panel(write(tmp_path, "p.csv", "\n".join(lines) + "\n"))
         rebuilt = prices[0] * np.exp(np.cumsum(r.returns, axis=0))
         assert np.allclose(rebuilt, prices[1:], rtol=1e-12)
 
-    def test_needs_two_rows(self):
-        panel = PricePanel(
-            dates=(dt.date(2020, 1, 2),), labels=("A",), prices=np.array([[1.0]])
-        )
-        with pytest.raises(InsufficientDataError):
-            log_returns(panel)
+    def test_needs_two_rows(self, tmp_path):
+        with pytest.raises(
+            InsufficientDataError, match="need at least two price rows to form returns"
+        ):
+            load_panel(write(tmp_path, "p.csv", "date,A\n2020-01-02,1.0\n"))
 
 
 class TestReturnPanel:
@@ -242,7 +242,7 @@ class TestReturnsCsv:
         panel = gaussian_panel(rng, t_len=25, n=3)
         path = tmp_path / "r.csv"
         write_returns_csv(panel, path)
-        back = load_returns(path)
+        back = load_panel(path)
         assert back.labels == panel.labels
         assert np.array_equal(back.returns, panel.returns)
 
@@ -254,18 +254,48 @@ class TestReturnsCsv:
         ppath = write(tmp_path, "p.csv", PRICES_CSV)
         assert load_panel(ppath).returns.shape == (3, 2)
 
-    def test_sentinel_required(self, tmp_path):
-        with pytest.raises(ParseError, match="sentinel"):
-            load_returns(write(tmp_path, "r.csv", PRICES_CSV))
 
-
-def load_outcome(load, path):
-    """What a loader gives: the panel's contents, or its error."""
+def load_outcome(path):
+    """What load_panel gives: the panel's contents, or its error."""
     try:
-        p = load(path)
+        p = load_panel(path)
     except CovTargetError as exc:
         return type(exc), str(exc)
     return p.labels, p.dates, p.returns.shape, p.returns.tobytes()
+
+
+def reference_outcome(path, header: str, rows: list[str], returns: bool):
+    """load_panel's outcome for a file of ``header`` then ``rows`` (after a
+    sentinel line if ``returns``), by a cell-by-cell float() parse: the
+    first fault's error type and message, or the panel's contents."""
+    labels = tuple(header.split(",")[1:])
+    parsed = []
+    for line, row in enumerate(rows, start=3 if returns else 2):
+        date, *cells = row.split(",")
+        if len(cells) != len(labels):
+            width = len(labels) + 1
+            return ParseError, f"{path}:{line}: expected {width} cells, got {len(cells) + 1}"
+        values = []
+        for label, cell in zip(labels, cells):
+            if not cell:
+                return DataError, f"{path}:{line}: missing value for {label}"
+            try:
+                values.append(float(cell))
+            except ValueError:
+                return ParseError, f"{path}:{line}: bad number {cell!r} for {label}"
+        parsed.append((dt.date.fromisoformat(date), values))
+    parsed.sort()
+    dates = tuple(d for d, _ in parsed)
+    x = np.array([v for _, v in parsed])
+    if not returns:
+        for date, values in parsed:
+            for label, v in zip(labels, values):
+                if v <= 0.0:
+                    return DataError, f"non-positive price for {label} on {date}"
+        if len(parsed) < 2:
+            return InsufficientDataError, "need at least two price rows to form returns"
+        x, dates = np.log(x[1:] / x[:-1]), dates[1:]
+    return labels, dates, x.shape, x.tobytes()
 
 
 class TestLoadPanelDispatch:
@@ -282,19 +312,15 @@ class TestLoadPanelDispatch:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_the_layout_loader(self, returns, quoted, eol, n, cells, days):
-        # load_panel reads the layout as load_returns and load_prices do,
-        # and gives what the loader of that layout gives.
+        # load_panel reads the layout from line 1 and gives, errors included,
+        # what a cell-by-cell parse of that layout gives.
+        header = ",".join(["date", *"ABC"[:n]])
+        rows = [",".join([f"2020-01-{days[k]:02d}", *cells[k * n:(k + 1) * n]])
+                for k in range(max(1, len(cells) // n))]
         lines = ['"#returns"' if quoted else "#returns"] if returns else []
-        lines.append(",".join(["date", *"ABC"[:n]]))
-        for k in range(max(1, len(cells) // n)):
-            row = cells[k * n:(k + 1) * n]
-            lines.append(",".join([f"2020-01-{days[k]:02d}", *row]))
         with tempfile.TemporaryDirectory() as d:
             path = Path(d) / "panel.csv"
             with open(path, "w", newline="") as fh:
-                fh.write(eol.join(lines) + eol)
-            want = load_outcome(
-                load_returns if returns else lambda p: log_returns(load_prices(p)),
-                path,
-            )
-            assert load_outcome(load_panel, path) == want
+                fh.write(eol.join(lines + [header] + rows) + eol)
+            want = reference_outcome(path, header, rows, returns)
+            assert load_outcome(path) == want

@@ -4,7 +4,8 @@ public module-level function and class is read by the package or the
 benchmark, and no module imports scipy: the package runs on numpy alone.
 
 ``__init__.py`` is exempt from the first check (its imports are
-re-exports), and so are ``__future__`` imports.
+re-exports, and ``covtarget.__all__`` must list exactly those), and so are
+``__future__`` imports.
 """
 import ast
 from pathlib import Path
@@ -17,17 +18,21 @@ SOURCES = sorted(Path(covtarget.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by an import in ``source`` that no expression reads."""
-    tree = ast.parse(source)
+def imported_names(source: str) -> set[str]:
+    """Names bound by an import in ``source``, ``__future__`` imports aside."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(a.asname or a.name for a in node.names)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(imported - used)
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import in ``source`` that no expression reads."""
+    used = {n.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Name)}
+    return sorted(imported_names(source) - used)
 
 
 def test_unused_imports_are_found():
@@ -38,6 +43,14 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_the_reexports():
+    # A stale __all__ entry breaks ``from covtarget import *``; a missing one
+    # hides a name from it.
+    init = Path(covtarget.__file__).read_text()
+    assert len(set(covtarget.__all__)) == len(covtarget.__all__)
+    assert set(covtarget.__all__) == imported_names(init)
 
 
 def unread_private_names(sources: list[str]) -> list[str]:
@@ -94,8 +107,6 @@ def unread_public_names(defining: list[str], reading: list[str]) -> list[str]:
 # Public names with no reader in the package or the benchmark, and why.
 UNREAD_PUBLIC_ALLOWED = {
     "fd_gradient": "the gradient tests' finite-difference oracle",
-    "load_prices": "public layout-strict loader (load_panel dispatches by sentinel)",
-    "load_returns": "public layout-strict loader (load_panel dispatches by sentinel)",
 }
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
