@@ -40,7 +40,6 @@ from .optimize import (
     maximize,
     simplex_map,
     simplex_unmap,
-    simplex_vjp,
 )
 from .targeting import TargetSpec
 
@@ -248,8 +247,10 @@ class _BekkTransform:
         )
         w = simplex_map(u[self.m :].reshape(self.n, 2))
         g_ab = np.stack([g[self.m : self.m + self.n], g[self.m + self.n :]], axis=1)
-        # a = sqrt(w_0), b = sqrt(w_1): dw = 2 sqrt(w) d(sqrt(w))
-        return np.concatenate([g_c, simplex_vjp(w, 0.5 * g_ab / np.sqrt(w)).ravel()])
+        # a = sqrt(w_0), b = sqrt(w_1): simplex_vjp(w, 0.5 g / sqrt(w)) in
+        # closed form, without dividing by sqrt(w), which is 0 once w_k underflows
+        v = 0.5 * g_ab * np.sqrt(w)
+        return np.concatenate([g_c, (v - w * v.sum(axis=-1, keepdims=True)).ravel()])
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)

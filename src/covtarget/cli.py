@@ -1,10 +1,15 @@
 """Command-line interface.
 
-Subcommands: cluster, fit, simulate, graph, cliques, evaluate. Options can
-also come from a ``key = value`` config file (--config); explicit flags win
-over the file, which wins over built-in defaults. Exit codes: 0 success,
-2 usage problems, 3 data errors, 4 estimation failures. Set COVTARGET_LOG
-(DEBUG/INFO/...) to get diagnostics on stderr.
+Subcommands: cluster, fit, simulate, graph, cliques, evaluate; ``COMMANDS``
+lists the options each one takes, and any other flag is a usage error.
+``--seed`` is the one program-wide option: every command accepts it, and
+fit, simulate and evaluate read it. ``--config`` names a ``key = value``
+file of options; explicit flags win over the file, which wins over the
+defaults in ``OPTIONS``. A file key must name an option of some command;
+keys the running command does not take are ignored, so one file serves
+fit, simulate and evaluate alike. Exit codes: 0 success, 2 usage problems,
+3 data errors, 4 estimation failures. Set COVTARGET_LOG (DEBUG/INFO/...)
+to get diagnostics on stderr.
 """
 from __future__ import annotations
 
@@ -14,51 +19,208 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
 from .data import ReturnPanel, load_panel, sample_moments, write_returns_csv, write_text_atomic
-from .errors import (
-    CovTargetError,
-    DataError,
-    EstimationError,
-    NumericalOverflowError,
-)
+from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError
 from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, maximal_cliques
 from .optimize import OptimizerOptions
 from .report import (
-    MODEL_KINDS,
-    RunConfig,
-    check_models,
-    render_json,
-    run_evaluation,
-    run_fits,
+    MODEL_KINDS, RunConfig, check_models, render_json, run_evaluation, run_fits,
     simulate_document,
 )
-
-log = logging.getLogger(__name__)
-
-_DEFAULTS = {
-    "out_dir": ".",
-    "seed": 0,
-    "delta": 0.5,
-    "model": ",".join(MODEL_KINDS),
-    "sim_len": None,
-    "starts": OptimizerOptions.n_starts,
-    "input": None,
-    "format": None,
-    "k": None,
-}
-
-_FORMATS = {
-    "cluster": ("text", "json"),
-    "graph": ("dot", "json"),
-    "cliques": ("text", "json"),
-    "evaluate": ("text", "json"),
-}
 
 
 class UsageError(Exception):
     """Bad flag combinations or config contents; exits 2."""
+
+
+def _usage(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its DataError reported as a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except DataError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _models(args: argparse.Namespace) -> tuple[str, ...]:
+    kinds = tuple(s.strip() for s in args.model.split(",") if s.strip())
+    return _usage(check_models, kinds)
+
+
+def _require_input(args: argparse.Namespace) -> str:
+    if not args.input:
+        raise UsageError("--input is required for this command")
+    return args.input
+
+
+def cmd_cluster(args: argparse.Namespace) -> int:
+    panel = load_panel(_require_input(args))
+    moments = sample_moments(panel)
+    dend = complete_linkage(corr_distance(moments.corr), panel.labels)
+    doc = dendrogram_to_json(dend)
+    if args.k is not None:
+        assign = cut_tree(dend, args.k)
+        doc["clusters"] = {lab: int(c) for lab, c in zip(panel.labels, assign)}
+    write_text_atomic(Path(args.out_dir) / "dendrogram.json", render_json(doc))
+    if args.format == "json":
+        sys.stdout.write(render_json(doc))
+    else:
+        for a, b, h in dend.merges:
+            sys.stdout.write(f"merge {a} + {b} at height {h:.6g}\n")
+        sys.stdout.write(doc["newick"] + "\n")
+        if args.k is not None:
+            for lab in panel.labels:
+                sys.stdout.write(f"{lab}: cluster {doc['clusters'][lab]}\n")
+    return 0
+
+
+def cmd_graph(args: argparse.Namespace) -> int:
+    panel = load_panel(_require_input(args))
+    moments = sample_moments(panel)
+    graph = build_graph(moments.corr, panel.labels, args.delta)
+    out = Path(args.out_dir)
+    write_text_atomic(out / "graph.json", render_json(graph_to_json(graph)))
+    write_text_atomic(out / "graph.dot", graph_to_dot(graph))
+    sys.stdout.write(
+        graph_to_dot(graph) if args.format == "dot" else render_json(graph_to_json(graph))
+    )
+    return 0
+
+
+def cmd_cliques(args: argparse.Namespace) -> int:
+    source = _require_input(args)
+    if source.endswith(".json"):
+        try:
+            doc = json.loads(Path(source).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise DataError(f"cannot read graph document {source}: {exc}") from exc
+        graph = graph_from_json(doc)
+    else:
+        panel = load_panel(source)
+        moments = sample_moments(panel)
+        graph = build_graph(moments.corr, panel.labels, args.delta)
+    cliques = maximal_cliques(graph)
+    doc = {
+        "delta": graph.delta,
+        "labels": list(graph.labels),
+        "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
+        "orders": list(cliques.orders()),
+    }
+    write_text_atomic(Path(args.out_dir) / "cliques.json", render_json(doc))
+    if args.format == "json":
+        sys.stdout.write(render_json(doc))
+    else:
+        for c in doc["cliques"]:
+            sys.stdout.write("{" + ", ".join(c) + "}\n")
+    return 0
+
+
+def _load_run(args, sim_len: int | None = None) -> tuple[ReturnPanel, RunConfig]:
+    """The input panel and the validated configuration of fit/evaluate."""
+    panel = load_panel(_require_input(args))
+    config = RunConfig(
+        input=args.input,
+        models=_models(args),
+        delta=args.delta,
+        seed=args.seed,
+        sim_len=sim_len,
+        opts=_usage(OptimizerOptions, n_starts=args.starts, seed=args.seed),
+    )
+    return panel, config
+
+
+def cmd_fit(args: argparse.Namespace) -> int:
+    panel, config = _load_run(args)
+    blocks = run_fits(panel, config)
+    out = Path(args.out_dir)
+    for kind, block in blocks.items():
+        write_text_atomic(out / f"params.{kind}.json", render_json(block["params"]))
+        fit = block["fit"]
+        sys.stdout.write(
+            f"{kind}: objective {fit['objective']:.6f} "
+            f"(converged={fit['converged']}, start {fit['start_winner']})\n"
+        )
+    return 0
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    out = Path(args.out_dir)
+    if args.sim_len is None:
+        raise UsageError("--sim-len is required for simulate")
+    for kind in _models(args):
+        params_path = out / f"params.{kind}.json"
+        try:
+            doc = json.loads(params_path.read_text())
+        except OSError as exc:
+            raise DataError(
+                f"missing params file {params_path} (run fit first): {exc}"
+            ) from exc
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed params file {params_path}: {exc}") from exc
+        panel = simulate_document(doc, args.sim_len, args.seed)
+        write_returns_csv(panel, out / f"sim.{kind}.csv")
+        sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({args.sim_len} rows)\n")
+    return 0
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    panel, config = _load_run(args, args.sim_len)
+    report = run_evaluation(panel, config)
+    out = Path(args.out_dir)
+    write_text_atomic(out / "report.json", report.to_json())
+    for kind in config.models:
+        write_text_atomic(
+            out / f"params.{kind}.json",
+            render_json(report.doc["models"][kind]["params"]),
+        )
+    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
+    return 0
+
+
+# Each option once, by its flag's name, as the keywords of its argparse
+# argument; a config-file value passes through the same ``type``.
+OPTIONS = {
+    "input": dict(help="input CSV (price panel or #returns panel)"),
+    "out-dir": dict(default=".", help="directory for output files"),
+    "seed": dict(type=int, default=0, help="random seed"),
+    "delta": dict(type=float, default=0.5, help="correlation threshold in [0, 1)"),
+    "model": dict(default=",".join(MODEL_KINDS),
+                  help="comma-separated model kinds (default %(default)s)"),
+    "sim-len": dict(type=int, help="simulation length"),
+    "starts": dict(type=int, default=OptimizerOptions.n_starts, help="multi-start count"),
+    "format": dict(help="stdout format"),
+    "k": dict(type=int, help="also cut the tree into k clusters"),
+}
+
+
+class Command(NamedTuple):
+    """A subcommand: its function, its help line, the OPTIONS it takes (all
+    take --config too) and its stdout formats, the first being the default."""
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: tuple[str, ...]
+    formats: tuple[str, ...] = ()
+
+
+# --seed is on every command, read or not, so that one seed can be passed
+# to every step of a pipeline.
+COMMANDS = {
+    "cluster": Command(cmd_cluster, "complete-linkage dendrogram of correlations",
+                       ("input", "out-dir", "seed", "format", "k"), ("text", "json")),
+    "graph": Command(cmd_graph, "threshold correlation graph",
+                     ("input", "out-dir", "seed", "delta", "format"), ("dot", "json")),
+    "cliques": Command(cmd_cliques, "maximal cliques of the threshold graph",
+                       ("input", "out-dir", "seed", "delta", "format"), ("text", "json")),
+    "fit": Command(cmd_fit, "fit the requested models",
+                   ("input", "out-dir", "seed", "delta", "model", "starts")),
+    "simulate": Command(cmd_simulate, "simulate from fitted params files",
+                        ("out-dir", "seed", "model", "sim-len")),
+    "evaluate": Command(cmd_evaluate, "fit, simulate and compare the requested models",
+                        ("input", "out-dir", "seed", "delta", "model", "sim-len",
+                         "starts", "format"), ("text", "json")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,31 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="input CSV (price panel or #returns panel)")
-        p.add_argument("--out-dir", dest="out_dir", help="directory for output files")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--delta", type=float, help="correlation threshold in [0, 1)")
-        p.add_argument(
-            "--model",
-            help="comma-separated model kinds: " + ",".join(MODEL_KINDS),
-        )
-        p.add_argument("--sim-len", dest="sim_len", type=int, help="simulation length")
-        p.add_argument("--starts", type=int, help="optimizer multi-start count")
-        p.add_argument("--format", help="stdout format for this command")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options:
+            spec = OPTIONS[key]
+            if key == "format":
+                spec = {**spec, "choices": command.formats, "default": command.formats[0]}
+            p.add_argument("--" + key, **spec)
         p.add_argument("--config", help="key = value options file")
-
-    p = sub.add_parser("cluster", help="complete-linkage dendrogram of correlations")
-    common(p)
-    p.add_argument("--k", type=int, help="also cut the tree into k clusters")
-    for name in ("fit", "simulate", "graph", "cliques", "evaluate"):
-        common(sub.add_parser(name, help=f"{name} command"))
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_flags(path: str, command: Command) -> list[str]:
+    """The options of config file ``path`` that ``command`` takes, as
+    ``--key=value`` flags."""
+    flags = []
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -108,196 +260,12 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _DEFAULTS:
+        key = key.replace("_", "-")
+        if key not in OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = value
-    return values
-
-
-def _coerce(key: str, value):
-    if value is None or not isinstance(value, str):
-        return value
-    try:
-        if key in ("seed", "sim_len", "starts", "k"):
-            return int(value)
-        if key == "delta":
-            return float(value)
-    except ValueError as exc:
-        raise UsageError(f"option {key}: {exc}") from exc
-    return value
-
-
-def merge_options(args: argparse.Namespace) -> dict:
-    """Resolve each option: explicit flag, then config file, then default."""
-    from_file = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-        elif key in from_file:
-            merged[key] = _coerce(key, from_file[key])
-        else:
-            merged[key] = default
-    return merged
-
-
-def _usage(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its DataError reported as a usage error."""
-    try:
-        return make(*args, **kwargs)
-    except DataError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _models(opt: dict) -> tuple[str, ...]:
-    kinds = tuple(s.strip() for s in str(opt["model"]).split(",") if s.strip())
-    return _usage(check_models, kinds)
-
-
-def _format(opt: dict, command: str) -> str:
-    allowed = _FORMATS.get(command)
-    if allowed is None:
-        return ""
-    fmt = opt["format"] or allowed[0]
-    if fmt not in allowed:
-        raise UsageError(
-            f"format {fmt!r} not valid for {command}; choose from {allowed}"
-        )
-    return fmt
-
-
-def _require_input(opt: dict) -> str:
-    if not opt["input"]:
-        raise UsageError("--input is required for this command")
-    return str(opt["input"])
-
-
-def cmd_cluster(opt: dict, k: int | None, fmt: str) -> int:
-    panel = load_panel(_require_input(opt))
-    moments = sample_moments(panel)
-    dend = complete_linkage(corr_distance(moments.corr), panel.labels)
-    doc = dendrogram_to_json(dend)
-    if k is not None:
-        assign = cut_tree(dend, int(k))
-        doc["clusters"] = {lab: int(c) for lab, c in zip(panel.labels, assign)}
-    write_text_atomic(Path(opt["out_dir"]) / "dendrogram.json", render_json(doc))
-    if fmt == "json":
-        sys.stdout.write(render_json(doc))
-    else:
-        for a, b, h in dend.merges:
-            sys.stdout.write(f"merge {a} + {b} at height {h:.6g}\n")
-        sys.stdout.write(doc["newick"] + "\n")
-        if k is not None:
-            for lab in panel.labels:
-                sys.stdout.write(f"{lab}: cluster {doc['clusters'][lab]}\n")
-    return 0
-
-
-def cmd_graph(opt: dict, fmt: str) -> int:
-    panel = load_panel(_require_input(opt))
-    moments = sample_moments(panel)
-    graph = build_graph(moments.corr, panel.labels, float(opt["delta"]))
-    out = Path(opt["out_dir"])
-    write_text_atomic(out / "graph.json", render_json(graph_to_json(graph)))
-    write_text_atomic(out / "graph.dot", graph_to_dot(graph))
-    sys.stdout.write(
-        graph_to_dot(graph) if fmt == "dot" else render_json(graph_to_json(graph))
-    )
-    return 0
-
-
-def cmd_cliques(opt: dict, fmt: str) -> int:
-    source = _require_input(opt)
-    if source.endswith(".json"):
-        try:
-            doc = json.loads(Path(source).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read graph document {source}: {exc}") from exc
-        graph = graph_from_json(doc)
-    else:
-        panel = load_panel(source)
-        moments = sample_moments(panel)
-        graph = build_graph(moments.corr, panel.labels, float(opt["delta"]))
-    cliques = maximal_cliques(graph)
-    doc = {
-        "delta": graph.delta,
-        "labels": list(graph.labels),
-        "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
-        "orders": list(cliques.orders()),
-    }
-    write_text_atomic(Path(opt["out_dir"]) / "cliques.json", render_json(doc))
-    if fmt == "json":
-        sys.stdout.write(render_json(doc))
-    else:
-        for c in doc["cliques"]:
-            sys.stdout.write("{" + ", ".join(c) + "}\n")
-    return 0
-
-
-def _load_run(opt: dict) -> tuple[ReturnPanel, RunConfig]:
-    """The input panel and the validated configuration of fit/evaluate."""
-    panel = load_panel(_require_input(opt))
-    config = RunConfig(
-        input=str(opt["input"]),
-        models=_models(opt),
-        delta=float(opt["delta"]),
-        seed=int(opt["seed"]),
-        sim_len=opt["sim_len"],
-        opts=_usage(OptimizerOptions, n_starts=opt["starts"], seed=opt["seed"]),
-    )
-    return panel, config
-
-
-def cmd_fit(opt: dict) -> int:
-    panel, config = _load_run(opt)
-    blocks = run_fits(panel, config)
-    out = Path(opt["out_dir"])
-    for kind, block in blocks.items():
-        write_text_atomic(out / f"params.{kind}.json", render_json(block["params"]))
-        fit = block["fit"]
-        sys.stdout.write(
-            f"{kind}: objective {fit['objective']:.6f} "
-            f"(converged={fit['converged']}, start {fit['start_winner']})\n"
-        )
-    return 0
-
-
-def cmd_simulate(opt: dict) -> int:
-    out = Path(opt["out_dir"])
-    sim_len = opt["sim_len"]
-    if sim_len is None:
-        raise UsageError("--sim-len is required for simulate")
-    seed = int(opt["seed"])
-    for kind in _models(opt):
-        params_path = out / f"params.{kind}.json"
-        try:
-            doc = json.loads(params_path.read_text())
-        except OSError as exc:
-            raise DataError(
-                f"missing params file {params_path} (run fit first): {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed params file {params_path}: {exc}") from exc
-        panel = simulate_document(doc, int(sim_len), seed)
-        write_returns_csv(panel, out / f"sim.{kind}.csv")
-        sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({sim_len} rows)\n")
-    return 0
-
-
-def cmd_evaluate(opt: dict, fmt: str) -> int:
-    panel, config = _load_run(opt)
-    report = run_evaluation(panel, config)
-    out = Path(opt["out_dir"])
-    write_text_atomic(out / "report.json", report.to_json())
-    for kind in config.models:
-        write_text_atomic(
-            out / f"params.{kind}.json",
-            render_json(report.doc["models"][kind]["params"]),
-        )
-    sys.stdout.write(report.to_json() if fmt == "json" else report.to_text())
-    return 0
+        if key in command.options:
+            flags.append(f"--{key}={value}")
+    return flags
 
 
 def _setup_logging() -> None:
@@ -314,27 +282,20 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        command = COMMANDS[args.command]
+        if args.config:
+            # The file's options go right after the command name, so the
+            # explicit flags, parsed after them, win.
+            at = argv.index(args.command) + 1
+            argv[at:at] = _config_flags(args.config, command)
+            args = parser.parse_args(argv)
+        return command.run(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    try:
-        opt = merge_options(args)
-        fmt = _format(opt, args.command)
-        if args.command == "cluster":
-            return cmd_cluster(opt, opt.get("k"), fmt)
-        if args.command == "graph":
-            return cmd_graph(opt, fmt)
-        if args.command == "cliques":
-            return cmd_cliques(opt, fmt)
-        if args.command == "fit":
-            return cmd_fit(opt)
-        if args.command == "simulate":
-            return cmd_simulate(opt)
-        if args.command == "evaluate":
-            return cmd_evaluate(opt, fmt)
-        raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -213,10 +213,12 @@ def load_panel(path: str | Path) -> ReturnPanel:
         if a == b:
             raise DataError(f"{path}: duplicate date {a}")
     values = values[order]
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, j = map(int, bad[0])
+        raise DataError(f"{path}: non-finite value for {labels[j]} on {dates[t]}")
     if is_returns:
         return ReturnPanel(labels=labels, returns=values, dates=dates)
-    if not np.all(np.isfinite(values)):
-        raise DataError("prices contain non-finite values")
     if np.any(values <= 0.0):
         t, j = map(int, np.argwhere(values <= 0.0)[0])
         raise DataError(f"non-positive price for {labels[j]} on {dates[t]}")
@@ -229,10 +231,13 @@ def load_panel(path: str | Path) -> ReturnPanel:
 def _moments(x: np.ndarray, names) -> tuple[np.ndarray, ...]:
     """Column standard deviations, covariance (T-1 divisor) and correlation
     of ``x``, the correlation with an exact unit diagonal and entries
-    clipped to [-1, 1]; a zero-variance column is named by ``names[j]``."""
+    clipped to [-1, 1]. A column whose standard deviation is at most 1e-12
+    of its largest magnitude (a constant column's rounding residue) is
+    named by ``names[j]`` as having zero variance."""
     s = x.std(axis=0, ddof=1)
-    if np.any(s == 0.0):
-        j = int(np.flatnonzero(s == 0.0)[0])
+    flat = s <= 1e-12 * np.abs(x).max(axis=0)
+    if np.any(flat):
+        j = int(np.flatnonzero(flat)[0])
         raise DegenerateSeriesError(f"series {names[j]} has zero variance")
     c = np.atleast_2d(np.cov(x, rowvar=False, ddof=1))
     corr = c / np.outer(s, s)

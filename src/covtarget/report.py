@@ -17,8 +17,8 @@ import numpy as np
 from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
 from .data import ReturnPanel, sample_moments
 from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
-from .errors import DataError, NotPositiveDefiniteError
-from .garch import Garch11Params
+from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
+from .garch import MIN_OBS, Garch11Params
 from .graphs import (
     CliqueSet,
     ThresholdGraph,
@@ -235,6 +235,11 @@ def _setup(panel: ReturnPanel, config: RunConfig) -> tuple:
     target = build_target(moments, config.delta)
     stage1 = None
     if any(k.startswith("dcc") for k in config.models):
+        # a data error here, before dcc_stage1 wraps it as an estimation one
+        if panel.t_len < MIN_OBS:
+            raise InsufficientDataError(
+                f"DCC needs at least {MIN_OBS} observations, got {panel.t_len}"
+            )
         # both DCC variants share identical first-stage fits
         stage1 = dcc_stage1(panel, opts=config.opts)
     return moments, target, stage1

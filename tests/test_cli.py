@@ -1,6 +1,8 @@
+import argparse
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,12 +18,13 @@ from covtarget import (
     sample_moments,
     write_returns_csv,
 )
-from covtarget.cli import main
+from covtarget.cli import COMMANDS, OPTIONS, build_parser, main
 from covtarget.report import bekk_document
 
 from conftest import bekk2, gaussian_panel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -89,18 +92,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["fit", "evaluate", "simulate"])
     def test_repeated_model(self, capsys, panel_csv, tmp_path, command):
-        rc, _, err = run(
-            capsys,
-            command,
-            "--input",
-            str(panel_csv),
-            "--out-dir",
-            str(tmp_path),
-            "--model",
-            "bekk,bekk",
-            "--sim-len",
-            "50",
-        )
+        flags = ("--out-dir", str(tmp_path), "--model", "bekk,bekk")
+        if command != "simulate":
+            flags = ("--input", str(panel_csv), *flags)
+        if command != "fit":
+            flags = (*flags, "--sim-len", "50")
+        rc, _, err = run(capsys, command, *flags)
         assert rc == 2
         assert "repeated" in err
 
@@ -214,15 +211,16 @@ class TestDataErrors:
         # The sentinel is the first CSV cell of line 1, quoted or not.
         path = tmp_path / "quoted.csv"
         path.write_text('"#returns"' + panel_csv.read_text()[len("#returns"):])
+        fit_flags = ("--model", "bekk", "--starts", "1", "--sim-len", "40")
         rc, _, err = run(
             capsys, command, "--input", str(path), "--out-dir", str(tmp_path),
-            "--model", "bekk", "--starts", "1", "--sim-len", "40",
+            *(fit_flags if command == "evaluate" else ()),
         )
         assert rc == 0, err
 
-
-class TestEstimationErrors:
-    def test_constant_series_fails_with_4(self, capsys, tmp_path):
+    @pytest.mark.parametrize("model", ["bekk", "dcc"])
+    def test_constant_series_fails_with_3(self, capsys, tmp_path, model):
+        # A constant column's sample std is rounding residue, not exactly 0.
         r = gaussian_panel(1, t_len=80, n=2).returns.copy()
         r[:, 1] = 0.002
         from covtarget import ReturnPanel
@@ -238,12 +236,35 @@ class TestEstimationErrors:
             "--out-dir",
             str(tmp_path),
             "--model",
-            "dcc",
+            model,
             "--starts",
             "1",
         )
-        assert rc == 4
+        assert rc == 3
         assert "FLAT" in err
+
+    @pytest.mark.parametrize("text, cell", [
+        # a returns panel, and a price panel parsed in C, where 1e500 is inf
+        ("#returns\ndate,A,B\n2020-01-02,0.01,0.02\n2020-01-03,0.01,{}\n", "inf"),
+        ("date,A,B\n2020-01-02,1.0,2.0\n2020-01-03,1.5,{}\n", "1e500"),
+    ])
+    def test_non_finite_cell_names_the_series(self, capsys, tmp_path, text, cell):
+        path = tmp_path / "p.csv"
+        path.write_text(text.format(cell))
+        rc, _, err = run(capsys, "graph", "--input", str(path), "--out-dir", str(tmp_path))
+        assert rc == 3
+        assert f"{path}: non-finite value for B on 2020-01-03" in err
+
+    @pytest.mark.parametrize("model, rc_expected", [("dcc", 3), ("dcc_mod", 3), ("bekk", 0)])
+    def test_short_panel(self, capsys, tmp_path, model, rc_expected):
+        # DCC's stage one needs garch.MIN_OBS rows; BEKK fits 30 rows of 4 series.
+        path = tmp_path / "short.csv"
+        write_returns_csv(gaussian_panel(5, t_len=30, n=4), path)
+        rc, _, err = run(capsys, "fit", "--input", str(path), "--out-dir",
+                         str(tmp_path), "--model", model, "--starts", "1")
+        assert rc == rc_expected, err
+        if rc_expected == 3:
+            assert "at least 50 observations, got 30" in err
 
 
 class TestLogging:
@@ -520,3 +541,49 @@ class TestConfigFile:
             str(cfg),
         )
         assert rc == 2
+
+
+def table_flags() -> dict[str, set[str]]:
+    """Each command's flags as the option table gives them."""
+    return {name: {"--" + key for key in command.options} | {"--config"}
+            for name, command in COMMANDS.items()}
+
+
+class TestOptionTable:
+    def test_parser_and_readme_follow_the_table(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        parsed = {
+            name: {f for a in p._actions for f in a.option_strings} - {"-h", "--help"}
+            for name, p in sub.choices.items()
+        }
+        rows = re.findall(r"^\| `(\w+)` +\|([^|]*)\|", README.read_text(), re.MULTILINE)
+        documented = {name: set(re.findall(r"--[a-z-]+", cell)) for name, cell in rows}
+        assert parsed == table_flags()
+        assert documented == table_flags()
+
+    @pytest.mark.parametrize("command, flag", sorted(
+        (name, flag)
+        for name, flags in table_flags().items()
+        for flag in {"--" + key for key in OPTIONS} - flags
+    ))
+    def test_flag_the_command_does_not_take_exits_2(self, capsys, command, flag):
+        rc, _, err = run(capsys, command, flag, "1")
+        assert rc == 2
+        assert "unrecognized arguments" in err
+
+    def test_bad_format_in_config_file(self, capsys, panel_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = yaml\n")
+        rc, _, err = run(capsys, "graph", "--input", str(panel_csv),
+                         "--out-dir", str(tmp_path), "--config", str(cfg))
+        assert rc == 2
+        assert "yaml" in err
+
+    def test_config_keys_of_other_commands_are_ignored(self, capsys, panel_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = bekk\nsim-len = 9\nstarts = 1\nk = 2\nformat = json\n")
+        rc, out, err = run(capsys, "graph", "--input", str(panel_csv),
+                           "--out-dir", str(tmp_path), "--config", str(cfg))
+        assert rc == 0, err
+        assert json.loads(out)["labels"] == ["S1", "S2"]

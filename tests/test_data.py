@@ -92,7 +92,7 @@ class TestLoadPrices:
         # cell-by-cell parse.
         body = f"2020-01-02,1.0\n2020-01-03,{cell}\n"
         assert (_parse_plain(body, 1) is not None) == plain
-        with pytest.raises(DataError, match="prices contain non-finite values"):
+        with pytest.raises(DataError, match="non-finite value for AA on 2020-01-03"):
             load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
 
     def test_rejects_empty(self, tmp_path):

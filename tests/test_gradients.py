@@ -32,7 +32,7 @@ from covtarget import (
 )
 from covtarget.bekk import _BekkTransform
 from covtarget.data import correlation_from_series
-from covtarget.optimize import _SimplexTransform
+from covtarget.optimize import _SimplexTransform, simplex_map, simplex_vjp
 
 from conftest import garch11_simulate
 
@@ -255,3 +255,27 @@ def test_transform_vjp(transform, dim, seed):
     fd = fd_gradient(lambda v: w @ transform.forward(v), u, step=FD_STEP)
     got = transform.vjp(u, w)
     assert np.linalg.norm(got - fd) <= RTOL * np.linalg.norm(fd)
+
+
+def test_bekk_transform_vjp_where_a_underflows():
+    # exp(-800) is 0, so a_1 = 0: the VJP stays finite with no warning.
+    t = _BekkTransform(2)
+    u = np.zeros(t.m + 4)
+    u[t.m] = -800.0
+    got = t.vjp(u, np.ones(t.forward(u).size))
+    assert np.all(np.isfinite(got))
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_bekk_transform_vjp_matches_the_quotient_form(seed):
+    # The closed form equals simplex_vjp(w, 0.5 g / sqrt(w)) at interior points.
+    rng = np.random.default_rng(seed)
+    t = _BekkTransform(3)
+    u = rng.uniform(-2.0, 2.0, t.m + 6)
+    g = rng.standard_normal(t.forward(u).size)
+    w = simplex_map(u[t.m:].reshape(3, 2))
+    g_ab = np.stack([g[t.m:t.m + 3], g[t.m + 3:]], axis=1)
+    quotient = simplex_vjp(w, 0.5 * g_ab / np.sqrt(w)).ravel()
+    got = t.vjp(u, g)[t.m:]
+    assert np.linalg.norm(got - quotient) <= 1e-15 * np.linalg.norm(quotient)
