@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ReturnPanel, synth_dates
+from .data import ReturnPanel, _sim_panel, _sim_shocks
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
 from .linalg import cholesky, gaussian_path_loglik, symmetrize
@@ -318,38 +318,31 @@ def bekk_simulate(
     h1: np.ndarray | None = None,
     labels: tuple[str, ...] | None = None,
 ) -> ReturnPanel:
-    """Simulate a return panel r_t = mu + H_t^{1/2} eta_t with Gaussian
-    shocks; H_1 defaults to the implied unconditional covariance."""
+    """Simulate a return panel r_t = mu + L_t eta_t with Gaussian shocks
+    eta_t, L_t the lower Cholesky factor of H_t; H_1 defaults to the implied
+    unconditional covariance."""
     n = params.n
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n,):
-        raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
-    if t_len < 2:
-        raise DataError(f"t_len must be >= 2, got {t_len}")
-    if h1 is None:
-        h1 = params.unconditional_cov()
-    h1 = _start_cov(h1, n)
-    if labels is None:
-        labels = tuple(f"S{i + 1}" for i in range(n))
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal((t_len, n))
+    mu, eta = _sim_shocks(n, mu, t_len, seed)
+    h_t = _start_cov(params.unconditional_cov() if h1 is None else h1, n)
     cc = params.c_lower @ params.c_lower.T
     a = params.a_diag
-    b = params.b_diag
-    eps = np.empty((t_len, n))
-    h_t = h1.copy()
+    bb = np.outer(params.b_diag, params.b_diag)
+    ae, arch, eps = np.empty(n), np.empty((n, n)), np.empty((t_len, n))
+    ae_col = ae[:, None]
+    # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
+    # and (b b') o H are symmetric entry by entry. Each step updates H_t in
+    # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}.
     for t in range(t_len):
         try:
-            low = np.linalg.cholesky(0.5 * (h_t + h_t.T))
+            low = np.linalg.cholesky(h_t)
         except np.linalg.LinAlgError:
             raise NumericalOverflowError(
                 f"simulated covariance lost positive definiteness at t={t}", t=t
             ) from None
-        eps[t] = low @ eta[t]
-        h_t = cc + np.outer(a * eps[t], a * eps[t]) + (
-            np.outer(b, b) * h_t
-        )
-    if not np.all(np.isfinite(eps)):
-        t = int(np.argwhere(~np.isfinite(eps))[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
-    return ReturnPanel(labels=labels, returns=eps + mu, dates=synth_dates(t_len))
+        np.dot(low, eta[t], out=eps[t])
+        np.multiply(a, eps[t], out=ae)
+        np.multiply(ae_col, ae, out=arch)
+        arch += cc
+        h_t *= bb
+        h_t += arch
+    return _sim_panel(eps, mu, labels)

@@ -22,31 +22,36 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
-from .data import ReturnPanel, load_panel, sample_moments, write_returns_csv, write_text_atomic
+from .data import (
+    ReturnPanel, check_sim_len, load_panel, sample_moments, write_returns_csv,
+    write_text_atomic,
+)
 from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError
 from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, maximal_cliques
 from .optimize import OptimizerOptions
 from .report import (
-    MODEL_KINDS, RunConfig, check_models, render_json, run_evaluation, run_fits,
-    simulate_document,
+    MODEL_KINDS, RunConfig, check_models, params_from_document, render_json,
+    run_evaluation, run_fits, simulate_document,
 )
+from .targeting import check_delta
 
 
 class UsageError(Exception):
     """Bad flag combinations or config contents; exits 2."""
 
 
-def _usage(make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its DataError reported as a usage error."""
+def _usage(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its DataError reported as a usage error
+    of option ``flag``."""
     try:
         return make(*args, **kwargs)
     except DataError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(f"{flag}: {exc}") from None
 
 
 def _models(args: argparse.Namespace) -> tuple[str, ...]:
     kinds = tuple(s.strip() for s in args.model.split(",") if s.strip())
-    return _usage(check_models, kinds)
+    return _usage("--model", check_models, kinds)
 
 
 def _require_input(args: argparse.Namespace) -> str:
@@ -61,7 +66,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     dend = complete_linkage(corr_distance(moments.corr), panel.labels)
     doc = dendrogram_to_json(dend)
     if args.k is not None:
-        assign = cut_tree(dend, args.k)
+        assign = _usage("--k", cut_tree, dend, args.k)
         doc["clusters"] = {lab: int(c) for lab, c in zip(panel.labels, assign)}
     write_text_atomic(Path(args.out_dir) / "dendrogram.json", render_json(doc))
     if args.format == "json":
@@ -77,9 +82,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
+    delta = _usage("--delta", check_delta, args.delta)
     panel = load_panel(_require_input(args))
     moments = sample_moments(panel)
-    graph = build_graph(moments.corr, panel.labels, args.delta)
+    graph = build_graph(moments.corr, panel.labels, delta)
     out = Path(args.out_dir)
     write_text_atomic(out / "graph.json", render_json(graph_to_json(graph)))
     write_text_atomic(out / "graph.dot", graph_to_dot(graph))
@@ -90,6 +96,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_cliques(args: argparse.Namespace) -> int:
+    delta = _usage("--delta", check_delta, args.delta)
     source = _require_input(args)
     if source.endswith(".json"):
         try:
@@ -100,7 +107,7 @@ def cmd_cliques(args: argparse.Namespace) -> int:
     else:
         panel = load_panel(source)
         moments = sample_moments(panel)
-        graph = build_graph(moments.corr, panel.labels, args.delta)
+        graph = build_graph(moments.corr, panel.labels, delta)
     cliques = maximal_cliques(graph)
     doc = {
         "delta": graph.delta,
@@ -119,16 +126,15 @@ def cmd_cliques(args: argparse.Namespace) -> int:
 
 def _load_run(args, sim_len: int | None = None) -> tuple[ReturnPanel, RunConfig]:
     """The input panel and the validated configuration of fit/evaluate."""
-    panel = load_panel(_require_input(args))
     config = RunConfig(
         input=args.input,
         models=_models(args),
-        delta=args.delta,
+        delta=_usage("--delta", check_delta, args.delta),
         seed=args.seed,
-        sim_len=sim_len,
-        opts=_usage(OptimizerOptions, n_starts=args.starts, seed=args.seed),
+        sim_len=None if sim_len is None else _usage("--sim-len", check_sim_len, sim_len),
+        opts=_usage("--starts", OptimizerOptions, n_starts=args.starts, seed=args.seed),
     )
-    return panel, config
+    return load_panel(_require_input(args)), config
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -145,23 +151,29 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _params_document(path: Path) -> dict:
+    """The params document at ``path``, checked by params_from_document."""
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise DataError(f"missing params file {path} (run fit first): {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"malformed params file {path}: {exc}") from exc
+    params_from_document(doc)
+    return doc
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     if args.sim_len is None:
         raise UsageError("--sim-len is required for simulate")
-    for kind in _models(args):
-        params_path = out / f"params.{kind}.json"
-        try:
-            doc = json.loads(params_path.read_text())
-        except OSError as exc:
-            raise DataError(
-                f"missing params file {params_path} (run fit first): {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"malformed params file {params_path}: {exc}") from exc
-        panel = simulate_document(doc, args.sim_len, args.seed)
-        write_returns_csv(panel, out / f"sim.{kind}.csv")
-        sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({args.sim_len} rows)\n")
+    sim_len = _usage("--sim-len", check_sim_len, args.sim_len)
+    # Every document is checked before any model runs, so a bad one leaves
+    # no new sim.*.csv; each panel is dropped once it is written.
+    docs = {kind: _params_document(out / f"params.{kind}.json") for kind in _models(args)}
+    for kind, doc in docs.items():
+        write_returns_csv(simulate_document(doc, sim_len, args.seed), out / f"sim.{kind}.csv")
+        sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({sim_len} rows)\n")
     return 0
 
 

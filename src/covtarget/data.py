@@ -1,4 +1,5 @@
-"""CSV panel loading, log returns, and whole-sample moments.
+"""CSV panel loading and writing, log returns, whole-sample moments, and
+the checks and panel assembly both simulators share.
 
 Two file layouts are supported:
 
@@ -20,6 +21,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +29,9 @@ from .errors import (
     DataError,
     DegenerateSeriesError,
     InsufficientDataError,
+    NumericalOverflowError,
     ParseError,
+    ShapeError,
 )
 
 RETURNS_SENTINEL = "#returns"
@@ -269,24 +273,62 @@ def synth_dates(t_len: int) -> tuple[dt.date, ...]:
     return tuple(_EPOCH + dt.timedelta(days=t + 1) for t in range(t_len))
 
 
+def check_sim_len(t_len: int) -> int:
+    """``t_len`` if a simulated panel of that many rows has sample moments."""
+    if t_len < 2:
+        raise DataError(f"simulation length must be >= 2, got {t_len}")
+    return t_len
+
+
+def _sim_shocks(n: int, mu, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A simulation's checked mean and its (t_len, n) N(0, 1) shocks."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (n,):
+        raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
+    return mu, np.random.default_rng(seed).standard_normal((check_sim_len(t_len), n))
+
+
+def _sim_panel(eps: np.ndarray, mu: np.ndarray, labels) -> ReturnPanel:
+    """The simulated panel mu + eps, adding mu in place, labelled S1..Sn
+    unless ``labels`` are given; a non-finite eps is an overflow."""
+    if not np.all(np.isfinite(eps)):
+        t = int(np.argwhere(~np.isfinite(eps))[0][0])
+        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
+    eps += mu
+    if labels is None:
+        labels = tuple(f"S{i + 1}" for i in range(eps.shape[1]))
+    return ReturnPanel(labels=labels, returns=eps, dates=synth_dates(len(eps)))
+
+
+_CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
+
+
 def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
-    """Write a ReturnPanel in the sentinel format, atomically."""
+    """Write a ReturnPanel in the sentinel format, atomically, streaming
+    blocks of rows to disk as they are rendered."""
     dates = panel.dates if panel.dates is not None else synth_dates(panel.t_len)
-    lines = [RETURNS_SENTINEL, "date," + ",".join(panel.labels)]
-    for date, row in zip(dates, panel.returns):
-        lines.append(date.isoformat() + "," + ",".join(repr(float(v)) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+
+    def chunks():
+        yield f"{RETURNS_SENTINEL}\ndate,{','.join(panel.labels)}\n"
+        for at in range(0, panel.t_len, _CSV_BLOCK):
+            rows = panel.returns[at : at + _CSV_BLOCK].tolist()
+            yield "".join(
+                date.isoformat() + "," + ",".join(map(repr, row)) + "\n"
+                for date, row in zip(dates[at : at + _CSV_BLOCK], rows)
+            )
+
+    write_text_atomic(path, chunks())
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write text via a temp file + rename so readers never see partial
-    output."""
+def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write text, whole or as an iterable of chunks, via a temp file +
+    rename so readers never see partial output."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, str(path))
     except BaseException:
         try:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ReturnPanel, correlation_from_series, synth_dates
+from .data import ReturnPanel, correlation_from_series, _sim_panel, _sim_shocks
 from .errors import (
     CovTargetError,
     DataError,
@@ -278,41 +278,46 @@ def dcc_simulate(
     seed: int,
     labels: tuple[str, ...] | None = None,
 ) -> ReturnPanel:
-    """Simulate r_t = mu + D_t R_t^{1/2}-correlated Gaussian shocks, starting
-    from the per-series unconditional variances and Q_1 = q_bar."""
+    """Simulate r_t = mu + D_t L_t eta_t with Gaussian eta_t, where L_t is the
+    lower Cholesky factor of R_t, starting from the per-series unconditional
+    variances and Q_1 = q_bar."""
     n = params.n
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n,):
-        raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
-    if t_len < 2:
-        raise DataError(f"t_len must be >= 2, got {t_len}")
+    mu, eta = _sim_shocks(n, mu, t_len, seed)
     h_t = np.array([p.unconditional_var() for p in params.univariate])
     q_t = params.q_bar.copy()
-    if labels is None:
-        labels = tuple(f"S{i + 1}" for i in range(n))
-    rng = np.random.default_rng(seed)
-    eta = rng.standard_normal((t_len, n))
     omega = np.array([p.omega for p in params.univariate])
     alpha = np.array([p.alpha for p in params.univariate])
     beta = np.array([p.beta for p in params.univariate])
     t1, t2 = params.theta1, params.theta2
     intercept = (1.0 - t1 - t2) * params.q_bar
+    d, z_t, arch = np.empty((3, n))
+    r_t, outer = np.empty((2, n, n))
     eps = np.empty((t_len, n))
+    # Each step updates h_t and Q_t in place as (omega + alpha e^2) + beta h
+    # and (intercept + t1 z z') + t2 Q, through diagonals as strided views
+    # and outer products as column-times-row broadcasts.
+    q_diag, r_diag = q_t.reshape(-1)[:: n + 1], r_t.reshape(-1)[:: n + 1]
+    d_col, z_col = d[:, None], z_t[:, None]
     for t in range(t_len):
-        d = np.sqrt(np.diag(q_t))
-        r_t = q_t / np.outer(d, d)
-        np.fill_diagonal(r_t, 1.0)
+        np.sqrt(q_diag, out=d)
+        np.divide(q_t, np.multiply(d_col, d, out=outer), out=r_t)
+        r_diag.fill(1.0)
         try:
             low = np.linalg.cholesky(r_t)
         except np.linalg.LinAlgError:
             raise NumericalOverflowError(
                 f"simulated correlation lost positive definiteness at t={t}", t=t
             ) from None
-        z_t = low @ eta[t]
-        eps[t] = np.sqrt(h_t) * z_t
-        h_t = omega + alpha * eps[t] ** 2 + beta * h_t
-        q_t = intercept + t1 * np.outer(z_t, z_t) + t2 * q_t
-    if not np.all(np.isfinite(eps)):
-        t = int(np.argwhere(~np.isfinite(eps))[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
-    return ReturnPanel(labels=labels, returns=eps + mu, dates=synth_dates(t_len))
+        np.dot(low, eta[t], out=z_t)
+        e_t = eps[t]
+        np.multiply(np.sqrt(h_t, out=e_t), z_t, out=e_t)
+        np.multiply(alpha, np.square(e_t, out=arch), out=arch)
+        arch += omega
+        h_t *= beta
+        h_t += arch
+        np.multiply(z_col, z_t, out=outer)
+        outer *= t1
+        outer += intercept
+        q_t *= t2
+        q_t += outer
+    return _sim_panel(eps, mu, labels)

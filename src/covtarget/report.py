@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
-from .data import ReturnPanel, sample_moments
+from .bekk import BekkParams, _start_cov, bekk_filter, bekk_fit, bekk_simulate
+from .data import ReturnPanel, check_sim_len, sample_moments
 from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
 from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
 from .garch import MIN_OBS, Garch11Params
@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .linalg import cholesky, frobenius_path_loss, kl_divergence
 from .optimize import FitReport, OptimizerOptions
-from .targeting import TargetSpec, build_target
+from .targeting import TargetSpec, build_target, check_delta
 
 MODEL_KINDS = ("bekk", "bekk_mod", "dcc", "dcc_mod")
 # Smallest accepted squared Cholesky pivot of the sample correlation, i.e.
@@ -64,10 +64,9 @@ class RunConfig:
 
     def __post_init__(self):
         check_models(self.models)
-        if not (0.0 <= float(self.delta) < 1.0):
-            raise DataError(f"delta must be in [0, 1), got {self.delta}")
-        if self.sim_len is not None and self.sim_len < 2:
-            raise DataError(f"sim_len must be >= 2, got {self.sim_len}")
+        check_delta(self.delta)
+        if self.sim_len is not None:
+            check_sim_len(self.sim_len)
 
 
 @dataclass(frozen=True)
@@ -157,11 +156,13 @@ def dcc_document(
 
 
 def params_from_document(doc: dict):
-    """Rebuild (model_name, params, mu, h1_or_None) from a params document."""
+    """Rebuild (model_name, params, mu, h1_or_None) from a params document,
+    checked as far as simulating from it needs."""
     try:
         model = doc["model"]
         n = int(doc["n"])
         mu = np.asarray(doc["mu"], dtype=float)
+        h1 = None
         if model == "bekk":
             m = n * (n + 1) // 2
             flat = np.asarray(doc["c_lower"], dtype=float)
@@ -176,9 +177,9 @@ def params_from_document(doc: dict):
                 a_diag=np.asarray(doc["a_diag"], dtype=float),
                 b_diag=np.asarray(doc["b_diag"], dtype=float),
             )
-            h1 = np.asarray(doc["h1"], dtype=float) if doc.get("h1") is not None else None
-            return model, params, mu, h1
-        if model == "dcc":
+            if doc.get("h1") is not None:
+                h1 = _start_cov(np.asarray(doc["h1"], dtype=float), n)
+        elif model == "dcc":
             uni = tuple(
                 Garch11Params(
                     omega=float(u["omega"]),
@@ -193,10 +194,13 @@ def params_from_document(doc: dict):
                 theta2=float(doc["theta2"]),
                 q_bar=np.asarray(doc["q_bar"], dtype=float),
             )
-            return model, params, mu, None
-        raise DataError(f"unknown model {model!r} in params document")
+        else:
+            raise DataError(f"unknown model {model!r} in params document")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed params document: {exc}") from exc
+    if mu.shape != (params.n,):
+        raise DataError(f"mu must have {params.n} entries, got shape {mu.shape}")
+    return model, params, mu, h1
 
 
 def simulate_document(

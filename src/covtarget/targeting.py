@@ -43,13 +43,19 @@ class TargetSpec:
         return self.z_hat.shape[0]
 
 
+def check_delta(delta: float) -> float:
+    """``delta`` as a float, if it is a threshold in [0, 1)."""
+    delta = float(delta)
+    if not (0.0 <= delta < 1.0):
+        raise DataError(f"threshold delta must be in [0, 1), got {delta}")
+    return delta
+
+
 def threshold_correlation(corr: np.ndarray, delta: float) -> np.ndarray:
     """Zero out correlations with |rho| <= delta (strict survival: |rho| >
     delta); diagonal stays exactly one. ``corr`` must pass
     linalg.check_correlation."""
-    delta = float(delta)
-    if not (0.0 <= delta < 1.0):
-        raise DataError(f"threshold delta must be in [0, 1), got {delta}")
+    delta = check_delta(delta)
     c = check_correlation(corr)
     z = np.where(np.abs(c) > delta, c, 0.0)
     np.fill_diagonal(z, 1.0)

@@ -12,6 +12,8 @@ import pytest
 
 from covtarget import (
     BekkParams,
+    DccParams,
+    Garch11Params,
     bekk_simulate,
     kl_divergence,
     load_panel,
@@ -19,7 +21,7 @@ from covtarget import (
     write_returns_csv,
 )
 from covtarget.cli import COMMANDS, OPTIONS, build_parser, main
-from covtarget.report import bekk_document
+from covtarget.report import bekk_document, dcc_document
 
 from conftest import bekk2, gaussian_panel
 
@@ -108,6 +110,35 @@ class TestUsageErrors:
         assert rc == 2
         assert "sim-len" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, value", [
+        ("simulate", "sim-len", "1"),
+        ("simulate", "sim-len", "-5"),
+        ("evaluate", "sim-len", "1"),
+        ("graph", "delta", "1.5"),
+        ("cliques", "delta", "-0.1"),
+        ("fit", "delta", "1.5"),
+        ("evaluate", "delta", "1.0"),
+        ("cluster", "k", "0"),
+        ("cluster", "k", "3"),  # the panel has two series
+        ("fit", "starts", "0"),
+    ])
+    def test_option_out_of_range(self, capsys, panel_csv, tmp_path, command, key,
+                                 value, source):
+        out = tmp_path / "out"
+        argv = [command, "--out-dir", str(out)]
+        if "input" in COMMANDS[command].options:
+            argv += ["--input", str(panel_csv)]
+        if source == "flag":
+            argv += [f"--{key}={value}"]
+        else:
+            (tmp_path / "run.cfg").write_text(f"{key} = {value}\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert f"usage error: --{key}: " in err
+        assert not out.exists()
+
 
 class TestDataErrors:
     def test_missing_file(self, capsys, tmp_path):
@@ -156,6 +187,38 @@ class TestDataErrors:
         )
         assert rc == 3
         assert "h1 must be (3, 3), got (2, 2)" in err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "missing params file"),
+        ("not json", "malformed params file"),
+        ("no theta", "malformed params document: 'theta1'"),
+        ("short mu", "mu must have 2 entries"),
+    ])
+    def test_simulate_checks_every_params_file_first(self, capsys, tmp_path, fault,
+                                                     message):
+        # params.bekk.json is good and comes first; params.dcc.json is not.
+        p = bekk2()
+        bekk_doc = bekk_document(p, np.zeros(2), p.unconditional_cov(), None)
+        (tmp_path / "params.bekk.json").write_text(json.dumps(bekk_doc))
+        g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
+        dcc = DccParams(univariate=(g, g), theta1=0.05, theta2=0.9,
+                        q_bar=np.array([[1.0, 0.3], [0.3, 1.0]]))
+        dcc_doc = dcc_document(dcc, np.zeros(2), None)
+        text = {
+            "not json": "{",
+            "no theta": json.dumps({k: v for k, v in dcc_doc.items() if k != "theta1"}),
+            "short mu": json.dumps({**dcc_doc, "mu": [0.0]}),
+        }
+        if fault in text:
+            (tmp_path / "params.dcc.json").write_text(text[fault])
+        rc, out, err = run(capsys, "simulate", "--out-dir", str(tmp_path),
+                           "--model", "bekk,dcc", "--sim-len", "50")
+        assert rc == 3, err
+        assert message in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["params.bekk.json"] + (["params.dcc.json"] if fault in text else [])
+        )
 
     @staticmethod
     def run_with_dependent_column(capsys, tmp_path, command, model, scale, noise):

@@ -1,6 +1,7 @@
 import datetime as dt
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from covtarget import (
     load_panel,
     sample_moments,
 )
+from covtarget.data import _CSV_BLOCK as BLOCK
 from covtarget.data import _parse_plain, synth_dates, write_returns_csv
 
 from conftest import gaussian_panel
@@ -253,6 +255,55 @@ class TestReturnsCsv:
         assert np.array_equal(load_panel(rpath).returns, panel.returns)
         ppath = write(tmp_path, "p.csv", PRICES_CSV)
         assert load_panel(ppath).returns.shape == (3, 2)
+
+    @pytest.mark.parametrize("t_len", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_streamed_file_is_the_whole_text(self, tmp_path, t_len):
+        rng = np.random.default_rng(t_len)
+        r = rng.standard_normal((t_len, 3)) * 10.0 ** rng.integers(-300, 300, (t_len, 3))
+        r[0, 0] = -0.0
+        dates = tuple(dt.date(2001, 1, 1) + dt.timedelta(days=t) for t in range(t_len))
+        for panel in (ReturnPanel(labels=("A", "B", "C"), returns=r),
+                      ReturnPanel(labels=("X", "Y", "Z"), returns=r, dates=dates)):
+            path = tmp_path / "r.csv"
+            write_returns_csv(panel, path)
+            assert path.read_bytes() == whole_text(panel).encode()
+            back = load_panel(path)
+            assert back.labels == panel.labels
+            assert back.dates == (panel.dates or synth_dates(t_len))
+            assert back.returns.tobytes() == panel.returns.tobytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"old bytes\n")
+        panel = gaussian_panel(0, t_len=3 * BLOCK, n=2)
+        seen = []
+
+        class FailingRows:
+            """panel.returns, raising at the second block of rows."""
+
+            def __getitem__(self, rows):
+                if rows.start:
+                    seen.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)
+                    raise RuntimeError("row source failed")
+                return panel.returns[rows]
+
+        failing = SimpleNamespace(labels=panel.labels, dates=None, t_len=panel.t_len,
+                                  returns=FailingRows())
+        with pytest.raises(RuntimeError, match="row source failed"):
+            write_returns_csv(failing, path)
+        assert path.read_bytes() == b"old bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+        # the first block had reached the temporary file before the failure
+        assert len(seen) == 1 and seen[0] > 0
+
+
+def whole_text(panel: ReturnPanel) -> str:
+    """A returns file rendered whole, one row at a time."""
+    dates = panel.dates or synth_dates(panel.t_len)
+    lines = ["#returns", "date," + ",".join(panel.labels)]
+    for date, row in zip(dates, panel.returns):
+        lines.append(date.isoformat() + "," + ",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def load_outcome(path):

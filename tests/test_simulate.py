@@ -1,0 +1,123 @@
+"""bekk_simulate and dcc_simulate against straightforward per-step loops.
+
+The package's simulators update their state in place, in buffers allocated
+once per call. The loops below allocate every intermediate afresh and keep
+the same order of operations, so both must give the same panel bit for
+bit: the comparison is np.array_equal, with no tolerance.
+"""
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from covtarget import (
+    BekkParams,
+    DataError,
+    DccParams,
+    Garch11Params,
+    bekk_simulate,
+    dcc_simulate,
+)
+
+from conftest import random_corr, random_spd
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(1, 6)
+lengths = st.integers(2, 300)
+
+
+def bekk_simulate_loop(params, mu, t_len, seed, h1=None):
+    """r_t = mu + L_t eta_t, L_t the lower Cholesky factor of H_t."""
+    n = params.n
+    if h1 is None:
+        h1 = params.unconditional_cov()
+    h_t = 0.5 * (h1 + h1.T)
+    eta = np.random.default_rng(seed).standard_normal((t_len, n))
+    cc = params.c_lower @ params.c_lower.T
+    a, b = params.a_diag, params.b_diag
+    eps = np.empty((t_len, n))
+    for t in range(t_len):
+        low = np.linalg.cholesky(0.5 * (h_t + h_t.T))
+        eps[t] = low @ eta[t]
+        h_t = cc + np.outer(a * eps[t], a * eps[t]) + (np.outer(b, b) * h_t)
+    return eps + mu
+
+
+def dcc_simulate_loop(params, mu, t_len, seed):
+    """r_t = mu + D_t L_t eta_t, L_t the lower Cholesky factor of R_t."""
+    n = params.n
+    uni = params.univariate
+    h_t = np.array([p.unconditional_var() for p in uni])
+    q_t = params.q_bar.copy()
+    eta = np.random.default_rng(seed).standard_normal((t_len, n))
+    omega = np.array([p.omega for p in uni])
+    alpha = np.array([p.alpha for p in uni])
+    beta = np.array([p.beta for p in uni])
+    t1, t2 = params.theta1, params.theta2
+    intercept = (1.0 - t1 - t2) * params.q_bar
+    eps = np.empty((t_len, n))
+    for t in range(t_len):
+        d = np.sqrt(np.diag(q_t))
+        r_t = q_t / np.outer(d, d)
+        np.fill_diagonal(r_t, 1.0)
+        z_t = np.linalg.cholesky(r_t) @ eta[t]
+        eps[t] = np.sqrt(h_t) * z_t
+        h_t = omega + alpha * eps[t] ** 2 + beta * h_t
+        q_t = intercept + t1 * np.outer(z_t, z_t) + t2 * q_t
+    return eps + mu
+
+
+@st.composite
+def persistences(draw, n):
+    """(x, y) arrays with x, y >= 0 and x + y < 1 entry by entry."""
+    total = np.array(draw(st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n)))
+    share = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    return share * total, (1.0 - share) * total
+
+
+@st.composite
+def bekk_cases(draw):
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(seeds))
+    scale = 10.0 ** draw(st.integers(-3, 1))
+    c = np.tril(rng.uniform(-1.0, 1.0, (n, n))) * scale
+    np.fill_diagonal(c, rng.uniform(0.1, 1.0, n) * scale)
+    a2, b2 = draw(persistences(n))
+    try:
+        params = BekkParams(c_lower=c, a_diag=np.sqrt(a2), b_diag=np.sqrt(b2))
+    except DataError:
+        assume(False)
+    h1 = random_spd(rng, n, scale**2) if draw(st.booleans()) else None
+    mu = rng.standard_normal(n) * scale
+    return params, mu, h1
+
+
+@st.composite
+def dcc_cases(draw):
+    n = draw(sizes)
+    rng = np.random.default_rng(draw(seeds))
+    alpha, beta = draw(persistences(n))
+    omega = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    uni = tuple(Garch11Params(omega=float(w), alpha=float(x), beta=float(y))
+                for w, x, y in zip(omega, alpha, beta))
+    theta1, theta2 = (float(v[0]) for v in draw(persistences(1)))
+    params = DccParams(univariate=uni, theta1=theta1, theta2=theta2,
+                       q_bar=random_corr(rng, n))
+    return params, rng.standard_normal(n) * 0.01
+
+
+@SETTINGS
+@given(bekk_cases(), lengths, seeds)
+def test_bekk_simulate_matches_the_loop(case, t_len, seed):
+    params, mu, h1 = case
+    panel = bekk_simulate(params, mu, t_len, seed, h1=h1)
+    assert np.array_equal(panel.returns, bekk_simulate_loop(params, mu, t_len, seed, h1))
+
+
+@SETTINGS
+@given(dcc_cases(), lengths, seeds)
+def test_dcc_simulate_matches_the_loop(case, t_len, seed):
+    params, mu = case
+    panel = dcc_simulate(params, mu, t_len, seed)
+    assert np.array_equal(panel.returns, dcc_simulate_loop(params, mu, t_len, seed))
