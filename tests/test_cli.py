@@ -216,7 +216,7 @@ class TestDataErrors:
         assert rc == 3, err
         assert message in err
         assert out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == (
+        assert sorted(f.name for f in tmp_path.iterdir()) == (
             ["params.bekk.json"] + (["params.dcc.json"] if fault in text else [])
         )
 
