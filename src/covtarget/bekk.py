@@ -18,7 +18,9 @@ target is given), the adjoint
 
     Lambda_t = G_t + (b b') o Lambda_{t+1},    Lambda_T = 0
 
-gives, summing over t >= 1,
+scans only the N(N+1)/2 lower-triangle entries, as the filter does (G_t is
+symmetric, so an off-diagonal entry stands for itself and its mirror: weight
+2). With its sums over t >= 1 mirrored back to full matrices, it gives
 
     dl/dC = 2 (sum Lambda_t) C,
     dl/da = 2 (sum Lambda_t o E_{t-1}) a,   E_{t-1} = eps_{t-1} eps_{t-1}',
@@ -33,10 +35,11 @@ import numpy as np
 from .data import ReturnPanel, _sim_panel, _sim_shocks
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
-from .linalg import cholesky, gaussian_path_loglik, symmetrize
+from .linalg import _checked_pd, cholesky, gaussian_path_loglik
 from .optimize import (
     FitReport,
     OptimizerOptions,
+    _unchecked,
     maximize,
     simplex_map,
     simplex_unmap,
@@ -112,25 +115,20 @@ class BekkParams:
 
     @classmethod
     def from_vector(cls, x: np.ndarray, n: int) -> "BekkParams":
-        x = np.asarray(x, dtype=float)
-        m = n * (n + 1) // 2
-        if x.shape != (m + 2 * n,):
-            raise ShapeError(
-                f"parameter vector must have length {m + 2 * n}, got {x.shape}"
-            )
-        c = np.zeros((n, n))
-        rows, cols = np.tril_indices(n)
-        c[rows, cols] = x[:m]
-        return cls(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
+        return cls(**_vector_fields(x, n))
 
 
-def _start_cov(h1: np.ndarray, n: int) -> np.ndarray:
-    """The starting covariance H_1, symmetrized; it must be (n, n) and PD."""
-    h1 = symmetrize(h1)
-    if h1.shape != (n, n):
-        raise ShapeError(f"h1 must be ({n}, {n}), got {h1.shape}")
-    cholesky(h1)
-    return h1
+def _vector_fields(x: np.ndarray, n: int) -> dict:
+    """BekkParams fields from the to_vector() layout."""
+    x = np.asarray(x, dtype=float)
+    m = n * (n + 1) // 2
+    if x.shape != (m + 2 * n,):
+        raise ShapeError(
+            f"parameter vector must have length {m + 2 * n}, got {x.shape}"
+        )
+    c = np.zeros((n, n))
+    c[np.tril_indices(n)] = x[:m]
+    return dict(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
 
 def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarray:
@@ -144,7 +142,7 @@ def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarr
         raise DataError("eps has no rows")
     if not np.all(np.isfinite(eps)):
         raise DataError("eps contains non-finite values")
-    h1 = _start_cov(h1, n)
+    h1, _ = _checked_pd(h1, n, "h1")
     a, b = params.a_diag, params.b_diag
     return _sym_one_pole(
         eps, params.c_lower @ params.c_lower.T, np.outer(a, a), np.outer(b, b),
@@ -167,15 +165,15 @@ def _bekk_objective(eps, params, h1, target, grad):
     if not grad:
         return const + gaussian_path_loglik(h, eps, p)
     value, g = gaussian_path_loglik(h, eps, p, grad=True)
-    bb = np.outer(params.b_diag, params.b_diag)
-    rows, cols = np.tril_indices(n)
-    lam = np.empty((t_len - 1, n, n))
-    lam[:, rows, cols] = lam[:, cols, rows] = _one_pole_adjoint(
-        g[1:, rows, cols], bb[rows, cols]
-    )
-    s = lam.sum(axis=0)
-    m = np.einsum("tij,ti,tj->ij", lam, eps[:-1], eps[:-1])
-    k = (lam * h[:-1]).sum(axis=0)
+    b, (rows, cols) = params.b_diag, np.tril_indices(n)
+    lam = _one_pole_adjoint(g[1:, rows, cols], b[rows] * b[cols])
+    sums = np.empty((3, n, n))
+    sums[:, rows, cols] = sums[:, cols, rows] = [
+        lam.sum(axis=0),
+        np.einsum("tk,tk->k", lam, eps[:-1, rows] * eps[:-1, cols]),
+        np.einsum("tk,tk->k", lam, h[:-1, rows, cols]),
+    ]
+    s, m, k = sums
     return const + value, np.concatenate([
         2.0 * (s @ params.c_lower)[rows, cols],
         2.0 * m @ params.a_diag,
@@ -292,21 +290,20 @@ def bekk_fit(
             f"parameters, got {t_len}"
         )
     s = _default_h1(eps)
-    if h1 is None:
-        h1 = s
+    h1 = s if h1 is None else _checked_pd(h1, n, "h1")[0]
+    if target is not None:
+        _checked_pd(target.sigma_hat, n, "target")
     a0, b0 = 0.3, 0.9
     c0 = cholesky((1.0 - a0 * a0 - b0 * b0) * s).lower
-    start = BekkParams(
-        c_lower=c0, a_diag=np.full(n, a0), b_diag=np.full(n, b0)
-    ).to_vector()
+    start = BekkParams(c_lower=c0, a_diag=np.full(n, a0), b_diag=np.full(n, b0))
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = BekkParams.from_vector(x, n)
+        p = _unchecked(start, **_vector_fields(x, n))
         if target is None:
             return bekk_loglik(eps, p, h1=h1, grad=True)
         return bekk_modified_loglik(eps, p, target, h1=h1, grad=True)
 
-    x, report = maximize(objective, _BekkTransform(n), start, opts)
+    x, report = maximize(objective, _BekkTransform(n), start.to_vector(), opts)
     return BekkParams.from_vector(x, n), report
 
 
@@ -323,7 +320,7 @@ def bekk_simulate(
     unconditional covariance."""
     n = params.n
     mu, eta = _sim_shocks(n, mu, t_len, seed)
-    h_t = _start_cov(params.unconditional_cov() if h1 is None else h1, n)
+    h_t, _ = _checked_pd(params.unconditional_cov() if h1 is None else h1, n, "h1")
     cc = params.c_lower @ params.c_lower.T
     a = params.a_diag
     bb = np.outer(params.b_diag, params.b_diag)

@@ -322,12 +322,15 @@ def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     """Write text, whole or as an iterable of chunks, via a temp file +
-    rename so readers never see partial output."""
+    rename so readers never see partial output; the file gets the mode
+    open() would give it, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.umask(umask := os.umask(0))  # reading the umask means setting it
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, str(path))
     except BaseException:

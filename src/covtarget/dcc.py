@@ -24,11 +24,14 @@ entries and so runs as one backward scan along time:
     dl/dtheta1 = sum_t <Lambda_t, Z_{t-1} - Q_bar>,
     dl/dtheta2 = sum_t <Lambda_t, Q_{t-1} - Q_bar>,
 
-with Z_{t-1} = z_{t-1} z_{t-1}' and sums over t >= 1.
+with Z_{t-1} = z_{t-1} z_{t-1}' and sums over t >= 1. Like the filter, the
+adjoint scans only the N(N+1)/2 lower-triangle entries: every matrix here
+is symmetric, so an off-diagonal entry stands for itself and its mirror and
+enters dl/dQ_t with weight 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,8 +50,8 @@ from .garch import (
     garch11_filter,
     garch11_fit,
 )
-from .linalg import gaussian_path_loglik, symmetrize
-from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
+from .linalg import _checked_pd, gaussian_path_loglik, symmetrize
+from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
 
 _PSD_TOL = 1e-10
@@ -189,18 +192,17 @@ def _dcc_objective(z, params, target, grad):
     if not grad:
         return gaussian_path_loglik(path.r, z, p)
     value, g = gaussian_path_loglik(path.r, z, p, grad=True)
-    q, q_bar = path.q, params.q_bar
+    q, rows, cols = path.q, *np.tril_indices(params.n)
     qd = np.diagonal(q, axis1=1, axis2=2)
-    ii = np.arange(params.n)
-    gq = g / np.sqrt(qd[:, :, None] * qd[:, None, :])
-    gr = g * path.r
-    gr[:, ii, ii] = 0.0
-    gq[:, ii, ii] = -gr.sum(axis=2) / qd
+    diag = rows == cols
+    gq = 2.0 * g[:, rows, cols] / np.sqrt(qd[:, rows] * qd[:, cols])
+    gr = np.einsum("tij,tij->ti", g, path.r) - np.diagonal(g, axis1=1, axis2=2)
+    gq[:, diag] = -gr / qd
     lam = _one_pole_adjoint(gq[1:], params.theta2)
-    zz = z[:-1, :, None] * z[:-1, None, :]
+    q_bar = params.q_bar[rows, cols]
     return value, np.array([
-        float((lam * (zz - q_bar)).sum()),
-        float((lam * (q[:-1] - q_bar)).sum()),
+        np.einsum("tk,tk->", lam, z[:-1, rows] * z[:-1, cols] - q_bar),
+        np.einsum("tk,tk->", lam, q[:-1, rows, cols] - q_bar),
     ])
 
 
@@ -235,26 +237,21 @@ def dcc_fit(
     quasi-likelihood, penalized by the correlation-target KL when ``target``
     is given. The returned FitReport describes stage two.
     """
+    if target is not None:
+        _checked_pd(target.z_hat_pd, panel.n, "target")
     if stage1 is None:
         stage1 = dcc_stage1(panel, opts=opts)
     z = stage1.std_resid
-
-    def params_at(x: np.ndarray) -> DccParams:
-        return DccParams(
-            univariate=stage1.params,
-            theta1=float(x[0]),
-            theta2=float(x[1]),
-            q_bar=stage1.q_bar,
-        )
+    start = DccParams(stage1.params, 0.05, 0.90, stage1.q_bar)  # checked once
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        p = params_at(x)
+        p = _unchecked(start, theta1=float(x[0]), theta2=float(x[1]))
         if target is None:
             return dcc_stage2_loglik(z, p, grad=True)
         return dcc_modified_loglik(z, p, target, grad=True)
 
     x, report = maximize(objective, _SimplexTransform(), np.array([0.05, 0.90]), opts)
-    return params_at(x), report
+    return replace(start, theta1=float(x[0]), theta2=float(x[1])), report
 
 
 def dcc_std_residuals(panel: ReturnPanel, params: DccParams) -> np.ndarray:

@@ -3,7 +3,8 @@
 Every determinant, inverse, and quadratic form here goes through a Cholesky
 factorization. The one path kernel, gaussian_path_loglik, gives a path's
 Gaussian log-likelihood, KL penalty and gradient from one stacked
-factorization; only it forms H_t^{-1}, because the score is written in it.
+factorization; only it forms H_t^{-1}, because the score is written in it,
+as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution.
 """
 from __future__ import annotations
 
@@ -91,6 +92,17 @@ def cholesky(m: np.ndarray) -> CholFactor:
     return CholFactor(lower=lower, logdet=logdet)
 
 
+def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFactor]:
+    """``m`` symmetrized and its factor if it is (n, n) and PD; errors name ``what``."""
+    a = symmetrize(m)
+    if a.shape != (n, n):
+        raise ShapeError(f"{what} must be ({n}, {n}), got {a.shape}")
+    try:
+        return a, cholesky(a)
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(f"{what}: {exc}", pivot=exc.pivot) from None
+
+
 def nearest_pd(m: np.ndarray) -> np.ndarray:
     """Eigenvalue-clipped positive definite repair.
 
@@ -156,6 +168,20 @@ def stacked_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lowers, logdets
 
 
+def _lower_inverse(lowers: np.ndarray) -> np.ndarray:
+    """Inverses M of a (T, N, N) stack of lower triangular factors L by forward
+    substitution, row by row across the stack: M_i = (e_i' - L_i,:i M_:i) / L_ii."""
+    m = np.zeros_like(lowers)
+    rdiag = 1.0 / np.diagonal(lowers, axis1=1, axis2=2)
+    for i in range(lowers.shape[1]):
+        if i:
+            row = m[:, i : i + 1, :i]
+            np.matmul(lowers[:, i : i + 1, :i], m[:, :i, :i], out=row)
+            row *= -rdiag[:, i, None, None]
+        m[:, i, i] = rdiag[:, i]
+    return m
+
+
 def gaussian_path_loglik(
     h: np.ndarray,
     x: np.ndarray,
@@ -167,9 +193,10 @@ def gaussian_path_loglik(
 
         value = -1/2 sum_t (log|H_t| + x_t' H_t^{-1} x_t) - sum_t KL(P, H_t)
 
-    One stacked factorization gives log|H_t|, H_t^{-1} and H_t^{-1} x_t.
-    With ``grad`` returns (value, G) where G[t] = d value / d H_t, entries
-    taken as independent:
+    One stacked factorization H_t = L_t L_t' gives log|H_t|; forward
+    substitution gives L_t^{-1}, and H_t^{-1} = L_t^{-T} L_t^{-1} gives
+    H_t^{-1} x_t. With ``grad`` returns (value, G) where G[t] = d value /
+    d H_t, entries taken as independent:
 
         G_t = -1/2 (H_t^{-1} - H_t^{-1} x_t x_t' H_t^{-1})
               - 1/2 (H_t^{-1} - H_t^{-1} P H_t^{-1})   (with a target)
@@ -179,25 +206,23 @@ def gaussian_path_loglik(
     if x.shape != h.shape[:2]:
         raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
     t_len, n = x.shape
-    linv = np.linalg.inv(lowers)
+    linv = _lower_inverse(lowers)
     hinv = np.matmul(np.swapaxes(linv, 1, 2), linv)
     hx = np.matmul(hinv, x[:, :, None])[:, :, 0]
     ld = float(logdets.sum())
     value = -0.5 * (ld + float((x * hx).sum()))
     if target is not None:
-        p = symmetrize(target)
-        cp = cholesky(p)
-        if cp.n != n:
-            raise ShapeError(
-                f"target is {cp.n}x{cp.n} but path matrices are {n}x{n}"
-            )
+        p, cp = _checked_pd(target, n, "target")
         trace = float((hinv * p).sum())  # sum_t Tr(H_t^{-1} P)
         value -= 0.5 * (ld - t_len * cp.logdet + trace - t_len * n)
     if not grad:
         return value
-    g = 0.5 * (hx[:, :, None] * hx[:, None, :]) - 0.5 * hinv
+    g = hx[:, :, None] * hx[:, None, :]
     if target is not None:
-        g += 0.5 * (np.matmul(np.matmul(hinv, p), hinv) - hinv)
+        g += np.matmul(np.matmul(hinv, p), hinv)
+        hinv *= 2.0
+    g -= hinv
+    g *= 0.5
     return value, g
 
 

@@ -62,6 +62,14 @@ class FitReport:
     per_start: tuple[StartOutcome, ...]
 
 
+def _unchecked(obj, **changes):
+    """dataclasses.replace(obj, **changes) without __post_init__'s checks:
+    for fit points, which the transforms keep feasible."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **changes)
+    return new
+
+
 def simplex_map(u: np.ndarray) -> np.ndarray:
     """Map R^k onto the open simplex {w > 0, sum(w) < 1} via logistic
     weights w_i = exp(u_i) / (1 + sum_j exp(u_j)), computed stably along the

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bekk import BekkParams, _start_cov, bekk_filter, bekk_fit, bekk_simulate
+from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
 from .data import ReturnPanel, check_sim_len, sample_moments
 from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
 from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
@@ -27,7 +27,7 @@ from .graphs import (
     graph_to_json,
     maximal_cliques,
 )
-from .linalg import cholesky, frobenius_path_loss, kl_divergence
+from .linalg import _checked_pd, cholesky, frobenius_path_loss, kl_divergence
 from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target, check_delta
 
@@ -178,7 +178,7 @@ def params_from_document(doc: dict):
                 b_diag=np.asarray(doc["b_diag"], dtype=float),
             )
             if doc.get("h1") is not None:
-                h1 = _start_cov(np.asarray(doc["h1"], dtype=float), n)
+                h1, _ = _checked_pd(np.asarray(doc["h1"], dtype=float), n, "h1")
         elif model == "dcc":
             uni = tuple(
                 Garch11Params(

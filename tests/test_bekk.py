@@ -23,10 +23,25 @@ from covtarget import (
 )
 import covtarget.bekk
 
-from conftest import bekk2, random_spd
+from conftest import bekk2, gaussian_panel, random_spd
 from tables import CORR5
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def desk_panel():
+    """The paper's desk scale: 5 assets x 252 days from a diagonal BEKK with
+    a = 0.3, b = 0.9 and unconditional covariance 0.02^2 CORR5."""
+    truth = BekkParams(
+        c_lower=np.linalg.cholesky(0.1 * 0.02**2 * CORR5),
+        a_diag=np.full(5, 0.3),
+        b_diag=np.full(5, 0.9),
+    )
+    return bekk_simulate(truth, np.zeros(5), 252, seed=300)
+
+
+def no_evaluation(*args, **kwargs):
+    raise AssertionError("the fit evaluated its objective")
 
 
 def naive_filter(eps, p, h1):
@@ -236,8 +251,6 @@ class TestFit:
         assert qpath_kl(pen) <= qpath_kl(plain) + 1e-6
 
     def test_desk_scale_fits_converge_in_few_evaluations(self, monkeypatch):
-        # the paper's desk scale: 5 assets x 252 days, a = 0.3, b = 0.9,
-        # unconditional covariance 0.02^2 CORR5
         calls = []
 
         def counting_maximize(objective, transform, x0, opts):
@@ -248,13 +261,7 @@ class TestFit:
             return maximize(counted, transform, x0, opts)
 
         monkeypatch.setattr(covtarget.bekk, "maximize", counting_maximize)
-        sigma = 0.02**2 * CORR5
-        truth = BekkParams(
-            c_lower=np.linalg.cholesky(0.1 * sigma),
-            a_diag=np.full(5, 0.3),
-            b_diag=np.full(5, 0.9),
-        )
-        panel = bekk_simulate(truth, np.zeros(5), 252, seed=300)
+        panel = desk_panel()
         moments = sample_moments(panel)
         opts = OptimizerOptions(n_starts=1, seed=0)
         for target in (None, build_target(moments, 0.5)):
@@ -270,6 +277,21 @@ class TestFit:
         # 2 assets need 3 + 4 + 10 rows
         with pytest.raises(InsufficientDataError):
             bekk_fit(rng.standard_normal((16, 2)))
+
+    @pytest.mark.parametrize("h1, error, match", [
+        (np.eye(3), ShapeError, r"h1 must be \(5, 5\), got \(3, 3\)"),
+        (-np.eye(5), NotPositiveDefiniteError, r"h1: matrix is not positive definite"),
+    ], ids=["mis-sized", "not-pd"])
+    def test_bad_h1_fails_before_any_evaluation(self, monkeypatch, h1, error, match):
+        monkeypatch.setattr(covtarget.bekk, "maximize", no_evaluation)
+        with pytest.raises(error, match=match):
+            bekk_fit(desk_panel().demeaned(), h1=h1)
+
+    def test_mis_sized_target_fails_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(covtarget.bekk, "maximize", no_evaluation)
+        target = build_target(sample_moments(gaussian_panel(0, n=3)), 0.5)
+        with pytest.raises(ShapeError, match=r"target must be \(5, 5\), got \(3, 3\)"):
+            bekk_fit(desk_panel().demeaned(), target=target)
 
 
 class TestSimulate:

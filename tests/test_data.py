@@ -1,4 +1,5 @@
 import datetime as dt
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -295,6 +296,15 @@ class TestReturnsCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         # the first block had reached the temporary file before the failure
         assert len(seen) == 1 and seen[0] > 0
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            write_returns_csv(gaussian_panel(0, t_len=5, n=2), tmp_path / "r.csv")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "r.csv").stat().st_mode & 0o777 == mode
 
 
 def whole_text(panel: ReturnPanel) -> str:

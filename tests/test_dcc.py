@@ -23,6 +23,8 @@ from covtarget import (
     kl_divergence,
     sample_moments,
 )
+import covtarget.dcc
+import covtarget.garch
 
 from conftest import gaussian_panel
 
@@ -233,6 +235,16 @@ class TestFit:
         panel = gaussian_panel(5, t_len=30, n=2)
         with pytest.raises(EstimationError):
             dcc_fit(panel)
+
+    def test_mis_sized_target_fails_before_any_evaluation(self, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the fit evaluated an objective")
+
+        monkeypatch.setattr(covtarget.garch, "maximize", no_evaluation)
+        monkeypatch.setattr(covtarget.dcc, "maximize", no_evaluation)
+        target = build_target(sample_moments(gaussian_panel(0, n=3)), 0.5)
+        with pytest.raises(ShapeError, match=r"target must be \(5, 5\), got \(3, 3\)"):
+            dcc_fit(gaussian_panel(1, t_len=252, n=5), target=target)
 
 
 class TestPaths:

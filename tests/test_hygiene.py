@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in it,
 every private module-level name is read somewhere in the package, every
 public module-level function and class is read by the package or the
-benchmark, and no module imports scipy: the package runs on numpy alone.
+benchmark, no module imports scipy (the package runs on numpy alone), and
+no module calls numpy.linalg.inv (every inverse goes through a Cholesky
+factor).
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports, and ``covtarget.__all__`` must list exactly those), and so are
@@ -152,3 +154,36 @@ def test_scipy_imports_are_found():
 def test_no_module_imports_scipy():
     for path in SOURCES:
         assert scipy_imports(path.read_text()) == [], path.name
+
+
+def general_inverse_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call numpy's general inverse, numpy.linalg.inv,
+    under any module alias or as a name imported from numpy.linalg."""
+    tree = ast.parse(source)
+    modules, names = {"np.linalg", "numpy.linalg", "linalg"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "numpy.linalg")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names.update(a.asname or a.name for a in node.names if a.name == "inv")
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Attribute) and node.func.attr == "inv"
+            and ast.unparse(node.func.value) in modules
+            or isinstance(node.func, ast.Name) and node.func.id in names
+        )
+    )
+
+
+def test_general_inverse_calls_are_found():
+    source = ("import numpy as np\nimport numpy.linalg as la\n"
+              "from numpy.linalg import inv as minv\n"
+              "np.linalg.inv(a)\nla.inv(a)\nminv(a)\nnp.linalg.solve(a, b)\nx.inv()\n")
+    assert general_inverse_calls(source) == [4, 5, 6]
+
+
+def test_no_module_calls_a_general_inverse():
+    # linalg's module docstring: every inverse goes through a Cholesky factor
+    for path in SOURCES:
+        assert general_inverse_calls(path.read_text()) == [], path.name

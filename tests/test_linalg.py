@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
     DataError,
@@ -11,7 +13,12 @@ from covtarget import (
     nearest_pd,
     symmetrize,
 )
-from covtarget.linalg import PD_FLOOR, gaussian_path_loglik, stacked_cholesky
+from covtarget.linalg import (
+    PD_FLOOR,
+    _lower_inverse,
+    gaussian_path_loglik,
+    stacked_cholesky,
+)
 
 from conftest import random_spd
 
@@ -181,6 +188,60 @@ class TestStackedOps:
         assert gaussian_path_loglik(h, x, p) == pytest.approx(
             plain - kl, rel=1e-12
         )
+
+
+@st.composite
+def lower_factors(draw):
+    """A (T, N, N) stack of Cholesky factors, T in [1, 40] and N in [1, 30],
+    of matrices whose eigenvalues span 10^-span .. 1, with every series on
+    its own scale in 1e-2 .. 1e2: well conditioned at span 0, ill
+    conditioned at span 8, where the factors' condition numbers reach ~1e7."""
+    n, t_len = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    span = draw(st.sampled_from([0.0, 2.0, 5.0, 8.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((t_len, n, n)))
+    w = 10.0 ** rng.uniform(-span, 0.0, (t_len, n))
+    d = 10.0 ** rng.uniform(-2.0, 2.0, (t_len, n))
+    h = d[:, :, None] * ((q * w[:, None, :]) @ np.swapaxes(q, 1, 2)) * d[:, None, :]
+    return np.linalg.cholesky(0.5 * (h + np.swapaxes(h, 1, 2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lower_factors())
+def test_lower_inverse_matches_general_inverse(lowers):
+    m = _lower_inverse(lowers)
+    ref = np.linalg.inv(lowers)
+    assert np.all(np.triu(m, k=1) == 0.0)
+    err = np.linalg.norm(m - ref, axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.linalg.norm(ref, axis=(1, 2)))
+
+
+def inverse_path_loglik(h, x, p=None):
+    """gaussian_path_loglik's value and G, written with np.linalg.inv."""
+    t_len, n = x.shape
+    hinv = np.linalg.inv(h)
+    hx = np.einsum("tij,tj->ti", hinv, x)
+    logdets = np.linalg.slogdet(h)[1]
+    value = -0.5 * (logdets.sum() + (x * hx).sum())
+    g = 0.5 * (hx[:, :, None] * hx[:, None, :] - hinv)
+    if p is not None:
+        trace = np.einsum("tij,ji->", hinv, p)
+        value -= 0.5 * (logdets.sum() - t_len * np.linalg.slogdet(p)[1] + trace - t_len * n)
+        g += 0.5 * (hinv @ p @ hinv - hinv)
+    return value, g
+
+
+@pytest.mark.parametrize("with_target", [False, True], ids=["plain", "target"])
+@pytest.mark.parametrize("n, t_len", [(1, 9), (5, 252), (15, 60)])
+def test_gaussian_path_loglik_matches_inverse_reference(rng, n, t_len, with_target):
+    h = np.stack([random_spd(rng, n) for _ in range(t_len)])
+    x = rng.standard_normal((t_len, n))
+    p = random_spd(rng, n) if with_target else None
+    value, g = gaussian_path_loglik(h, x, p, grad=True)
+    ref_value, ref_g = inverse_path_loglik(h, x, p)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert gaussian_path_loglik(h, x, p) == value
+    assert np.linalg.norm(g - ref_g) <= 1e-12 * np.linalg.norm(ref_g)
 
 
 class TestFrobeniusPathLoss:
