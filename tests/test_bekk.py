@@ -33,7 +33,7 @@ def desk_panel():
     """The paper's desk scale: 5 assets x 252 days from a diagonal BEKK with
     a = 0.3, b = 0.9 and unconditional covariance 0.02^2 CORR5."""
     truth = BekkParams(
-        c_lower=np.linalg.cholesky(0.1 * 0.02**2 * CORR5),
+        c_lower=np.linalg.cholesky(0.1 * (0.02**2 * CORR5)),
         a_diag=np.full(5, 0.3),
         b_diag=np.full(5, 0.9),
     )

@@ -297,7 +297,9 @@ class TestReturnsCsv:
         # the first block had reached the temporary file before the failure
         assert len(seen) == 1 and seen[0] > 0
 
-    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
+    )
     def test_written_files_follow_the_umask(self, tmp_path, umask, mode):
         old = os.umask(umask)
         try:

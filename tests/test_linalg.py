@@ -225,8 +225,8 @@ def inverse_path_loglik(h, x, p=None):
     value = -0.5 * (logdets.sum() + (x * hx).sum())
     g = 0.5 * (hx[:, :, None] * hx[:, None, :] - hinv)
     if p is not None:
-        trace = np.einsum("tij,ji->", hinv, p)
-        value -= 0.5 * (logdets.sum() - t_len * np.linalg.slogdet(p)[1] + trace - t_len * n)
+        kl = logdets - np.linalg.slogdet(p)[1] + np.einsum("tij,ji->t", hinv, p) - n
+        value -= 0.5 * kl.sum()
         g += 0.5 * (hinv @ p @ hinv - hinv)
     return value, g
 
