@@ -324,11 +324,12 @@ def bekk_simulate(
     cc = params.c_lower @ params.c_lower.T
     a = params.a_diag
     bb = np.outer(params.b_diag, params.b_diag)
-    ae, arch, eps = np.empty(n), np.empty((n, n)), np.empty((t_len, n))
+    eta_t, ae, arch = np.empty(n), np.empty(n), np.empty((n, n))
     ae_col = ae[:, None]
     # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
     # and (b b') o H are symmetric entry by entry. Each step updates H_t in
-    # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}.
+    # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}, and e_t replaces
+    # eta_t in the shock array once eta_t is copied out.
     for t in range(t_len):
         try:
             low = np.linalg.cholesky(h_t)
@@ -336,10 +337,12 @@ def bekk_simulate(
             raise NumericalOverflowError(
                 f"simulated covariance lost positive definiteness at t={t}", t=t
             ) from None
-        np.dot(low, eta[t], out=eps[t])
-        np.multiply(a, eps[t], out=ae)
+        e_t = eta[t]
+        eta_t[:] = e_t
+        np.dot(low, eta_t, out=e_t)
+        np.multiply(a, e_t, out=ae)
         np.multiply(ae_col, ae, out=arch)
         arch += cc
         h_t *= bb
         h_t += arch
-    return _sim_panel(eps, mu, labels)
+    return _sim_panel(eta, mu, labels)

@@ -36,13 +36,18 @@ from .errors import (
 
 RETURNS_SENTINEL = "#returns"
 
-_EPOCH = dt.date(1970, 1, 1)
+_FIRST_SIM_DAY = np.datetime64("1970-01-02")  # undated rows are dated daily from here
+_MAX_SIM_LEN = 2_932_896  # rows from _FIRST_SIM_DAY through 9999-12-31
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, order="C")
-    out.setflags(write=False)
-    return out
+    """``a`` itself when it is a float64, C-ordered ndarray that owns its
+    memory and is not writeable, else a read-only float64 C-ordered copy."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.flags.owndata and not a.flags.writeable):
+        a = np.array(a, dtype=float, order="C")
+        a.setflags(write=False)
+    return a
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
@@ -57,7 +62,10 @@ def _check_labels(labels: tuple[str, ...]) -> None:
 @dataclass(frozen=True)
 class ReturnPanel:
     """Return panel with finite entries; ``mean`` is the per-series sample
-    mean, computed once at construction. Dates, when present, are metadata."""
+    mean, computed once at construction. Dates, when present, are metadata.
+    ``returns`` is kept uncopied only when it is a read-only float64
+    C-ordered array owning its memory, as the simulators and ``load_panel``
+    build it; any other array, a writeable one above all, is copied."""
 
     labels: tuple[str, ...]
     returns: np.ndarray  # (T, N)
@@ -222,6 +230,7 @@ def load_panel(path: str | Path) -> ReturnPanel:
         t, j = map(int, bad[0])
         raise DataError(f"{path}: non-finite value for {labels[j]} on {dates[t]}")
     if is_returns:
+        values.setflags(write=False)
         return ReturnPanel(labels=labels, returns=values, dates=dates)
     if np.any(values <= 0.0):
         t, j = map(int, np.argwhere(values <= 0.0)[0])
@@ -229,6 +238,7 @@ def load_panel(path: str | Path) -> ReturnPanel:
     if len(dates) < 2:
         raise InsufficientDataError("need at least two price rows to form returns")
     returns = np.log(values[1:] / values[:-1])
+    returns.setflags(write=False)
     return ReturnPanel(labels=labels, returns=returns, dates=dates[1:])
 
 
@@ -268,15 +278,11 @@ def sample_moments(panel: ReturnPanel) -> SampleMoments:
     )
 
 
-def synth_dates(t_len: int) -> tuple[dt.date, ...]:
-    """Synthetic daily dates for simulated panels, starting 1970-01-02."""
-    return tuple(_EPOCH + dt.timedelta(days=t + 1) for t in range(t_len))
-
-
 def check_sim_len(t_len: int) -> int:
-    """``t_len`` if a simulated panel of that many rows has sample moments."""
-    if t_len < 2:
-        raise DataError(f"simulation length must be >= 2, got {t_len}")
+    """``t_len`` if a simulated panel of that many rows has sample moments
+    and its last date, counted from 1970-01-02, is at most 9999-12-31."""
+    if not 2 <= t_len <= _MAX_SIM_LEN:
+        raise DataError(f"simulation length must be in [2, {_MAX_SIM_LEN}], got {t_len}")
     return t_len
 
 
@@ -289,15 +295,16 @@ def _sim_shocks(n: int, mu, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _sim_panel(eps: np.ndarray, mu: np.ndarray, labels) -> ReturnPanel:
-    """The simulated panel mu + eps, adding mu in place, labelled S1..Sn
-    unless ``labels`` are given; a non-finite eps is an overflow."""
+    """The undated panel mu + eps, labelled S1..Sn unless ``labels`` are given,
+    holding eps itself, mu added in place; a non-finite eps is an overflow."""
     if not np.all(np.isfinite(eps)):
         t = int(np.argwhere(~np.isfinite(eps))[0][0])
         raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
     eps += mu
+    eps.setflags(write=False)
     if labels is None:
         labels = tuple(f"S{i + 1}" for i in range(eps.shape[1]))
-    return ReturnPanel(labels=labels, returns=eps, dates=synth_dates(len(eps)))
+    return ReturnPanel(labels=labels, returns=eps)
 
 
 _CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
@@ -305,16 +312,20 @@ _CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
 
 def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     """Write a ReturnPanel in the sentinel format, atomically, streaming
-    blocks of rows to disk as they are rendered."""
-    dates = panel.dates if panel.dates is not None else synth_dates(panel.t_len)
+    blocks of rows to disk as they are rendered. An undated panel's rows
+    are dated daily from 1970-01-02, each block's dates rendered in bulk."""
 
     def chunks():
         yield f"{RETURNS_SENTINEL}\ndate,{','.join(panel.labels)}\n"
         for at in range(0, panel.t_len, _CSV_BLOCK):
             rows = panel.returns[at : at + _CSV_BLOCK].tolist()
+            if panel.dates is None:
+                dates = (_FIRST_SIM_DAY + np.arange(at, at + len(rows))).astype(str).tolist()
+            else:
+                dates = [d.isoformat() for d in panel.dates[at : at + _CSV_BLOCK]]
             yield "".join(
-                date.isoformat() + "," + ",".join(map(repr, row)) + "\n"
-                for date, row in zip(dates[at : at + _CSV_BLOCK], rows)
+                date + "," + ",".join(map(repr, row)) + "\n"
+                for date, row in zip(dates, rows)
             )
 
     write_text_atomic(path, chunks())

@@ -289,10 +289,10 @@ def dcc_simulate(
     intercept = (1.0 - t1 - t2) * params.q_bar
     d, z_t, arch = np.empty((3, n))
     r_t, outer = np.empty((2, n, n))
-    eps = np.empty((t_len, n))
     # Each step updates h_t and Q_t in place as (omega + alpha e^2) + beta h
     # and (intercept + t1 z z') + t2 Q, through diagonals as strided views
-    # and outer products as column-times-row broadcasts.
+    # and outer products as column-times-row broadcasts; e_t overwrites
+    # eta_t in the shock array once z_t has been formed from it.
     q_diag, r_diag = q_t.reshape(-1)[:: n + 1], r_t.reshape(-1)[:: n + 1]
     d_col, z_col = d[:, None], z_t[:, None]
     for t in range(t_len):
@@ -306,7 +306,7 @@ def dcc_simulate(
                 f"simulated correlation lost positive definiteness at t={t}", t=t
             ) from None
         np.dot(low, eta[t], out=z_t)
-        e_t = eps[t]
+        e_t = eta[t]
         np.multiply(np.sqrt(h_t, out=e_t), z_t, out=e_t)
         np.multiply(alpha, np.square(e_t, out=arch), out=arch)
         arch += omega
@@ -317,4 +317,4 @@ def dcc_simulate(
         outer += intercept
         q_t *= t2
         q_t += outer
-    return _sim_panel(eps, mu, labels)
+    return _sim_panel(eta, mu, labels)

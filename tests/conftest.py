@@ -1,3 +1,4 @@
+import datetime as dt
 import sys
 from pathlib import Path
 
@@ -48,6 +49,13 @@ def gaussian_panel(
     if labels is None:
         labels = tuple(f"A{i + 1}" for i in range(n))
     return ReturnPanel(labels=labels, returns=r)
+
+
+def synth_dates(t_len: int) -> tuple[dt.date, ...]:
+    """The dates of an undated panel's written rows, one day apart from
+    1970-01-02, built one ``datetime.date`` at a time: the writer's oracle."""
+    first = dt.date(1970, 1, 2)
+    return tuple(first + dt.timedelta(days=t) for t in range(t_len))
 
 
 def garch11_simulate(

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,27 @@ class TestUsageErrors:
         assert rc == 2
         assert f"usage error: --{key}: " in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "evaluate"])
+    def test_sim_len_past_9999_12_31_fails_before_any_work(self, capsys, panel_csv,
+                                                           tmp_path, command):
+        # Simulated rows are dated from 1970-01-02, and 2,932,897 rows would
+        # end in the year 10000. With a good params file in place, the check
+        # must come before any fit or simulation, not after it.
+        p = bekk2()
+        doc = bekk_document(p, np.zeros(2), p.unconditional_cov(), None)
+        (tmp_path / "params.bekk.json").write_text(json.dumps(doc))
+        argv = [command, "--out-dir", str(tmp_path), "--model", "bekk",
+                "--sim-len", "2932897"]
+        if command == "evaluate":
+            argv += ["--input", str(panel_csv)]
+        start = time.perf_counter()
+        rc, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert rc == 2
+        assert "usage error: --sim-len: simulation length must be in [2, 2932896], got 2932897" in err
+        assert out == ""
+        assert [f.name for f in tmp_path.iterdir()] == ["params.bekk.json"]
 
 
 class TestDataErrors:

@@ -20,9 +20,11 @@ from covtarget import (
     sample_moments,
 )
 from covtarget.data import _CSV_BLOCK as BLOCK
-from covtarget.data import _parse_plain, synth_dates, write_returns_csv
+from covtarget.data import (
+    _FIRST_SIM_DAY, _MAX_SIM_LEN, _parse_plain, check_sim_len, write_returns_csv,
+)
 
-from conftest import gaussian_panel
+from conftest import gaussian_panel, synth_dates
 
 
 def write(tmp_path, name, text):
@@ -218,6 +220,47 @@ class TestReturnPanel:
         with pytest.raises(DataError):
             ReturnPanel(labels=("A",), returns=np.array([[np.inf]]))
 
+    def test_writeable_input_is_copied(self, rng):
+        r = rng.standard_normal((50, 2))
+        before = r.copy()
+        panel = ReturnPanel(labels=("A", "B"), returns=r)
+        r[0, 0] = 99.0
+        assert np.array_equal(panel.returns, before)
+        assert r.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda r: r[:, ::-1],  # a read-only view: its base stays writeable
+        lambda r: np.asfortranarray(r),
+        lambda r: r.astype(np.float32),
+    ], ids=["view", "fortran", "float32"])
+    def test_read_only_input_is_copied_unless_owned_float64_c_order(self, rng, make):
+        base = rng.standard_normal((50, 2))
+        r = make(base)
+        r.setflags(write=False)
+        panel = ReturnPanel(labels=("A", "B"), returns=r)
+        assert panel.returns is not r
+        assert panel.returns.dtype == np.float64 and panel.returns.flags.c_contiguous
+        assert not np.shares_memory(panel.returns, base)
+
+    def test_owned_read_only_float64_is_kept(self, rng):
+        r = rng.standard_normal((50, 2))
+        r.setflags(write=False)
+        assert ReturnPanel(labels=("A", "B"), returns=r).returns is r
+
+    @pytest.mark.parametrize("text", [
+        PRICES_CSV, "#returns\ndate,AA\n2020-01-03,0.5\n2020-01-02,-0.25\n",
+    ], ids=["prices", "returns"])
+    def test_loaded_returns_are_read_only(self, tmp_path, text):
+        panel = load_panel(write(tmp_path, "p.csv", text))
+        with pytest.raises(ValueError):
+            panel.returns[0, 0] = 1.0
+
+
+class TestSimLen:
+    def test_last_length_with_a_four_digit_year_is_accepted(self):
+        assert check_sim_len(2_932_896) == 2_932_896
+        assert str(_FIRST_SIM_DAY + (_MAX_SIM_LEN - 1)) == "9999-12-31"
+
 
 class TestSampleMoments:
     def test_cov_corr_gamma_consistent(self, rng):
@@ -257,6 +300,7 @@ class TestReturnsCsv:
         ppath = write(tmp_path, "p.csv", PRICES_CSV)
         assert load_panel(ppath).returns.shape == (3, 2)
 
+    # Undated rows follow the synth_dates oracle; 1,023 rows pass 1972-02-29.
     @pytest.mark.parametrize("t_len", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_streamed_file_is_the_whole_text(self, tmp_path, t_len):
         rng = np.random.default_rng(t_len)

@@ -5,7 +5,10 @@ once per call. The loops below allocate every intermediate afresh and keep
 the same order of operations, so both must give the same panel bit for
 bit: the comparison is np.array_equal, with no tolerance.
 """
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -121,3 +124,40 @@ def test_dcc_simulate_matches_the_loop(case, t_len, seed):
     params, mu = case
     panel = dcc_simulate(params, mu, t_len, seed)
     assert np.array_equal(panel.returns, dcc_simulate_loop(params, mu, t_len, seed))
+
+
+def simulator15(kind):
+    """bekk_simulate or dcc_simulate, with the 15-asset parameters of a
+    persistent, correlated market."""
+    rng = np.random.default_rng(15)
+    n = 15
+    if kind == "bekk":
+        return bekk_simulate, BekkParams(
+            c_lower=0.1 * np.linalg.cholesky(random_corr(rng, n)),
+            a_diag=np.full(n, 0.3), b_diag=np.full(n, 0.9))
+    g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
+    return dcc_simulate, DccParams(univariate=(g,) * n, theta1=0.05, theta2=0.9,
+                                   q_bar=random_corr(rng, n))
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
+def test_simulated_panel_is_read_only_and_undated(kind):
+    simulate, params = simulator15(kind)
+    panel = simulate(params, np.zeros(15), 50, 0)
+    assert panel.dates is None
+    with pytest.raises(ValueError):
+        panel.returns[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
+def test_simulation_holds_about_one_panel(kind):
+    # The shocks become the returns in place and the panel keeps that array,
+    # so the traced peak stays near the panel's own bytes.
+    simulate, params = simulator15(kind)
+    tracemalloc.start()
+    try:
+        panel = simulate(params, np.zeros(15), 20_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * panel.returns.nbytes
