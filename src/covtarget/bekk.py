@@ -258,12 +258,9 @@ class _BekkTransform:
             raise DataError("diagonal of C must be strictly positive to invert")
         u_c = np.where(self._is_diag, 0.0, c_entries / diag[self._cols])
         u_c[self._is_diag] = np.log(diag)
-        out = [u_c]
-        a = x[self.m : self.m + self.n]
-        b = x[self.m + self.n :]
-        for i in range(self.n):
-            out.append(simplex_unmap(np.array([a[i] ** 2, b[i] ** 2])))
-        return np.concatenate(out)
+        # rows (a_i^2, b_i^2), the pairs forward() maps through the simplex
+        u_ab = simplex_unmap(x[self.m :].reshape(2, self.n).T ** 2)
+        return np.concatenate([u_c, u_ab.ravel()])
 
 
 def bekk_fit(

@@ -30,7 +30,7 @@ _HEIGHT_TOL = 1e-12
 @dataclass(frozen=True)
 class Dendrogram:
     """Merge tree of a complete-linkage run: (id_a, id_b, height) per merge,
-    id_a < id_b, heights nondecreasing."""
+    id_a < id_b, each id merged at most once, heights nondecreasing."""
 
     labels: tuple[str, ...]
     merges: tuple[tuple[int, int, float], ...]
@@ -42,6 +42,7 @@ class Dendrogram:
                 f"{n} leaves require {n - 1} merges, got {len(self.merges)}"
             )
         norm = []
+        merged: set[int] = set()
         last = -np.inf
         for k, (a, b, height) in enumerate(self.merges):
             a, b, height = int(a), int(b), float(height)
@@ -49,6 +50,9 @@ class Dendrogram:
                 raise DataError(f"merge {k}: ids must satisfy id_a < id_b")
             if a < 0 or b >= n + k:
                 raise DataError(f"merge {k}: id out of range")
+            if merged & {a, b}:
+                raise DataError(f"merge {k}: id {min(merged & {a, b})} is already merged")
+            merged.update((a, b))
             if height < last - _HEIGHT_TOL:
                 raise DataError(
                     f"merge heights must be nondecreasing; merge {k} at "
@@ -107,32 +111,20 @@ def complete_linkage(dist: np.ndarray, labels: tuple[str, ...]) -> Dendrogram:
 
 
 def cut_tree(dend: Dendrogram, k: int) -> np.ndarray:
-    """Assignments for exactly k clusters: undo the last k-1 merges.
+    """Assignments for exactly k clusters: replay the first n-k merges on
+    each cluster's member leaves.
 
     Cluster ids are 0..k-1, numbered by each cluster's smallest leaf.
     """
     n = dend.n
     if not (1 <= k <= n):
         raise DataError(f"k must be in [1, {n}], got {k}")
-    parent = list(range(n + max(0, n - 1)))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for idx, (a, b, _) in enumerate(dend.merges[: n - k]):
-        new = n + idx
-        parent[find(a)] = new
-        parent[find(b)] = new
-    roots: dict[int, list[int]] = {}
-    for leaf in range(n):
-        roots.setdefault(find(leaf), []).append(leaf)
+    members = {leaf: [leaf] for leaf in range(n)}
+    for new, (a, b, _) in enumerate(dend.merges[: n - k], start=n):
+        members[new] = members.pop(a) + members.pop(b)
     assign = np.empty(n, dtype=int)
-    for cid, members in enumerate(sorted(roots.values(), key=lambda m: m[0])):
-        for leaf in members:
-            assign[leaf] = cid
+    for cid, leaves in enumerate(sorted(members.values(), key=min)):
+        assign[leaves] = cid
     return assign
 
 
@@ -142,15 +134,13 @@ def to_newick(dend: Dendrogram) -> str:
     n = dend.n
     height = {i: 0.0 for i in range(n)}
     node: dict[int, str] = {i: _quote(lab) for i, lab in enumerate(dend.labels)}
-    root = n - 1 if n == 1 else 0
     for k, (a, b, h) in enumerate(dend.merges):
         new = n + k
         la = h - height[a]
         lb = h - height[b]
         node[new] = f"({node[a]}:{la:.10g},{node[b]}:{lb:.10g})"
         height[new] = h
-        root = new
-    return node[root] + ";"
+    return node[2 * n - 2] + ";"  # the last merge's cluster, or the lone leaf
 
 
 def _quote(label: str) -> str:

@@ -18,7 +18,6 @@ import csv
 import datetime as dt
 import io
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -81,7 +80,7 @@ class ReturnPanel:
             )
         if r.shape[0] < 1:
             raise InsufficientDataError("return panel has no rows")
-        if not np.all(np.isfinite(r)):
+        if not (np.isfinite(r.min()) and np.isfinite(r.max())):  # exact, allocates nothing
             raise DataError("returns contain non-finite values")
         if self.dates is not None and len(self.dates) != r.shape[0]:
             raise DataError(
@@ -296,27 +295,38 @@ def _sim_shocks(n: int, mu, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarr
 
 def _sim_panel(eps: np.ndarray, mu: np.ndarray, labels) -> ReturnPanel:
     """The undated panel mu + eps, labelled S1..Sn unless ``labels`` are given,
-    holding eps itself, mu added in place; a non-finite eps is an overflow."""
-    if not np.all(np.isfinite(eps)):
-        t = int(np.argwhere(~np.isfinite(eps))[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
+    holding eps itself, mu added in place; a non-finite return is an overflow."""
     eps += mu
     eps.setflags(write=False)
     if labels is None:
         labels = tuple(f"S{i + 1}" for i in range(eps.shape[1]))
-    return ReturnPanel(labels=labels, returns=eps)
+    try:
+        return ReturnPanel(labels=labels, returns=eps)
+    except DataError:
+        if np.all(np.isfinite(eps)):
+            raise
+        t = int(np.argwhere(~np.isfinite(eps))[0][0])
+        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t) from None
 
 
 _CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, its quotes doubled, when it holds a
+    delimiter, a quote or a line break."""
+    quote = any(ch in text for ch in ',"\r\n')
+    return '"' + text.replace('"', '""') + '"' if quote else text
+
+
 def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     """Write a ReturnPanel in the sentinel format, atomically, streaming
-    blocks of rows to disk as they are rendered. An undated panel's rows
-    are dated daily from 1970-01-02, each block's dates rendered in bulk."""
+    blocks of rows to disk as they are rendered. Header labels are quoted as
+    needed. An undated panel's rows are dated daily from 1970-01-02, each
+    block's dates rendered in bulk."""
 
     def chunks():
-        yield f"{RETURNS_SENTINEL}\ndate,{','.join(panel.labels)}\n"
+        yield f"{RETURNS_SENTINEL}\ndate,{','.join(map(_csv_cell, panel.labels))}\n"
         for at in range(0, panel.t_len, _CSV_BLOCK):
             rows = panel.returns[at : at + _CSV_BLOCK].tolist()
             if panel.dates is None:
@@ -337,11 +347,11 @@ def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
     open() would give it, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    # a new file (O_EXCL) created 0o666: the kernel applies the umask itself
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            os.umask(umask := os.umask(0))  # reading the umask means setting it
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, str(path))
     except BaseException:

@@ -120,11 +120,10 @@ def _sym_one_pole(
     t_len, n = e.shape
     x = np.empty((t_len, n, n))
     x[0] = x1
-    if t_len > 1:
-        rows, cols = np.tril_indices(n)
-        load, pole = (np.broadcast_to(v, (n, n))[rows, cols] for v in (load, pole))
-        drive = omega[rows, cols] + load * (e[:-1, rows] * e[:-1, cols])
-        x[1:, rows, cols] = x[1:, cols, rows] = _one_pole(drive, pole, x1[rows, cols])
+    rows, cols = np.tril_indices(n)
+    load, pole = (np.broadcast_to(v, (n, n))[rows, cols] for v in (load, pole))
+    drive = omega[rows, cols] + load * (e[:-1, rows] * e[:-1, cols])
+    x[1:, rows, cols] = x[1:, cols, rows] = _one_pole(drive, pole, x1[rows, cols])
     if not np.all(np.isfinite(x)):
         t = int(np.argwhere(~np.isfinite(x))[0][0])
         raise NumericalOverflowError(f"{what} recursion overflowed at t={t}", t=t)
@@ -146,13 +145,10 @@ def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> Varianc
         raise DataError("eps contains non-finite values")
     if not (np.isfinite(h1) and h1 > 0.0):
         raise DataError(f"h1 must be a positive float, got {h1}")
-    if eps.size == 1:
-        h = np.array([float(h1)])
-    else:
-        x = params.omega + params.alpha * eps[:-1] ** 2
-        h = np.empty_like(eps)
-        h[0] = h1
-        h[1:] = _one_pole(x, params.beta, float(h1))
+    x = params.omega + params.alpha * eps[:-1] ** 2
+    h = np.empty_like(eps)
+    h[0] = h1
+    h[1:] = _one_pole(x, params.beta, float(h1))
     if not np.all(np.isfinite(h)):
         t = int(np.flatnonzero(~np.isfinite(h))[0])
         raise NumericalOverflowError(

@@ -146,38 +146,28 @@ def compare_graphs(
     e_obs = set(observed.edges)
     e_sim = set(simulated.edges)
     edge_jaccard = _jaccard(frozenset(e_obs), frozenset(e_sim))
-    c_sim = [frozenset(c) for c in simulated_cliques.cliques]
-    matched = 0
-    best: list[float] = []
-    for c in observed_cliques.cliques:
-        cs = frozenset(c)
-        if c_sim:
-            score = max(_jaccard(cs, s) for s in c_sim)
-        else:
-            score = 0.0
-        if any(cs == s for s in c_sim):
-            matched += 1
-        best.append(score)
+    c_obs = [frozenset(c) for c in observed_cliques.cliques]
+    c_sim = {frozenset(c) for c in simulated_cliques.cliques}
     return GraphComparison(
         edges_only_observed=tuple(sorted(e_obs - e_sim)),
         edges_only_simulated=tuple(sorted(e_sim - e_obs)),
         edge_jaccard=edge_jaccard,
-        cliques_matched=matched,
-        clique_best_jaccard=tuple(best),
+        cliques_matched=sum(c in c_sim for c in c_obs),
+        clique_best_jaccard=tuple(
+            max((_jaccard(c, s) for s in c_sim), default=0.0) for c in c_obs
+        ),
     )
 
 
 def graph_to_dot(graph: ThresholdGraph) -> str:
-    """Graphviz rendering; vertices in label order, edges lexicographic,
-    weights printed with four decimals."""
+    """Graphviz rendering; vertices in label order as quoted ids (a label's
+    '"' escaped), edges lexicographic, weights printed with four decimals."""
+    ids = ['"' + lab.replace('"', '\\"') + '"' for lab in graph.labels]
     lines = ["graph correlation {"]
-    for lab in graph.labels:
-        lines.append(f'  "{lab}";')
+    lines.extend(f"  {v};" for v in ids)
     for i, j in graph.edges:
         w = graph.weight(i, j)
-        lines.append(
-            f'  "{graph.labels[i]}" -- "{graph.labels[j]}" [weight="{w:.4f}"];'
-        )
+        lines.append(f'  {ids[i]} -- {ids[j]} [weight="{w:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

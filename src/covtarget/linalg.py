@@ -59,19 +59,26 @@ class CholFactor:
         return self.lower.shape[0]
 
 
-def _first_bad_pivot(a: np.ndarray) -> int:
-    # Textbook factorization re-run only on the error path, to locate the
-    # first non-positive pivot for diagnostics.
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - float(low[j, :j] @ low[j, :j])
-        if d <= 0.0 or not np.isfinite(d):
-            return j
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return n - 1
+def _factor(a: np.ndarray, what: str) -> CholFactor:
+    """Factor ``a`` (numpy reads its lower triangle). When numpy cannot,
+    raises NotPositiveDefiniteError naming ``what`` and the failing pivot:
+    the last index of the first leading block numpy cannot factor, found by
+    bisection, since every leading block of a PD block is PD."""
+    try:
+        lower = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        good, bad = 0, a.shape[0]  # orders of a leading block that factors, and one that does not
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                np.linalg.cholesky(a[:mid, :mid])
+                good = mid
+            except np.linalg.LinAlgError:
+                bad = mid
+        raise NotPositiveDefiniteError(
+            f"{what} is not positive definite (pivot {bad - 1})", pivot=bad - 1
+        ) from None
+    return CholFactor(lower=lower, logdet=2.0 * float(np.log(np.diag(lower)).sum()))
 
 
 def cholesky(m: np.ndarray) -> CholFactor:
@@ -80,16 +87,7 @@ def cholesky(m: np.ndarray) -> CholFactor:
     Raises NotPositiveDefiniteError (with the failing pivot index) when the
     matrix is not PD.
     """
-    a = symmetrize(m)
-    try:
-        lower = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pivot = _first_bad_pivot(a)
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (pivot {pivot})", pivot=pivot
-        ) from None
-    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    return CholFactor(lower=lower, logdet=logdet)
+    return _factor(symmetrize(m), "matrix")
 
 
 def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFactor]:
@@ -97,10 +95,7 @@ def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFacto
     a = symmetrize(m)
     if a.shape != (n, n):
         raise ShapeError(f"{what} must be ({n}, {n}), got {a.shape}")
-    try:
-        return a, cholesky(a)
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(f"{what}: {exc}", pivot=exc.pivot) from None
+    return a, _factor(a, f"{what}: matrix")
 
 
 def nearest_pd(m: np.ndarray) -> np.ndarray:
@@ -155,13 +150,7 @@ def stacked_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         lowers = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         for t in range(h.shape[0]):
-            try:
-                np.linalg.cholesky(h[t])
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefiniteError(
-                    f"matrix at time index {t} is not positive definite",
-                    pivot=_first_bad_pivot(0.5 * (h[t] + h[t].T)),
-                ) from None
+            _factor(h[t], f"matrix at time index {t}")
         raise  # unreachable: the stacked failure must reproduce at some t
     diags = np.diagonal(lowers, axis1=1, axis2=2)
     logdets = 2.0 * np.log(diags).sum(axis=1)

@@ -88,12 +88,14 @@ def simplex_vjp(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def simplex_unmap(w: np.ndarray) -> np.ndarray:
-    """Inverse of simplex_map; requires w strictly inside the simplex."""
+    """Inverse of simplex_map along the last axis; requires every point w
+    strictly inside the simplex, and names the first that is not."""
     w = np.asarray(w, dtype=float)
-    rest = 1.0 - float(w.sum())
-    if np.any(w <= 0.0) or rest <= 0.0:
+    rest = 1.0 - w.sum(axis=-1, keepdims=True)
+    bad = np.any(w <= 0.0, axis=-1) | (rest[..., 0] <= 0.0)
+    if np.any(bad):
         raise DataError(
-            f"point {w} is not strictly inside the open simplex"
+            f"point {w[bad][0]} is not strictly inside the open simplex"
         )
     return np.log(w / rest)
 

@@ -123,11 +123,10 @@ def bekk_document(
     target: TargetSpec | None,
 ) -> dict:
     """Fitted-model document for a diagonal BEKK (the params JSON schema)."""
-    rows, cols = np.tril_indices(params.n)
     return {
         "model": "bekk",
         "n": params.n,
-        "c_lower": [float(v) for v in params.c_lower[rows, cols]],
+        "c_lower": [float(v) for v in params.to_vector()[: -2 * params.n]],
         "a_diag": [float(v) for v in params.a_diag],
         "b_diag": [float(v) for v in params.b_diag],
         "target": _target_stub(target),

@@ -94,6 +94,19 @@ class TestDendrogram:
                 merges=((0, 1, 0.5), (2, 3, 0.1)),  # heights decrease
             )
 
+    @pytest.mark.parametrize(
+        "labels, merges, reused",
+        [
+            (("a", "b", "c"), ((0, 1, 0.1), (0, 2, 0.2)), 0),  # a leaf
+            (("a", "b", "c", "d"), ((0, 1, 0.1), (2, 4, 0.2), (3, 4, 0.3)), 4),
+        ],
+        ids=["leaf", "cluster"],
+    )
+    def test_rejects_an_id_merged_twice(self, labels, merges, reused):
+        # not a tree: a Newick rendering would drop a leaf
+        with pytest.raises(DataError, match=f"id {reused} is already merged"):
+            Dendrogram(labels=labels, merges=merges)
+
 
 class TestCompleteLinkage:
     def test_hand_example(self):
@@ -174,6 +187,17 @@ class TestCutTree:
             cut_tree(dend, 0)
         with pytest.raises(DataError):
             cut_tree(dend, 6)
+
+    @given(d=tied_distances())
+    @settings(max_examples=100, deadline=None)
+    def test_every_cut_numbers_k_clusters_by_smallest_leaf(self, d):
+        n = d.shape[0]
+        dend = complete_linkage(d, tuple(f"V{i}" for i in range(n)))
+        for k in range(1, n + 1):
+            assign = cut_tree(dend, k)
+            assert sorted(set(assign.tolist())) == list(range(k))
+            firsts = [int(np.flatnonzero(assign == c)[0]) for c in range(k)]
+            assert firsts == sorted(firsts)
 
     def test_ids_ordered_by_smallest_leaf(self):
         d = np.array([[0.0, 0.9, 0.1], [0.9, 0.0, 0.9], [0.1, 0.9, 0.0]])

@@ -341,6 +341,31 @@ class TestReturnsCsv:
         # the first block had reached the temporary file before the failure
         assert len(seen) == 1 and seen[0] > 0
 
+    def test_quoted_header_labels_round_trip(self, tmp_path):
+        path = write(tmp_path, "in.csv",
+                     '#returns\ndate,"A,B",C\n2020-01-02,0.1,0.2\n2020-01-03,0.3,0.4\n')
+        panel = load_panel(path)
+        assert panel.labels == ("A,B", "C")
+        write_returns_csv(panel, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes() == path.read_bytes()
+        labels = ('Q"R', "S\nT", "U V", "W\rX")
+        r = np.arange(8.0).reshape(2, 4)
+        write_returns_csv(ReturnPanel(labels=labels, returns=r), tmp_path / "r.csv")
+        text = (tmp_path / "r.csv").read_bytes().decode()
+        assert text.startswith('#returns\ndate,"Q""R","S\nT",U V,"W\rX"\n1970-01-02,0.0,')
+        back = load_panel(tmp_path / "r.csv")
+        assert back.labels == labels
+        assert np.array_equal(back.returns, r)
+
+    def test_never_touches_the_process_umask(self, tmp_path, monkeypatch):
+        # setting the umask, even to read it, races with other threads' files
+        def umask(mask):
+            raise AssertionError(f"os.umask({mask:#o}) called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        write_returns_csv(gaussian_panel(0, t_len=5, n=2), tmp_path / "r.csv")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
     @pytest.mark.parametrize(
         "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"]
     )

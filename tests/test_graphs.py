@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,15 @@ class TestSerialization:
             '  "BB" -- "CC" [weight="-0.6000"];\n'
             "}\n"
         )
+
+    def test_dot_escapes_quotes_in_labels(self):
+        labels = ('A"B', "C,D", 'E"')
+        c = np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.6], [0.0, 0.6, 1.0]])
+        dot = graph_to_dot(build_graph(c, labels, 0.5))
+        assert '  "A\\"B" -- "C,D" [weight="0.7500"];\n' in dot
+        # every DOT id reads back as its label, \" unescaped
+        ids = re.findall(r'"((?:[^"\\]|\\.)*)";', dot)
+        assert tuple(i.replace('\\"', '"') for i in ids) == labels
 
     def test_json_round_trip(self, rng):
         g = build_graph(random_sym(rng, 6), tuple("ABCDEF"), 0.4)

@@ -1,9 +1,10 @@
 """Source hygiene: every name a package module imports is used in it,
 every private module-level name is read somewhere in the package, every
 public module-level function and class is read by the package or the
-benchmark, no module imports scipy (the package runs on numpy alone), and
+benchmark, no module imports scipy (the package runs on numpy alone),
 no module calls numpy.linalg.inv (every inverse goes through a Cholesky
-factor).
+factor), and NotPositiveDefiniteError is constructed at one place in
+linalg.py (one factorization gate names every failing pivot).
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports, and ``covtarget.__all__`` must list exactly those), and so are
@@ -187,3 +188,37 @@ def test_no_module_calls_a_general_inverse():
     # linalg's module docstring: every inverse goes through a Cholesky factor
     for path in SOURCES:
         assert general_inverse_calls(path.read_text()) == [], path.name
+
+
+def constructions(source: str, cls: str) -> list[int]:
+    """Lines of ``source`` that call the class ``cls``: by its name, by a
+    name it is imported as, or as an attribute of a module."""
+    tree = ast.parse(source)
+    names = {cls}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name == cls and a.asname)
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Attribute) and node.func.attr == cls
+        )
+    )
+
+
+def test_constructions_are_found():
+    source = ("from .errors import NotPositiveDefiniteError as NPD\n"
+              "import covtarget.errors as errs\n"
+              "try:\n    f()\nexcept NotPositiveDefiniteError as exc:\n"
+              "    raise NotPositiveDefiniteError(str(exc))\n"
+              "NPD('a')\nerrs.NotPositiveDefiniteError('b')\n"
+              "isinstance(e, NotPositiveDefiniteError)\n")
+    assert constructions(source, "NotPositiveDefiniteError") == [6, 7, 8]
+
+
+def test_one_gate_constructs_not_positive_definite_errors():
+    # linalg's factorization gate: every pivot is found and worded one way
+    for path in MODULES:
+        found = constructions(path.read_text(), "NotPositiveDefiniteError")
+        assert len(found) == (path.name == "linalg.py"), path.name

@@ -72,8 +72,70 @@ class TestCholesky:
         assert err.value.pivot == 1
 
     def test_singular_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError) as err:
             cholesky(np.ones((3, 3)))
+        assert err.value.pivot == textbook_pivot(np.ones((3, 3))) == 1
+
+
+def textbook_pivot(a: np.ndarray) -> int:
+    """The first non-positive pivot of the textbook column-by-column
+    factorization of a symmetric matrix (n - 1 if there is none): the oracle
+    for the pivot that the factorization errors report."""
+    n = a.shape[0]
+    low = np.zeros_like(a)
+    for j in range(n):
+        d = a[j, j] - float(low[j, :j] @ low[j, :j])
+        if d <= 0.0 or not np.isfinite(d):
+            return j
+        low[j, j] = np.sqrt(d)
+        if j + 1 < n:
+            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    return n - 1
+
+
+@st.composite
+def planted_non_pd(draw):
+    """A symmetric (n, n) matrix, n in [1, 12], whose leading k x k block is
+    PD and whose leading (k + 1) x (k + 1) block is not: the Schur complement
+    at pivot k is planted at -c, c in [0.01, 1]. The entries outside that
+    block are arbitrary."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, n - 1))
+    c = draw(st.floats(0.01, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n))
+    a += a.T
+    a[:k, :k] = random_spd(rng, k)
+    col = a[:k, k]
+    a[k, k] = (col @ np.linalg.solve(a[:k, :k], col) if k else 0.0) - c
+    return a, k
+
+
+class TestFactorizationGate:
+    @given(case=planted_non_pd(), t=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_pivot_matches_the_textbook_oracle(self, case, t):
+        a, k = case
+        assert textbook_pivot(a) == k
+        with pytest.raises(NotPositiveDefiniteError, match=rf"\(pivot {k}\)$") as err:
+            cholesky(a)
+        assert err.value.pivot == k
+        stack = np.stack([np.eye(len(a))] * t + [a])
+        with pytest.raises(NotPositiveDefiniteError, match=rf"time index {t} ") as err:
+            stacked_cholesky(stack)
+        assert err.value.pivot == k
+
+    def test_messages_name_what_failed(self):
+        m = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(
+            NotPositiveDefiniteError, match=r"^matrix is not positive definite \(pivot 1\)$"
+        ):
+            cholesky(m)
+        with pytest.raises(
+            NotPositiveDefiniteError,
+            match=r"^matrix at time index 0 is not positive definite \(pivot 1\)$",
+        ):
+            stacked_cholesky(m[None])
 
 
 class TestNearestPd:
@@ -150,8 +212,9 @@ class TestStackedOps:
     def test_stacked_cholesky_reports_bad_index(self, rng):
         h = np.stack([random_spd(rng, 3) for _ in range(5)])
         h[3] = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError, match="time index 3"):
+        with pytest.raises(NotPositiveDefiniteError, match="time index 3") as err:
             stacked_cholesky(h)
+        assert err.value.pivot == textbook_pivot(h[3]) == 1
 
     def test_quad_logdet_matches_loop(self, rng):
         h = np.stack([random_spd(rng, 3) for _ in range(30)])

@@ -85,6 +85,18 @@ class TestSimplexMap:
         with pytest.raises(DataError):
             simplex_unmap(np.array([-0.1, 0.5]))
 
+    def test_unmap_along_the_last_axis(self, rng):
+        u = rng.standard_normal((6, 2)) * 3
+        w = simplex_map(u)
+        back = simplex_unmap(w)
+        assert back.shape == (6, 2)
+        assert np.allclose(back, u, atol=1e-10)
+        for w_i, back_i in zip(w, back):
+            assert np.array_equal(simplex_unmap(w_i), back_i)
+        w[4] = [0.6, 0.5]  # one row outside the simplex: the error names it
+        with pytest.raises(DataError, match=r"^point \[0\.6 0\.5\] is not strictly"):
+            simplex_unmap(w)
+
 
 class TestFdGradient:
     def test_matches_analytic_quadratic(self, rng):

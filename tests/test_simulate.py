@@ -17,6 +17,7 @@ from covtarget import (
     DataError,
     DccParams,
     Garch11Params,
+    NumericalOverflowError,
     bekk_simulate,
     dcc_simulate,
 )
@@ -124,6 +125,31 @@ def test_dcc_simulate_matches_the_loop(case, t_len, seed):
     params, mu = case
     panel = dcc_simulate(params, mu, t_len, seed)
     assert np.array_equal(panel.returns, dcc_simulate_loop(params, mu, t_len, seed))
+
+
+def test_overflow_names_the_first_non_finite_row():
+    # series A's variance recursion overflows float64 within a few steps
+    params = DccParams(
+        univariate=(Garch11Params(1e306, 0.3, 0.69), Garch11Params(1e-4, 0.05, 0.9)),
+        theta1=0.05, theta2=0.9, q_bar=np.eye(2),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = dcc_simulate_loop(params, np.zeros(2), 50, 0)
+        with pytest.raises(NumericalOverflowError) as err:
+            dcc_simulate(params, np.zeros(2), 50, 0)
+    t = int(np.argwhere(~np.isfinite(ref))[0][0])
+    assert 0 < t < 49
+    assert err.value.t == t
+    assert str(err.value) == f"simulation overflowed at t={t}"
+
+
+def test_finite_panel_with_bad_labels_is_a_data_error():
+    params = DccParams(
+        univariate=(Garch11Params(1e-4, 0.05, 0.9),) * 2,
+        theta1=0.05, theta2=0.9, q_bar=np.eye(2),
+    )
+    with pytest.raises(DataError, match="duplicate series labels"):
+        dcc_simulate(params, np.zeros(2), 50, 0, labels=("A", "A"))
 
 
 def simulator15(kind):
