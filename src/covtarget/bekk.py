@@ -35,7 +35,7 @@ import numpy as np
 from .data import ReturnPanel, _sim_panel, _sim_shocks
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
-from .linalg import _checked_pd, cholesky, gaussian_path_loglik
+from .linalg import _checked_pd, _tril, cholesky, gaussian_path_loglik
 from .optimize import (
     FitReport,
     OptimizerOptions,
@@ -110,7 +110,7 @@ class BekkParams:
 
     def to_vector(self) -> np.ndarray:
         """[row-major lower triangle of C, a_diag, b_diag]."""
-        rows, cols = np.tril_indices(self.n)
+        rows, cols = _tril(self.n)
         return np.concatenate([self.c_lower[rows, cols], self.a_diag, self.b_diag])
 
     @classmethod
@@ -127,7 +127,7 @@ def _vector_fields(x: np.ndarray, n: int) -> dict:
             f"parameter vector must have length {m + 2 * n}, got {x.shape}"
         )
     c = np.zeros((n, n))
-    c[np.tril_indices(n)] = x[:m]
+    c[_tril(n)] = x[:m]
     return dict(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
 
@@ -165,7 +165,7 @@ def _bekk_objective(eps, params, h1, target, grad):
     if not grad:
         return const + gaussian_path_loglik(h, eps, p)
     value, g = gaussian_path_loglik(h, eps, p, grad=True)
-    b, (rows, cols) = params.b_diag, np.tril_indices(n)
+    b, (rows, cols) = params.b_diag, _tril(n)
     lam = _one_pole_adjoint(g[1:, rows, cols], b[rows] * b[cols])
     sums = np.empty((3, n, n))
     sums[:, rows, cols] = sums[:, cols, rows] = [
@@ -221,7 +221,7 @@ class _BekkTransform:
     def __init__(self, n: int):
         self.n = n
         self.m = n * (n + 1) // 2
-        rows, self._cols = np.tril_indices(n)
+        rows, self._cols = _tril(n)
         self._is_diag = rows == self._cols
 
     def _c_entries(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ import csv
 import datetime as dt
 import io
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -195,6 +196,25 @@ def _parse_rows(
     return dates, np.asarray(values, dtype=float)
 
 
+# One cell of a CSV record as csv reads it: opened by a quote (its quotes
+# doubled, anything after the closing quote kept) or plain up to a comma.
+_CSV_CELL = re.compile(r'"((?:[^"]|"")*)"([^,]*)|([^,]*)')
+
+
+def _header_labels(record: str) -> tuple[str, ...]:
+    """The series labels of a header record's text: the cells after the
+    first, a cell opened by a quote taken exactly as quoted, any other
+    stripped of surrounding whitespace."""
+    record = record.rstrip("\r\n")
+    cells, at = [], 0
+    while at <= len(record):
+        m = _CSV_CELL.match(record, at)
+        quoted, tail, plain = m.groups()
+        cells.append(plain.strip() if plain is not None else quoted.replace('""', '"') + tail)
+        at = m.end() + 1
+    return tuple(cells[1:])
+
+
 def load_panel(path: str | Path) -> ReturnPanel:
     """Load a panel file as a ReturnPanel, rows sorted by date. The layout
     is the first CSV cell of line 1: a returns panel is loaded as-is, and a
@@ -202,20 +222,22 @@ def load_panel(path: str | Path) -> ReturnPanel:
     the later row."""
     path = str(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        record: list[str] = []  # the lines of the record last read
+        reader = csv.reader(record.append(line) or line for line in fh)
         try:
             first = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
         if is_returns:
+            record.clear()
             try:
                 first = next(reader)
             except StopIteration:
                 raise ParseError(f"{path}: missing header after sentinel") from None
         if not first or first[0].strip().lower() != "date":
             raise ParseError(f"{path}: first header column must be 'date'")
-        labels = tuple(c.strip() for c in first[1:])
+        labels = _header_labels("".join(record))
         _check_labels(labels)
         dates, values = _parse_rows(fh.read(), labels, path, reader.line_num + 1)
     order = sorted(range(len(dates)), key=lambda i: dates[i])
@@ -314,8 +336,9 @@ _CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
 
 def _csv_cell(text: str) -> str:
     """``text`` as a CSV cell: quoted, its quotes doubled, when it holds a
-    delimiter, a quote or a line break."""
-    quote = any(ch in text for ch in ',"\r\n')
+    delimiter, a quote or a line break, or starts or ends with whitespace
+    (which load_panel strips from an unquoted label)."""
+    quote = text != text.strip() or any(ch in text for ch in ',"\r\n')
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 

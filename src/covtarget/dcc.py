@@ -50,7 +50,7 @@ from .garch import (
     garch11_filter,
     garch11_fit,
 )
-from .linalg import _checked_pd, gaussian_path_loglik, symmetrize
+from .linalg import _checked_pd, _tril, gaussian_path_loglik, symmetrize
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
 
@@ -192,7 +192,7 @@ def _dcc_objective(z, params, target, grad):
     if not grad:
         return gaussian_path_loglik(path.r, z, p)
     value, g = gaussian_path_loglik(path.r, z, p, grad=True)
-    q, rows, cols = path.q, *np.tril_indices(params.n)
+    q, rows, cols = path.q, *_tril(params.n)
     qd = np.diagonal(q, axis1=1, axis2=2)
     diag = rows == cols
     gq = 2.0 * g[:, rows, cols] / np.sqrt(qd[:, rows] * qd[:, cols])

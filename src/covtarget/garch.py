@@ -2,10 +2,13 @@
 
 The variance recursion h_t = omega + alpha * eps_{t-1}^2 + beta * h_{t-1}
 is a one-pole linear filter in h. Every such filter in the package runs
-through one scan, stepped in time order, so each path rounds exactly as the
-naive loop does. BEKK's H_t and DCC's Q_t share one symmetric matrix
-recursion on top of it, X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1},
-which scans the lower triangle and mirrors it.
+through one scan, _one_pole: stepped in time order for one or two entries
+per step (this recursion and its adjoint), rounding exactly as the naive
+loop does, and of log depth for wider rows, whose rounding differs from the
+loop's within a bound the tests state. BEKK's H_t and DCC's Q_t share one
+symmetric matrix recursion on top of it,
+X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1}, which scans the lower
+triangle and mirrors it.
 
 The score comes from the adjoint of that filter, which is the same filter
 run backwards in time (Fiorentini, Calzolari & Panattoni 1996): with
@@ -35,6 +38,7 @@ from .errors import (
     InsufficientDataError,
     NumericalOverflowError,
 )
+from .linalg import _tril
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -79,15 +83,21 @@ class VariancePath:
 
 
 # Rows of at most this many entries step on Python floats, one entry at a
-# time (~0.1 us per entry and step); wider rows step as numpy rows (~1-2 us
-# a step at any width).
-_FLOAT_ROW_MAX = 12
+# time (~0.1 us per entry and step); wider rows run the odd-even scan, about
+# 4 log2(T) numpy calls at any width. The two break even at three entries.
+_FLOAT_ROW_MAX = 2
 
 
 def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
-    """y_t = x_t + coef * y_{t-1} along axis 0, from y_{-1} = init, stepped
-    in time order. coef and init are scalars or have the shape of one x_t
-    (one pole and one start per entry)."""
+    """y_t = x_t + coef * y_{t-1} along axis 0, from y_{-1} = init. coef and
+    init are scalars or have the shape of one x_t (one pole and one start
+    per entry). Rows of at most _FLOAT_ROW_MAX entries step in time order,
+    bit for bit the naive loop. Wider rows run an odd-even scan (Kogge &
+    Stone 1973; Blelloch 1990): with init folded into row 0, the up-sweep
+    adds each even row, times the pole, into the odd row after it, leaving
+    at level k blocks of 2^k steps with pole coef^(2^k); the down-sweep,
+    coarsest level first, completes each even row from the prefix before it.
+    """
     t_len, shape = x.shape[0], x.shape[1:]
     width = math.prod(shape)
     rows = x.reshape(t_len, width)
@@ -100,12 +110,19 @@ def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
         ):
             y_j[:] = [p := v + c * p for v in memoryview(x_j)]
         return y.T.reshape(x.shape)
-    y = np.empty((t_len, width))
-    tmp = np.empty(width)
-    for x_t, y_t in zip(rows, y):
-        np.multiply(coef, prev, out=tmp)
-        np.add(x_t, tmp, out=y_t)
-        prev = y_t
+    y = rows.astype(float, order="C")
+    if t_len:
+        y[0] += coef * prev
+    tmp = np.empty((t_len // 2, width))
+    levels, v, c = [], y, coef
+    while len(v) > 1:
+        odd = v[1::2]
+        odd += np.multiply(c, v[:-1:2], out=tmp[: len(odd)])
+        levels.append((v, c))
+        v, c = odd, c * c
+    for v, c in reversed(levels):
+        even = v[2::2]
+        even += np.multiply(c, v[1:-1:2], out=tmp[: len(even)])
     return y.reshape(x.shape)
 
 
@@ -120,7 +137,7 @@ def _sym_one_pole(
     t_len, n = e.shape
     x = np.empty((t_len, n, n))
     x[0] = x1
-    rows, cols = np.tril_indices(n)
+    rows, cols = _tril(n)
     load, pole = (np.broadcast_to(v, (n, n))[rows, cols] for v in (load, pole))
     drive = omega[rows, cols] + load * (e[:-1, rows] * e[:-1, cols])
     x[1:, rows, cols] = x[1:, cols, rows] = _one_pole(drive, pole, x1[rows, cols])

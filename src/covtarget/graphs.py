@@ -161,8 +161,12 @@ def compare_graphs(
 
 def graph_to_dot(graph: ThresholdGraph) -> str:
     """Graphviz rendering; vertices in label order as quoted ids (a label's
-    '"' escaped), edges lexicographic, weights printed with four decimals."""
-    ids = ['"' + lab.replace('"', '\\"') + '"' for lab in graph.labels]
+    '\\' and '"' escaped with a backslash), edges lexicographic, weights
+    printed with four decimals."""
+    ids = [
+        '"' + lab.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        for lab in graph.labels
+    ]
     lines = ["graph correlation {"]
     lines.extend(f"  {v};" for v in ids)
     for i, j in graph.edges:

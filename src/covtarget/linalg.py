@@ -9,6 +9,7 @@ as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -18,6 +19,17 @@ from .errors import DataError, NotPositiveDefiniteError, ShapeError
 SYM_TOL = 1e-12
 # Smallest eigenvalue nearest_pd leaves in a repaired matrix.
 PD_FLOOR = 1e-8
+
+
+@cache
+def _tril(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n), the row-major lower-triangle layout of the
+    packed parameter vectors and the matrix recursions, built once per n
+    and read-only."""
+    idx = np.tril_indices(n)
+    for a in idx:
+        a.setflags(write=False)
+    return idx
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:

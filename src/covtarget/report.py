@@ -27,7 +27,7 @@ from .graphs import (
     graph_to_json,
     maximal_cliques,
 )
-from .linalg import _checked_pd, cholesky, frobenius_path_loss, kl_divergence
+from .linalg import _checked_pd, _tril, cholesky, frobenius_path_loss, kl_divergence
 from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target, check_delta
 
@@ -170,7 +170,7 @@ def params_from_document(doc: dict):
                     f"c_lower must have {m} entries for n={n}, got {flat.shape}"
                 )
             c = np.zeros((n, n))
-            c[np.tril_indices(n)] = flat
+            c[_tril(n)] = flat
             params = BekkParams(
                 c_lower=c,
                 a_diag=np.asarray(doc["a_diag"], dtype=float),

@@ -167,8 +167,9 @@ class TestFilter:
     def test_overflow_reports_position(self):
         p = bekk2()
         eps = np.vstack([np.ones((1, 2)), np.full((1, 2), 1e200), np.ones((2, 2))])
-        with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError):
+        with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as ei:
             bekk_filter(eps, p, np.eye(2))
+        assert ei.value.t == 2
 
 
 class TestLoglik:

@@ -357,6 +357,40 @@ class TestReturnsCsv:
         assert back.labels == labels
         assert np.array_equal(back.returns, r)
 
+    def test_unquoted_header_labels_are_stripped_and_quoted_ones_kept(self, tmp_path):
+        body = "2020-01-02,0.1,0.2,0.3\n2020-01-03,0.3,0.4,0.5\n"
+        path = write(tmp_path, "in.csv", '#returns\ndate, A,B ,"  C "\n' + body)
+        assert load_panel(path).labels == ("A", "B", "  C ")
+        path = write(tmp_path, "p.csv", 'date, A, B,\tC \n' + body)
+        assert load_panel(path).labels == ("A", "B", "C")
+        write_returns_csv(ReturnPanel(labels=(" A", "B\t", "\u00a0"), returns=np.eye(3)),
+                          tmp_path / "r.csv")
+        text = (tmp_path / "r.csv").read_text()
+        assert text.startswith('#returns\ndate," A","B\t","\u00a0"\n')
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        labels=st.lists(
+            st.text(
+                st.one_of(st.sampled_from(' ,"\r\n\t\x0b\x85\u2028'), st.characters(codec="utf-8")),
+                min_size=1, max_size=6,
+            ),
+            min_size=1, max_size=4, unique=True,
+        ),
+        t_len=st.integers(1, 5),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_every_label_and_value_round_trips(self, labels, t_len, seed):
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal((t_len, len(labels))) * 10.0 ** rng.integers(-300, 300, len(labels))
+        r[0, 0] = -0.0
+        panel = ReturnPanel(labels=tuple(labels), returns=r)
+        with tempfile.TemporaryDirectory() as d:
+            write_returns_csv(panel, Path(d) / "r.csv")
+            back = load_panel(Path(d) / "r.csv")
+        assert back.labels == panel.labels
+        assert back.returns.tobytes() == panel.returns.tobytes()
+
     def test_never_touches_the_process_umask(self, tmp_path, monkeypatch):
         # setting the umask, even to read it, races with other threads' files
         def umask(mask):

@@ -8,6 +8,7 @@ from covtarget import (
     DccParams,
     EstimationError,
     Garch11Params,
+    NumericalOverflowError,
     OptimizerOptions,
     ReturnPanel,
     ShapeError,
@@ -114,6 +115,15 @@ class TestFilter:
             z = rng.standard_normal((10, 3))
             z[4, 0] = np.nan
             dcc_filter(z, p)
+
+    @pytest.mark.parametrize("t_len, row", [(4, 1), (40, 17)])
+    def test_overflow_reports_position(self, rng, t_len, row):
+        z = rng.standard_normal((t_len, 3))
+        z[row] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as ei:
+            dcc_filter(z, dcc3())
+        assert ei.value.t == row + 1
+        assert str(ei.value) == f"quasi-correlation recursion overflowed at t={row + 1}"
 
 
 class TestStage1:

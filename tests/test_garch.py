@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -120,23 +123,101 @@ def adjoint_oracle(g, coef):
     return lam
 
 
+# Unit roundoff of float64, and the constant of the error bound below.
+U = 2.0**-53
+BOUND_K = 4
+
+
+def exact_one_pole(x, coef, init):
+    """The closed form y_t = sum_{k<=t} coef^k x_{t-k} + coef^(t+1) init,
+    evaluated exactly in Fractions (every float is a dyadic rational), and
+    the error scale sum_k (k + 1 + ceil(log2 T)) |coef|^k |x_{t-k}| with
+    init standing as x_{-1}.
+
+    Stepping in time order rounds the term x_{t-k} through k products and
+    k + 1 sums, under 2 (k + 1) u relative; the odd-even scan through at
+    most 2 ceil(log2 T) sums and products plus a power coef^k formed by
+    repeated squaring, under (k + 4 ceil(log2 T)) u. Both stay below
+    BOUND_K u times the scale, entry by entry (to first order in u)."""
+    shape = x.shape[1:]
+    coef = np.broadcast_to(coef, shape).astype(float)
+    init = np.broadcast_to(init, shape).astype(float)
+
+    def frac(a):
+        return np.array([Fraction(v) for v in a.ravel()], dtype=object).reshape(shape)
+
+    c, y = frac(coef), frac(init)
+    depth = 1 + math.ceil(math.log2(max(x.shape[0], 1)))
+    exact = np.empty(x.shape, dtype=object)
+    scale = np.empty(x.shape)
+    s0, s1 = np.abs(init), np.zeros(shape)  # sum |c|^k |x_{t-k}|, and k times it
+    for t, x_t in enumerate(x):
+        y = frac(x_t) + c * y
+        exact[t] = y
+        s1 = np.abs(coef) * (s1 + s0)
+        s0 = np.abs(x_t) + np.abs(coef) * s0
+        scale[t] = s1 + depth * s0
+    return exact, scale
+
+
+def bound_ratio(y, exact, scale):
+    """Largest |y - exact| / (u * scale) over all entries."""
+    if y.size == 0:
+        return 0.0
+    yf = np.array([Fraction(v) for v in y.ravel()], dtype=object).reshape(y.shape)
+    err = np.array(abs(yf - exact), dtype=float)
+    return float(np.max(err / (U * scale)))
+
+
+def odd_even_scan(x, coef, init, next_pole=lambda c: c * c, skip=(), lag=1):
+    """The odd-even scan written out, for mutation: next_pole gives a
+    level's pole from the one below, down-sweep levels in ``skip`` are left
+    out, and each even row is completed from the row ``lag`` before it."""
+    t_len, width = x.shape[0], math.prod(x.shape[1:])
+    c = np.broadcast_to(coef, x.shape[1:]).reshape(width).astype(float)
+    v = x.reshape(t_len, width).astype(float)
+    if t_len:
+        v[0] += c * np.broadcast_to(init, x.shape[1:]).reshape(width)
+    y, levels = v, []
+    while len(v) > 1:
+        v[1::2] += c * v[:-1:2]
+        levels.append((v, c))
+        v, c = v[1::2], next_pole(c)
+    for k in reversed(range(len(levels))):
+        if k not in skip:
+            v, c = levels[k]
+            v[2::2] += c * v[2 - lag : len(v) - lag : 2]
+    return y.reshape(x.shape)
+
+
+MUTANTS = {
+    "level pole coef^3": dict(next_pole=lambda c: c**3),
+    "finest down-sweep level skipped": dict(skip={0}),
+    "down-sweep off by one row": dict(lag=2),
+}
+
+
 @st.composite
-def scan_inputs(draw):
-    """A scalar series, a row with one pole per entry, or a stack of square
-    matrices sharing one pole; widths on both sides of _FLOAT_ROW_MAX."""
-    kind = draw(st.sampled_from(["scalar", "per_entry", "shared"]))
-    if kind == "scalar":
-        shape = ()
-    elif kind == "per_entry":
-        shape = (draw(st.integers(1, 2 * _FLOAT_ROW_MAX + 3)),)
+def scan_inputs(draw, narrow):
+    """A drive, poles and starts. ``narrow``: a scalar series or a row of
+    one or two entries, the widths stepped on floats; otherwise a row of 3
+    to 24 entries or a stack of square matrices, the widths scanned. Poles
+    are one per entry, and may be negative, or shared; T runs from 0 to 80,
+    through seven scan levels."""
+    if narrow:
+        shape = draw(st.sampled_from([(), (1,), (_FLOAT_ROW_MAX,)]))
     else:
-        n = draw(st.integers(1, 5))
-        shape = (n, n)
+        shape = draw(
+            st.one_of(
+                st.tuples(st.integers(_FLOAT_ROW_MAX + 1, 24)),
+                st.integers(2, 5).map(lambda n: (n, n)),
+            )
+        )
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     scale = 10.0 ** draw(st.integers(-8, 2))
-    x = rng.standard_normal((draw(st.integers(0, 40)), *shape)) * scale
-    if kind == "per_entry":
-        coef = rng.uniform(0.0, 0.999, shape)
+    x = rng.standard_normal((draw(st.integers(0, 80)), *shape)) * scale
+    if shape and draw(st.booleans()):
+        coef = rng.uniform(-0.999, 0.999, shape)
     else:
         coef = float(rng.uniform(0.0, 0.999))
     return x, coef, rng.standard_normal(shape) * scale
@@ -150,7 +231,7 @@ def sym_inputs(draw):
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     scale = 10.0 ** draw(st.integers(-8, 2))
-    e = rng.standard_normal((draw(st.integers(1, 40)), n)) * np.sqrt(scale)
+    e = rng.standard_normal((draw(st.integers(1, 60)), n)) * np.sqrt(scale)
 
     def sym():
         a = rng.standard_normal((n, n))
@@ -166,8 +247,8 @@ def sym_inputs(draw):
 
 class TestOnePoleScan:
     @settings(max_examples=60, deadline=None)
-    @given(scan_inputs())
-    def test_matches_step_by_step_loop_bit_for_bit(self, case):
+    @given(scan_inputs(narrow=True))
+    def test_narrow_rows_match_step_by_step_loop_bit_for_bit(self, case):
         x, coef, init = case
         y = _one_pole(x, coef, init)
         lam = _one_pole_adjoint(x, coef)
@@ -178,14 +259,48 @@ class TestOnePoleScan:
         assert np.array_equal(lam.view(np.int64), want)
 
     @settings(max_examples=60, deadline=None)
+    @given(scan_inputs(narrow=False))
+    def test_wide_rows_are_within_the_bound_of_the_exact_sum(self, case):
+        x, coef, init = case
+        y = _one_pole(x, coef, init)
+        lam = _one_pole_adjoint(x, coef)
+        assert y.shape == lam.shape == x.shape
+        assert bound_ratio(y, *exact_one_pole(x, coef, init)) <= BOUND_K
+        exact, scale = exact_one_pole(x[::-1], coef, 0.0)
+        assert bound_ratio(lam[::-1], exact, scale) <= BOUND_K
+
+    @settings(max_examples=30, deadline=None)
+    @given(scan_inputs(narrow=False))
+    def test_bound_holds_for_the_step_by_step_loop(self, case):
+        x, coef, init = case
+        exact, scale = exact_one_pole(x, coef, init)
+        assert bound_ratio(scan_oracle(x, coef, init), exact, scale) <= BOUND_K
+        assert bound_ratio(odd_even_scan(x, coef, init), exact, scale) <= BOUND_K
+
+    @pytest.mark.parametrize("mutant", sorted(MUTANTS))
+    def test_bound_fails_for_mutated_scans(self, mutant):
+        rng = np.random.default_rng(5)
+        for t_len in (4, 9, 37, 80):
+            x = rng.standard_normal((t_len, 5))
+            coef, init = rng.uniform(0.2, 0.95, 5), rng.standard_normal(5)
+            exact, scale = exact_one_pole(x, coef, init)
+            assert bound_ratio(odd_even_scan(x, coef, init), exact, scale) <= BOUND_K
+            y = odd_even_scan(x, coef, init, **MUTANTS[mutant])
+            assert bound_ratio(y, exact, scale) > 1e6 * BOUND_K
+
+    @settings(max_examples=60, deadline=None)
     @given(sym_inputs())
-    def test_symmetric_recursion_matches_step_by_step_loop_bit_for_bit(self, case):
+    def test_symmetric_recursion_is_within_the_bound_of_the_exact_sum(self, case):
         e, omega, load, pole, x1 = case
         x = _sym_one_pole(e, omega, load, pole, x1, "test")
-        # every entry of the matrix, not just the scanned lower triangle
+        assert np.array_equal(x[0].view(np.int64), x1.view(np.int64))
+        # the upper triangle mirrors the scanned lower one exactly
+        assert np.array_equal(x.view(np.int64), x.transpose(0, 2, 1).view(np.int64))
         drive = omega + load * (e[:-1, :, None] * e[:-1, None, :])
-        want = np.concatenate([x1[None], scan_oracle(drive, pole, x1)])
-        assert np.array_equal(x.view(np.int64), want.view(np.int64))
+        rows, cols = np.tril_indices(e.shape[1])
+        pole = np.broadcast_to(pole, omega.shape)[rows, cols]
+        exact, scale = exact_one_pole(drive[:, rows, cols], pole, x1[rows, cols])
+        assert bound_ratio(x[1:, rows, cols], exact, scale) <= BOUND_K
 
 
 class TestLoglik:

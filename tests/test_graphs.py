@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
     CovTargetError,
@@ -215,6 +217,25 @@ class TestCompare:
             compare(a, c)
 
 
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+
+
+def dot_document(dot):
+    """(vertex ids, edge id pairs) of a graph_to_dot document, each id
+    unescaped; fails unless every line is the header, a vertex, an edge or
+    the closing brace, with each id one well-formed DOT quoted string."""
+    lines = dot.split("\n")
+    assert lines[0] == "graph correlation {" and lines[-2:] == ["}", ""]
+    ids, edges = [], []
+    for line in lines[1:-2]:
+        vertex = re.fullmatch(f"  {DOT_ID};", line)
+        edge = re.fullmatch(f'  {DOT_ID} -- {DOT_ID} \\[weight="-?\\d+\\.\\d{{4}}"\\];', line)
+        assert vertex or edge, line
+        unescaped = tuple(re.sub(r"\\(.)", r"\1", i) for i in (vertex or edge).groups())
+        (ids.extend if vertex else edges.append)(unescaped)
+    return tuple(ids), edges
+
+
 class TestSerialization:
     def test_dot_golden(self):
         c = np.array([[1.0, 0.75, 0.0], [0.75, 1.0, -0.6], [0.0, -0.6, 1.0]])
@@ -234,9 +255,35 @@ class TestSerialization:
         c = np.array([[1.0, 0.75, 0.0], [0.75, 1.0, 0.6], [0.0, 0.6, 1.0]])
         dot = graph_to_dot(build_graph(c, labels, 0.5))
         assert '  "A\\"B" -- "C,D" [weight="0.7500"];\n' in dot
-        # every DOT id reads back as its label, \" unescaped
-        ids = re.findall(r'"((?:[^"\\]|\\.)*)";', dot)
-        assert tuple(i.replace('\\"', '"') for i in ids) == labels
+        assert dot_document(dot)[0] == labels
+
+    def test_dot_escapes_backslashes_in_labels(self):
+        dot = graph_to_dot(build_graph(np.eye(2), ("A\\", "B"), 0.5))
+        assert '  "A\\\\";\n  "B";\n' in dot
+        assert dot_document(dot)[0] == ("A\\", "B")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(
+                st.one_of(
+                    st.sampled_from('\\"'), st.characters().filter(str.isprintable)
+                ),
+                min_size=1,
+                max_size=8,
+            ),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    def test_every_dot_id_unescapes_to_its_label(self, labels):
+        n = len(labels)
+        corr = np.full((n, n), 0.9)
+        np.fill_diagonal(corr, 1.0)
+        ids, edges = dot_document(graph_to_dot(build_graph(corr, tuple(labels), 0.5)))
+        assert ids == tuple(labels)
+        assert edges == [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
 
     def test_json_round_trip(self, rng):
         g = build_graph(random_sym(rng, 6), tuple("ABCDEF"), 0.4)
