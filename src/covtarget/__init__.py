@@ -55,7 +55,6 @@ from .garch import (
     garch11_loglik,
 )
 from .graphs import (
-    CliqueSet,
     GraphComparison,
     ThresholdGraph,
     build_graph,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BekkParams",
     "CholFactor",
-    "CliqueSet",
     "CorrPath",
     "CovTargetError",
     "DataError",

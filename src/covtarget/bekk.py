@@ -161,7 +161,7 @@ def _bekk_objective(eps, params, h1, target, grad):
     h = bekk_filter(eps, params, h1)
     t_len, n = eps.shape
     const = -0.5 * t_len * n * _LOG_2PI
-    p = None if target is None else target.sigma_hat
+    p = None if target is None else (target.sigma_hat, target.sigma_logdet)
     if not grad:
         return const + gaussian_path_loglik(h, eps, p)
     value, g = gaussian_path_loglik(h, eps, p, grad=True)

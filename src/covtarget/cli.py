@@ -26,7 +26,7 @@ from .data import (
     ReturnPanel, check_sim_len, load_panel, sample_moments, write_returns_csv,
     write_text_atomic,
 )
-from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError
+from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError, ParseError
 from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, maximal_cliques
 from .optimize import OptimizerOptions
 from .report import (
@@ -100,9 +100,11 @@ def cmd_cliques(args: argparse.Namespace) -> int:
     source = _require_input(args)
     if source.endswith(".json"):
         try:
-            doc = json.loads(Path(source).read_text())
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read graph document {source}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
         graph = graph_from_json(doc)
     else:
         panel = load_panel(source)
@@ -112,8 +114,8 @@ def cmd_cliques(args: argparse.Namespace) -> int:
     doc = {
         "delta": graph.delta,
         "labels": list(graph.labels),
-        "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
-        "orders": list(cliques.orders()),
+        "cliques": [[graph.labels[v] for v in c] for c in cliques],
+        "orders": [len(c) for c in cliques],
     }
     write_text_atomic(Path(args.out_dir) / "cliques.json", render_json(doc))
     if args.format == "json":
@@ -154,9 +156,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
 def _params_document(path: Path) -> dict:
     """The params document at ``path``, checked by params_from_document."""
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"missing params file {path} (run fit first): {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed params file {path}: {exc}") from exc
     params_from_document(doc)
@@ -181,13 +185,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     panel, config = _load_run(args, args.sim_len)
     report = run_evaluation(panel, config)
     out = Path(args.out_dir)
-    write_text_atomic(out / "report.json", report.to_json())
+    text = report.to_json()
+    write_text_atomic(out / "report.json", text)
     for kind in config.models:
         write_text_atomic(
             out / f"params.{kind}.json",
             render_json(report.doc["models"][kind]["params"]),
         )
-    sys.stdout.write(report.to_json() if args.format == "json" else report.to_text())
+    sys.stdout.write(text if args.format == "json" else report.to_text())
     return 0
 
 
@@ -262,8 +267,8 @@ def _config_flags(path: str, command: Command) -> list[str]:
     ``--key=value`` flags."""
     flags = []
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -66,9 +66,6 @@ class Dendrogram:
     def n(self) -> int:
         return len(self.labels)
 
-    def heights(self) -> tuple[float, ...]:
-        return tuple(h for _, _, h in self.merges)
-
 
 def corr_distance(corr: np.ndarray) -> np.ndarray:
     """Distance d_ij = 1 - rho_ij of a matrix that passes

@@ -120,10 +120,6 @@ class SampleMoments:
         object.__setattr__(self, "corr", _readonly(self.corr))
         object.__setattr__(self, "gamma", _readonly(self.gamma))
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
 
 # The characters of a body of ISO dates and plain decimal numbers. On such
 # text no csv quoting can occur, and numpy's C number parser accepts exactly
@@ -216,30 +212,33 @@ def _header_labels(record: str) -> tuple[str, ...]:
 
 
 def load_panel(path: str | Path) -> ReturnPanel:
-    """Load a panel file as a ReturnPanel, rows sorted by date. The layout
-    is the first CSV cell of line 1: a returns panel is loaded as-is, and a
-    price panel becomes its log returns r_t = log(p_t / p_{t-1}), dated by
-    the later row."""
+    """Load a UTF-8 panel file as a ReturnPanel, rows sorted by date. The
+    layout is the first CSV cell of line 1: a returns panel is loaded as-is,
+    and a price panel becomes its log returns r_t = log(p_t / p_{t-1}),
+    dated by the later row."""
     path = str(path)
-    with open(path, newline="") as fh:
-        record: list[str] = []  # the lines of the record last read
-        reader = csv.reader(record.append(line) or line for line in fh)
-        try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
-        if is_returns:
-            record.clear()
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            record: list[str] = []  # the lines of the record last read
+            reader = csv.reader(record.append(line) or line for line in fh)
             try:
                 first = next(reader)
             except StopIteration:
-                raise ParseError(f"{path}: missing header after sentinel") from None
-        if not first or first[0].strip().lower() != "date":
-            raise ParseError(f"{path}: first header column must be 'date'")
-        labels = _header_labels("".join(record))
-        _check_labels(labels)
-        dates, values = _parse_rows(fh.read(), labels, path, reader.line_num + 1)
+                raise ParseError(f"{path}: empty file") from None
+            is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
+            if is_returns:
+                record.clear()
+                try:
+                    first = next(reader)
+                except StopIteration:
+                    raise ParseError(f"{path}: missing header after sentinel") from None
+            if not first or first[0].strip().lower() != "date":
+                raise ParseError(f"{path}: first header column must be 'date'")
+            labels = _header_labels("".join(record))
+            _check_labels(labels)
+            dates, values = _parse_rows(fh.read(), labels, path, reader.line_num + 1)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     order = sorted(range(len(dates)), key=lambda i: dates[i])
     dates = tuple(dates[i] for i in order)
     for a, b in zip(dates, dates[1:]):
@@ -365,16 +364,16 @@ def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
 
 
 def write_text_atomic(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write text, whole or as an iterable of chunks, via a temp file +
-    rename so readers never see partial output; the file gets the mode
-    open() would give it, 0o666 less the umask."""
+    """Write text, whole or as an iterable of chunks, as UTF-8 via a temp
+    file + rename so readers never see partial output; the file gets the
+    mode open() would give it, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
     # a new file (O_EXCL) created 0o666: the kernel applies the umask itself
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, str(path))
     except BaseException:

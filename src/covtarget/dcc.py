@@ -188,7 +188,7 @@ def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
 def _dcc_objective(z, params, target, grad):
     z = np.asarray(z, dtype=float)
     path = dcc_filter(z, params)
-    p = None if target is None else target.z_hat_pd
+    p = None if target is None else (target.z_hat_pd, target.z_logdet)
     if not grad:
         return gaussian_path_loglik(path.r, z, p)
     value, g = gaussian_path_loglik(path.r, z, p, grad=True)

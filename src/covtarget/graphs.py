@@ -7,7 +7,7 @@ and therefore independent of pivot choices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,21 +20,21 @@ class ThresholdGraph:
     """Undirected graph of surviving correlations at a threshold.
 
     adjacency holds the surviving correlation weights (zero elsewhere, unit
-    diagonal); edges are (i, j) with i < j in lexicographic order.
+    diagonal); edges, derived from it, are the (i, j) with i < j and a
+    nonzero weight, in lexicographic order.
     """
 
     labels: tuple[str, ...]
     delta: float
     adjacency: np.ndarray
-    edges: tuple[tuple[int, int], ...]
+    edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         a = np.array(self.adjacency, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
-        object.__setattr__(
-            self, "edges", tuple((int(i), int(j)) for i, j in self.edges)
-        )
+        rows, cols = np.nonzero(np.triu(a, 1))  # row-major: sorted by i, then j
+        object.__setattr__(self, "edges", tuple(zip(rows.tolist(), cols.tolist())))
 
     @property
     def n(self) -> int:
@@ -54,40 +54,13 @@ def build_graph(corr: np.ndarray, labels: tuple[str, ...], delta: float) -> Thre
     n = adj.shape[0]
     if len(labels) != n:
         raise DataError(f"{len(labels)} labels for a {n}x{n} correlation matrix")
-    rows, cols = np.nonzero(np.triu(adj, 1))  # row-major: sorted by i, then j
-    edges = tuple(zip(rows.tolist(), cols.tolist()))
-    return ThresholdGraph(
-        labels=tuple(labels), delta=float(delta), adjacency=adj, edges=edges
-    )
+    return ThresholdGraph(labels=tuple(labels), delta=float(delta), adjacency=adj)
 
 
-@dataclass(frozen=True)
-class CliqueSet:
-    """Canonically ordered maximal cliques: each clique is a sorted vertex
-    tuple, and cliques are sorted lexicographically."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "cliques",
-            tuple(tuple(int(v) for v in c) for c in self.cliques),
-        )
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cliques)
-
-    def as_labels(self, labels: tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(labels[v] for v in c) for c in self.cliques)
-
-
-def maximal_cliques(graph: ThresholdGraph) -> CliqueSet:
+def maximal_cliques(graph: ThresholdGraph) -> tuple[tuple[int, ...], ...]:
     """Enumerate all maximal cliques (isolated vertices count as cliques of
-    order one)."""
+    order one) in canonical order: each clique a sorted vertex tuple, the
+    cliques sorted lexicographically."""
     nbrs = [graph.neighbors(v) for v in range(graph.n)]
     out: list[tuple[int, ...]] = []
 
@@ -104,7 +77,7 @@ def maximal_cliques(graph: ThresholdGraph) -> CliqueSet:
             x.add(v)
 
     expand(set(), set(range(graph.n)), set())
-    return CliqueSet(cliques=tuple(sorted(out)))
+    return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -132,8 +105,8 @@ def _jaccard(a: frozenset, b: frozenset) -> float:
 def compare_graphs(
     observed: ThresholdGraph,
     simulated: ThresholdGraph,
-    observed_cliques: CliqueSet,
-    simulated_cliques: CliqueSet,
+    observed_cliques: tuple[tuple[int, ...], ...],
+    simulated_cliques: tuple[tuple[int, ...], ...],
 ) -> GraphComparison:
     """Compare two graphs built over the same labels and threshold, given
     each graph's maximal_cliques."""
@@ -146,8 +119,8 @@ def compare_graphs(
     e_obs = set(observed.edges)
     e_sim = set(simulated.edges)
     edge_jaccard = _jaccard(frozenset(e_obs), frozenset(e_sim))
-    c_obs = [frozenset(c) for c in observed_cliques.cliques]
-    c_sim = {frozenset(c) for c in simulated_cliques.cliques}
+    c_obs = [frozenset(c) for c in observed_cliques]
+    c_sim = {frozenset(c) for c in simulated_cliques}
     return GraphComparison(
         edges_only_observed=tuple(sorted(e_obs - e_sim)),
         edges_only_simulated=tuple(sorted(e_sim - e_obs)),

@@ -186,11 +186,12 @@ def _lower_inverse(lowers: np.ndarray) -> np.ndarray:
 def gaussian_path_loglik(
     h: np.ndarray,
     x: np.ndarray,
-    target: np.ndarray | None = None,
+    target: tuple[np.ndarray, float] | None = None,
     grad: bool = False,
 ):
     """Gaussian kernel of a (T, N, N) covariance stack against (T, N)
-    vectors, optionally penalized by a target P:
+    vectors, optionally penalized by a target given as the pair
+    (P, log|P|), P symmetric PD as targeting.TargetSpec checks it:
 
         value = -1/2 sum_t (log|H_t| + x_t' H_t^{-1} x_t) - sum_t KL(P, H_t)
 
@@ -213,9 +214,11 @@ def gaussian_path_loglik(
     ld = float(logdets.sum())
     value = -0.5 * (ld + float((x * hx).sum()))
     if target is not None:
-        p, cp = _checked_pd(target, n, "target")
+        p, p_logdet = target
+        if p.shape != (n, n):
+            raise ShapeError(f"target must be ({n}, {n}), got {p.shape}")
         trace = float((hinv * p).sum())  # sum_t Tr(H_t^{-1} P)
-        value -= 0.5 * (ld - t_len * cp.logdet + trace - t_len * n)
+        value -= 0.5 * (ld - t_len * p_logdet + trace - t_len * n)
     if not grad:
         return value
     g = hx[:, :, None] * hx[:, None, :]

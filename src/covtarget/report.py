@@ -20,7 +20,6 @@ from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
 from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
 from .garch import MIN_OBS, Garch11Params
 from .graphs import (
-    CliqueSet,
     ThresholdGraph,
     build_graph,
     compare_graphs,
@@ -212,10 +211,10 @@ def simulate_document(
     return dcc_simulate(params, mu, t_len, seed, labels=labels)
 
 
-def _graph_block(graph: ThresholdGraph, cliques: CliqueSet) -> dict:
+def _graph_block(graph: ThresholdGraph, cliques: tuple[tuple[int, ...], ...]) -> dict:
     return {
         "graph": graph_to_json(graph),
-        "cliques": [list(c) for c in cliques.as_labels(graph.labels)],
+        "cliques": [[graph.labels[v] for v in c] for c in cliques],
     }
 
 
@@ -279,7 +278,7 @@ def evaluate_model(
     panel: ReturnPanel,
     setup: tuple,
     observed_graph: ThresholdGraph,
-    observed_cliques: CliqueSet,
+    observed_cliques: tuple[tuple[int, ...], ...],
     config: RunConfig,
 ) -> dict:
     """Fit one model kind and assemble its report block."""

@@ -134,7 +134,7 @@ def test_ac02_clique_enumeration_vs_brute_force():
         g = build_graph(
             c, tuple(f"V{i}" for i in range(n)), float(rng.uniform(0.1, 0.9))
         )
-        assert maximal_cliques(g).cliques == _brute_cliques(g.adjacency)
+        assert maximal_cliques(g) == _brute_cliques(g.adjacency)
         checked += 1
     elapsed = time.perf_counter() - t0
     ok = checked == 100 and elapsed < 30.0
@@ -143,10 +143,10 @@ def test_ac02_clique_enumeration_vs_brute_force():
 
 def test_ac03_observed_market_structures():
     t0 = time.perf_counter()
-    got5_50 = maximal_cliques(build_graph(CORR5, LABELS5, 0.5)).cliques
-    got5_71 = maximal_cliques(build_graph(CORR5, LABELS5, 0.71)).cliques
-    got8_50 = maximal_cliques(build_graph(CORR8, LABELS8, 0.5)).cliques
-    got15_50 = maximal_cliques(build_graph(CORR15, LABELS15, 0.5)).cliques
+    got5_50 = maximal_cliques(build_graph(CORR5, LABELS5, 0.5))
+    got5_71 = maximal_cliques(build_graph(CORR5, LABELS5, 0.71))
+    got8_50 = maximal_cliques(build_graph(CORR8, LABELS8, 0.5))
+    got15_50 = maximal_cliques(build_graph(CORR15, LABELS15, 0.5))
     elapsed = time.perf_counter() - t0
     ok = (
         got5_50 == CLIQUES5_D50
@@ -393,7 +393,7 @@ def test_ac10_invariance_suite():
         dend = complete_linkage(
             corr_distance(corr), tuple(f"V{i}" for i in range(corr.shape[0]))
         )
-        h = np.array(dend.heights())
+        h = np.array([m[2] for m in dend.merges])
         monotone = monotone and bool(np.all(np.diff(h) >= -1e-12))
 
     elapsed = time.perf_counter() - t0

@@ -15,6 +15,7 @@ from covtarget import (
     BekkParams,
     DccParams,
     Garch11Params,
+    ReturnPanel,
     bekk_simulate,
     kl_divergence,
     load_panel,
@@ -182,6 +183,21 @@ class TestDataErrors:
         )
         assert rc == 3
         assert "bad.csv" in err
+
+    @pytest.mark.parametrize("name, argv, code", [
+        ("panel.csv", ["cliques", "--input", "{path}"], 3),
+        ("graph.json", ["cliques", "--input", "{path}"], 3),
+        ("params.bekk.json", ["simulate", "--model", "bekk", "--sim-len", "50"], 3),
+        ("run.cfg", ["graph", "--config", "{path}"], 2),
+    ])
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path, name, argv, code):
+        # a data file names itself in a parse error; a config file is a usage error
+        path = tmp_path / name
+        path.write_bytes(b"date,\xe9,B\n")
+        argv = [a.format(path=path) for a in argv] + ["--out-dir", str(tmp_path)]
+        rc, _, err = run(capsys, *argv)
+        assert rc == code
+        assert str(path) in err and "utf-8" in err.lower()
 
     def test_simulate_without_fit(self, capsys, tmp_path):
         rc, *_ = run(
@@ -377,6 +393,51 @@ class TestLogging:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(level)
+
+
+class TestCLocale:
+    """Under the C locale with UTF-8 mode off, the locale's encoding is
+    ASCII; files are still read and written as UTF-8."""
+
+    WRITE = (
+        "import locale, sys\n"
+        "import numpy as np\n"
+        "from covtarget import ReturnPanel, load_panel, write_returns_csv\n"
+        "print(locale.getpreferredencoding(False))\n"
+        "for path, labels in zip(sys.argv[1:], [('\\u00e9', 'S2'), ('S1', 'S2')]):\n"
+        "    panel = ReturnPanel(labels, np.array(%r))\n"
+        "    write_returns_csv(panel, path)\n"
+        "    assert load_panel(path).labels == labels\n"
+    )
+    CLI = "import sys\nfrom covtarget.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    RETURNS = [[0.01, -0.02], [0.03, 0.0], [-0.01, 0.025]]
+
+    def child(self, code, *argv):
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(SRC)}
+        return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                              capture_output=True, text=True, encoding="utf-8")
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        accented, plain = tmp_path / "accented.csv", tmp_path / "plain.csv"
+        proc = self.child(self.WRITE % (self.RETURNS,), accented, plain)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().lower() not in ("utf-8", "utf8")
+        assert accented.read_bytes().split(b"\n")[1] == "date,\u00e9,S2".encode("utf-8")
+        # ASCII text is written with the same bytes under any locale
+        write_returns_csv(ReturnPanel(("S1", "S2"), np.array(self.RETURNS)), tmp_path / "here.csv")
+        assert plain.read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+        proc = self.child(self.CLI, "cliques", "--input", accented, "--delta", "0.5",
+                          "--format", "json", "--out-dir", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads((tmp_path / "cliques.json").read_text(encoding="utf-8"))
+        assert doc["labels"] == ["\u00e9", "S2"]
+
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(accented.read_bytes().decode("utf-8").encode("latin-1"))
+        proc = self.child(self.CLI, "cliques", "--input", latin1, "--out-dir", tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == f"data error: {latin1}: not UTF-8 text (invalid continuation byte)\n"
 
 
 class TestCluster:

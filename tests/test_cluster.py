@@ -135,7 +135,7 @@ class TestCompleteLinkage:
                 corr_distance(random_corr(rng, n)),
                 tuple(f"V{i}" for i in range(n)),
             )
-            h = np.array(dend.heights())
+            h = np.array([m[2] for m in dend.merges])
             assert np.all(np.diff(h) >= -1e-12)
 
     def test_matches_reference_implementation(self, rng):
@@ -147,7 +147,7 @@ class TestCompleteLinkage:
             labels = tuple(f"V{i}" for i in range(n))
             dend = complete_linkage(d, labels)
             z = linkage(squareform(d, checks=False), method="complete")
-            assert np.allclose(sorted(dend.heights()), np.sort(z[:, 2]), atol=1e-12)
+            assert np.allclose(sorted([m[2] for m in dend.merges]), np.sort(z[:, 2]), atol=1e-12)
             for k in range(1, n + 1):
                 ours = partition(cut_tree(dend, k))
                 ref = partition(fcluster(z, t=k, criterion="maxclust") - 1)

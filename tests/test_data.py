@@ -51,6 +51,16 @@ class TestLoadPrices:
         p = np.array([100.0, 101.0, 99.5, 102.0])
         assert panel.returns[:, 0].tolist() == np.log(p[1:] / p[:-1]).tolist()
 
+    @pytest.mark.parametrize("raw", [
+        b"date,\xe9,BB\n2020-01-02,1.0,2.0\n2020-01-03,1.5,2.5\n",
+        b"date,AA,BB\n2020-01-02,1.0,2.0\n2020-01-03,1.5,\xff\n",
+    ], ids=["header", "body"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match=f"^{path}: not UTF-8 text"):
+            load_panel(path)
+
     def test_rejects_bad_date(self, tmp_path):
         bad = "date,AA\n2020-13-40,1.0\n"
         with pytest.raises(ParseError, match="bad date"):

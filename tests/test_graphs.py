@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from covtarget import (
     CovTargetError,
     DataError,
+    ThresholdGraph,
     build_graph,
     compare_graphs,
     corr_distance,
@@ -17,6 +19,7 @@ from covtarget import (
     maximal_cliques,
     threshold_correlation,
 )
+from covtarget.report import render_json
 
 from tables import (
     CLIQUES5_D50,
@@ -79,6 +82,16 @@ class TestBuildGraph:
         assert g.edges == ((0, 1),)
         assert g.weight(0, 1) == -0.9
 
+    def test_edges_are_derived_from_the_adjacency(self):
+        adj = threshold_correlation(CORR5, 0.5)
+        g = ThresholdGraph(labels=LABELS5, delta=0.5, adjacency=adj)
+        assert g.edges == build_graph(CORR5, LABELS5, 0.5).edges
+        assert g.edges == tuple(
+            (i, j) for i in range(5) for j in range(i + 1, 5) if adj[i, j] != 0.0
+        )
+        with pytest.raises(TypeError):
+            ThresholdGraph(labels=LABELS5, delta=0.5, adjacency=adj, edges=())
+
     def test_neighbors(self):
         g = build_graph(CORR5, LABELS5, 0.71)
         assert g.neighbors(2) == frozenset({0, 1, 3, 4})
@@ -128,28 +141,28 @@ def test_one_correlation_rule(corr):
 class TestMaximalCliques:
     def test_observed_panel_five_assets(self):
         g = build_graph(CORR5, LABELS5, 0.5)
-        assert maximal_cliques(g).cliques == CLIQUES5_D50
+        assert maximal_cliques(g) == CLIQUES5_D50
         g = build_graph(CORR5, LABELS5, 0.71)
-        assert maximal_cliques(g).cliques == CLIQUES5_D71
+        assert maximal_cliques(g) == CLIQUES5_D71
 
     def test_observed_panel_eight_assets(self):
         g = build_graph(CORR8, LABELS8, 0.5)
-        assert maximal_cliques(g).cliques == CLIQUES8_D50
+        assert maximal_cliques(g) == CLIQUES8_D50
 
     def test_observed_panel_fifteen_assets(self):
         g = build_graph(CORR15, LABELS15, 0.5)
-        assert maximal_cliques(g).cliques == CLIQUES15_D50
+        assert maximal_cliques(g) == CLIQUES15_D50
 
     def test_isolated_vertices_are_singletons(self):
         g = build_graph(np.eye(4), ("A", "B", "C", "D"), 0.5)
-        assert maximal_cliques(g).cliques == ((0,), (1,), (2,), (3,))
+        assert maximal_cliques(g) == ((0,), (1,), (2,), (3,))
 
     def test_dense_graph_is_one_clique(self, rng):
         c = random_sym(rng, 6)
         c[np.abs(c) < 0.05] = 0.1  # keep every off-diagonal entry surviving
         np.fill_diagonal(c, 1.0)
         g = build_graph(c, tuple("ABCDEF"), 0.0)
-        assert maximal_cliques(g).cliques == ((0, 1, 2, 3, 4, 5),)
+        assert maximal_cliques(g) == ((0, 1, 2, 3, 4, 5),)
 
     def test_matches_brute_force(self, rng):
         for _ in range(30):
@@ -159,14 +172,14 @@ class TestMaximalCliques:
                 tuple(f"V{i}" for i in range(n)),
                 float(rng.uniform(0.1, 0.9)),
             )
-            assert maximal_cliques(g).cliques == brute_force_cliques(g)
+            assert maximal_cliques(g) == brute_force_cliques(g)
 
     def test_clique_set_accessors(self):
         g = build_graph(CORR5, LABELS5, 0.71)
         cs = maximal_cliques(g)
         assert len(cs) == 3
-        assert cs.orders() == (3, 2, 2)
-        assert cs.as_labels(g.labels)[0] == ("MSFT", "AMZN", "CRM")
+        assert tuple(map(len, cs)) == (3, 2, 2)
+        assert tuple(g.labels[v] for v in cs[0]) == ("MSFT", "AMZN", "CRM")
 
 
 def compare(obs, sim):
@@ -220,6 +233,19 @@ class TestCompare:
 DOT_ID = r'"((?:[^"\\]|\\.)*)"'
 
 
+# Distinct labels of printable Unicode, backslashes and quotes included.
+LABEL_LISTS = st.lists(
+    st.text(
+        st.one_of(st.sampled_from('\\"'), st.characters().filter(str.isprintable)),
+        min_size=1,
+        max_size=8,
+    ),
+    min_size=1,
+    max_size=5,
+    unique=True,
+).map(tuple)
+
+
 def dot_document(dot):
     """(vertex ids, edge id pairs) of a graph_to_dot document, each id
     unescaped; fails unless every line is the header, a vertex, an edge or
@@ -263,20 +289,7 @@ class TestSerialization:
         assert dot_document(dot)[0] == ("A\\", "B")
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.text(
-                st.one_of(
-                    st.sampled_from('\\"'), st.characters().filter(str.isprintable)
-                ),
-                min_size=1,
-                max_size=8,
-            ),
-            min_size=1,
-            max_size=5,
-            unique=True,
-        )
-    )
+    @given(LABEL_LISTS)
     def test_every_dot_id_unescapes_to_its_label(self, labels):
         n = len(labels)
         corr = np.full((n, n), 0.9)
@@ -285,15 +298,17 @@ class TestSerialization:
         assert ids == tuple(labels)
         assert edges == [(a, b) for i, a in enumerate(labels) for b in labels[i + 1 :]]
 
-    def test_json_round_trip(self, rng):
-        g = build_graph(random_sym(rng, 6), tuple("ABCDEF"), 0.4)
-        doc = graph_to_json(g)
-        back = graph_from_json(doc)
+    @settings(max_examples=150, deadline=None)
+    @given(LABEL_LISTS, st.integers(0, 2**32 - 1), st.floats(0.0, 1.0, exclude_max=True))
+    def test_json_round_trip(self, labels, seed, delta):
+        # through the text of a graph.json file, as `cliques --input` reads it
+        g = build_graph(random_sym(np.random.default_rng(seed), len(labels)), labels, delta)
+        back = graph_from_json(json.loads(render_json(graph_to_json(g))))
         assert back.labels == g.labels
-        assert back.delta == g.delta
+        assert np.float64(back.delta).tobytes() == np.float64(g.delta).tobytes()
         assert back.edges == g.edges
-        assert np.allclose(back.adjacency, g.adjacency)
-        assert maximal_cliques(back).cliques == maximal_cliques(g).cliques
+        assert back.adjacency.tobytes() == g.adjacency.tobytes()
+        assert maximal_cliques(back) == maximal_cliques(g)
 
     def test_malformed_document(self):
         with pytest.raises(DataError):

@@ -3,8 +3,10 @@ every private module-level name is read somewhere in the package, every
 public module-level function and class is read by the package or the
 benchmark, no module imports scipy (the package runs on numpy alone),
 no module calls numpy.linalg.inv (every inverse goes through a Cholesky
-factor), and NotPositiveDefiniteError is constructed at one place in
-linalg.py (one factorization gate names every failing pivot).
+factor), NotPositiveDefiniteError is constructed at one place in
+linalg.py (one factorization gate names every failing pivot), and every
+text file is opened with an explicit encoding (files read and write as
+UTF-8 whatever the locale).
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports, and ``covtarget.__all__`` must list exactly those), and so are
@@ -222,3 +224,44 @@ def test_one_gate_constructs_not_positive_definite_errors():
     for path in MODULES:
         found = constructions(path.read_text(), "NotPositiveDefiniteError")
         assert len(found) == (path.name == "linalg.py"), path.name
+
+
+def unencoded_text_io(source: str) -> list[int]:
+    """Lines of ``source`` that open a file in text mode, or read or write
+    one as text, without an ``encoding=``: open, os.fdopen, Path.open,
+    Path.read_text and Path.write_text. A constant mode holding 'b' is
+    binary; os.open returns a descriptor and decodes nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "fdopen", "read_text", "write_text") or ast.unparse(func) == "os.open":
+            continue
+        mode = None
+        if name in ("open", "fdopen"):
+            # builtin open and os.fdopen take the mode second, Path.open first
+            at = 0 if name == "open" and isinstance(func, ast.Attribute) else 1
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else node.args[at] if len(node.args) > at else None
+        if isinstance(mode, ast.Constant) and "b" in str(mode.value):
+            continue
+        if not any(k.arg == "encoding" for k in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_unencoded_text_io_is_found():
+    source = ("import os\nfrom pathlib import Path\n"
+              "open(p)\nopen(p, 'rb')\nopen(p, mode='w', encoding='utf-8')\n"
+              "os.fdopen(fd, 'w')\nos.fdopen(fd, 'wb')\nos.open(p, os.O_RDONLY)\n"
+              "Path(p).read_text()\nPath(p).write_text(s, encoding='utf-8')\n"
+              "Path(p).open('rb')\nPath(p).open()\nPath(p).read_bytes()\n"
+              "p.write_text(s)\nopen(p, newline='', encoding='utf-8')\n")
+    assert unencoded_text_io(source) == [3, 6, 9, 12, 14]
+
+
+def test_every_text_file_is_opened_with_an_encoding():
+    for path in SOURCES:
+        assert unencoded_text_io(path.read_text(encoding="utf-8")) == [], path.name

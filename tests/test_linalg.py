@@ -232,7 +232,7 @@ class TestStackedOps:
         h = np.stack([random_spd(rng, 3) for _ in range(25)])
         x = rng.standard_normal((25, 3))
         # The target enters the kernel only through -sum_t KL(P, H_t).
-        total = gaussian_path_loglik(h, x) - gaussian_path_loglik(h, x, p)
+        total = gaussian_path_loglik(h, x) - gaussian_path_loglik(h, x, (p, cholesky(p).logdet))
         ref = sum(kl_divergence(p, h[t]) for t in range(25))
         assert total == pytest.approx(ref, abs=1e-10)
 
@@ -248,7 +248,7 @@ class TestStackedOps:
             plain -= 0.5 * (f.logdet + z @ z)
             kl += kl_divergence(p, h[t])
         assert gaussian_path_loglik(h, x) == pytest.approx(plain, rel=1e-12)
-        assert gaussian_path_loglik(h, x, p) == pytest.approx(
+        assert gaussian_path_loglik(h, x, (p, cholesky(p).logdet)) == pytest.approx(
             plain - kl, rel=1e-12
         )
 
@@ -300,10 +300,11 @@ def test_gaussian_path_loglik_matches_inverse_reference(rng, n, t_len, with_targ
     h = np.stack([random_spd(rng, n) for _ in range(t_len)])
     x = rng.standard_normal((t_len, n))
     p = random_spd(rng, n) if with_target else None
-    value, g = gaussian_path_loglik(h, x, p, grad=True)
+    target = None if p is None else (p, cholesky(p).logdet)
+    value, g = gaussian_path_loglik(h, x, target, grad=True)
     ref_value, ref_g = inverse_path_loglik(h, x, p)
     assert value == pytest.approx(ref_value, rel=1e-12)
-    assert gaussian_path_loglik(h, x, p) == value
+    assert gaussian_path_loglik(h, x, target) == value
     assert np.linalg.norm(g - ref_g) <= 1e-12 * np.linalg.norm(ref_g)
 
 

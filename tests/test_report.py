@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covtarget import (
+    BekkParams,
     DataError,
+    DccParams,
+    Garch11Params,
     OptimizerOptions,
     RunConfig,
     bekk_simulate,
@@ -19,9 +24,10 @@ from covtarget.report import (
     bekk_document,
     dcc_document,
     params_from_document,
+    render_json,
 )
 
-from conftest import bekk2, gaussian_panel
+from conftest import bekk2, gaussian_panel, random_corr, random_spd
 
 
 def small_config(**kw):
@@ -52,36 +58,68 @@ class TestRunConfig:
             small_config(sim_len=1)
 
 
+@st.composite
+def model_parts(draw):
+    """A generator for one model's numbers, its mean of any finite floats,
+    and a target or None, as a params document records them."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mu = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=n, max_size=n)))
+    target = None
+    if draw(st.booleans()):
+        panel = gaussian_panel(rng, t_len=60, n=2)
+        target = build_target(sample_moments(panel), draw(st.sampled_from([0.1, 0.9])))
+    return rng, n, mu, target
+
+
+def target_stub(target):
+    return None if target is None else {
+        "delta": target.delta, "pd_adjusted": target.pd_adjusted}
+
+
+def read_back(doc):
+    """params_from_document of ``doc`` as written to and read from a file."""
+    return params_from_document(json.loads(render_json(doc)))
+
+
 class TestParamsDocuments:
-    def test_bekk_round_trip(self, rng):
-        p = bekk2()
-        mu = np.array([0.01, -0.02])
-        h1 = p.unconditional_cov()
-        doc = bekk_document(p, mu, h1, None)
-        json.dumps(doc)  # must be serializable as-is
-        model, q, mu2, h12 = params_from_document(doc)
+    @settings(max_examples=60, deadline=None)
+    @given(model_parts(), st.booleans())
+    def test_bekk_round_trip(self, parts, with_h1):
+        rng, n, mu, target = parts
+        c = np.tril(rng.uniform(-1.0, 1.0, (n, n)), k=-1) + np.diag(rng.uniform(0.1, 1.0, n))
+        p = BekkParams(c_lower=c, a_diag=rng.uniform(0.0, 0.7, n),
+                       b_diag=rng.uniform(0.0, 0.7, n))
+        h1 = random_spd(rng, n)
+        h1 = 0.5 * (h1 + h1.T)
+        doc = bekk_document(p, mu, h1, target)
+        if not with_h1:
+            doc["h1"] = None  # simulate then starts from the unconditional covariance
+        assert doc["target"] == target_stub(target)
+        model, q, mu2, h12 = read_back(doc)
         assert model == "bekk"
-        assert np.allclose(q.c_lower, p.c_lower)
-        assert np.allclose(q.a_diag, p.a_diag)
-        assert np.allclose(q.b_diag, p.b_diag)
-        assert np.allclose(mu2, mu)
-        assert np.allclose(h12, h1)
+        assert (h12 is None) == (not with_h1)
+        back = bekk_document(q, mu2, h1 if h12 is None else h12, target)
+        if h12 is None:
+            back["h1"] = None
+        assert render_json(back) == render_json(doc)
 
-    def test_dcc_round_trip(self):
-        panel = gaussian_panel(3, t_len=200, n=2)
-        target = build_target(sample_moments(panel), 0.1)
-        from test_dcc import dcc3
-
-        p = dcc3()
-        doc = dcc_document(p, np.zeros(3), target)
-        json.dumps(doc)
-        assert doc["target"] == {"delta": 0.1, "pd_adjusted": target.pd_adjusted}
-        model, q, mu, h1 = params_from_document(doc)
+    @settings(max_examples=60, deadline=None)
+    @given(model_parts())
+    def test_dcc_round_trip(self, parts):
+        rng, n, mu, target = parts
+        uni = tuple(
+            Garch11Params(omega=float(w), alpha=float(a), beta=float(b))
+            for w, a, b in zip(rng.uniform(1e-6, 1.0, n), *rng.uniform(0.0, 0.49, (2, n)))
+        )
+        theta1, theta2 = map(float, rng.uniform(0.0, 0.49, 2))
+        p = DccParams(univariate=uni, theta1=theta1, theta2=theta2, q_bar=random_corr(rng, n))
+        doc = dcc_document(p, mu, target)
+        assert doc["target"] == target_stub(target)
+        model, q, mu2, h1 = read_back(doc)
         assert model == "dcc" and h1 is None
-        assert q.theta1 == p.theta1 and q.theta2 == p.theta2
-        assert np.allclose(q.q_bar, p.q_bar)
-        assert q.univariate == p.univariate
-        assert np.array_equal(mu, np.zeros(3))
+        assert render_json(dcc_document(q, mu2, target)) == render_json(doc)
 
     def test_malformed_documents(self):
         with pytest.raises(DataError):

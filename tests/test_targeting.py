@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
+import covtarget.linalg
 from covtarget import (
     DataError,
+    DccParams,
+    Garch11Params,
+    NotPositiveDefiniteError,
     ReturnPanel,
+    ShapeError,
+    TargetSpec,
+    bekk_modified_loglik,
     build_target,
+    dcc_modified_loglik,
     sample_moments,
     threshold_correlation,
 )
 from covtarget.linalg import cholesky
 
-from conftest import gaussian_panel, random_corr
+from conftest import bekk2, gaussian_panel, random_corr
 
 from tables import CORR5
 
@@ -106,3 +114,62 @@ class TestBuildTarget:
         spec = build_target(m, 0.2)
         with pytest.raises(ValueError):
             spec.sigma_hat[0, 0] = 5.0
+
+
+def target_fields(n=3, delta=0.3):
+    """The constructor arguments of a built n-asset target."""
+    spec = build_target(sample_moments(gaussian_panel(4, t_len=300, n=n)), delta)
+    return dict(delta=spec.delta, z_hat=spec.z_hat, z_hat_pd=spec.z_hat_pd,
+                sigma_hat=spec.sigma_hat)
+
+
+class TestTargetSpec:
+    def test_derives_what_it_holds(self):
+        fields = target_fields()
+        spec = TargetSpec(**fields)
+        assert spec.z_logdet == cholesky(fields["z_hat_pd"]).logdet
+        assert spec.sigma_logdet == cholesky(fields["sigma_hat"]).logdet
+        assert spec.pd_adjusted == (not np.array_equal(spec.z_hat_pd, spec.z_hat))
+        not_pd = {**fields, "z_hat": fields["z_hat"] + 0.5 * np.eye(3)}
+        assert TargetSpec(**not_pd).pd_adjusted
+
+    @pytest.mark.parametrize("name", ["pd_adjusted", "z_logdet", "sigma_logdet"])
+    def test_derived_fields_are_not_arguments(self, name):
+        with pytest.raises(TypeError):
+            TargetSpec(**target_fields(), **{name: 0.0})
+
+    @pytest.mark.parametrize("name, what", [
+        ("sigma_hat", "target"), ("z_hat_pd", "correlation target"),
+    ])
+    def test_checks_its_matrices_when_built(self, name, what):
+        fields = target_fields()
+        bad = fields[name].copy()
+        bad[0, 1] = bad[1, 0] = 2.0 * np.sqrt(bad[0, 0] * bad[1, 1])
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=f"^{what}: matrix is not positive definite"):
+            TargetSpec(**{**fields, name: bad})
+        with pytest.raises(ShapeError, match=rf"^{what} must be \(3, 3\), got \(2, 2\)"):
+            TargetSpec(**{**fields, name: fields[name][:2, :2]})
+
+
+def test_penalized_evaluations_do_not_refactor_the_target(monkeypatch):
+    # The target was factored when it was built: an evaluation of the
+    # penalized BEKK objective factors only its h1, and of DCC nothing.
+    factored = []
+    factor = covtarget.linalg._factor
+    monkeypatch.setattr(covtarget.linalg, "_factor",
+                        lambda a, what: factored.append(what) or factor(a, what))
+    rng = np.random.default_rng(5)
+    bekk_target = build_target(sample_moments(gaussian_panel(rng, n=2)), 0.3)
+    dcc_target = build_target(sample_moments(gaussian_panel(rng, n=3)), 0.3)
+    garch = Garch11Params(omega=0.05, alpha=0.05, beta=0.9)
+    dcc = DccParams((garch,) * 3, 0.05, 0.9, dcc_target.z_hat_pd)
+    bekk = bekk2()
+    eps, z = 0.01 * rng.standard_normal((80, 2)), rng.standard_normal((80, 3))
+    for grad in (False, True):
+        factored.clear()
+        bekk_modified_loglik(eps, bekk, bekk_target, h1=np.cov(eps.T), grad=grad)
+        assert factored == ["h1: matrix"]
+        factored.clear()
+        dcc_modified_loglik(z, dcc, dcc_target, grad=grad)
+        assert factored == []
