@@ -35,7 +35,7 @@ import numpy as np
 from .data import ReturnPanel, _sim_panel, _sim_shocks
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
-from .linalg import _checked_pd, _tril, cholesky, gaussian_path_loglik
+from .linalg import _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik
 from .optimize import (
     FitReport,
     OptimizerOptions,
@@ -314,32 +314,37 @@ def bekk_simulate(
 ) -> ReturnPanel:
     """Simulate a return panel r_t = mu + L_t eta_t with Gaussian shocks
     eta_t, L_t the lower Cholesky factor of H_t; H_1 defaults to the implied
-    unconditional covariance."""
+    unconditional covariance.
+
+    Each step factors H_t with numpy's Cholesky gufunc (the one
+    np.linalg.cholesky calls, so the factors are the same bits) into one
+    buffer. An H_t it cannot factor raises NumericalOverflowError naming
+    the step t; a non-finite return raises it as an overflow."""
     n = params.n
     mu, eta = _sim_shocks(n, mu, t_len, seed)
     h_t, _ = _checked_pd(params.unconditional_cov() if h1 is None else h1, n, "h1")
     cc = params.c_lower @ params.c_lower.T
     a = params.a_diag
     bb = np.outer(params.b_diag, params.b_diag)
-    eta_t, ae, arch = np.empty(n), np.empty(n), np.empty((n, n))
+    eta_t, ae, arch, low = np.empty(n), np.empty(n), np.empty((n, n)), np.empty((n, n))
     ae_col = ae[:, None]
     # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
     # and (b b') o H are symmetric entry by entry. Each step updates H_t in
     # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}, and e_t replaces
-    # eta_t in the shock array once eta_t is copied out.
-    for t in range(t_len):
-        try:
-            low = np.linalg.cholesky(h_t)
-        except np.linalg.LinAlgError:
-            raise NumericalOverflowError(
-                f"simulated covariance lost positive definiteness at t={t}", t=t
-            ) from None
-        e_t = eta[t]
-        eta_t[:] = e_t
-        np.dot(low, eta_t, out=e_t)
-        np.multiply(a, e_t, out=ae)
-        np.multiply(ae_col, ae, out=arch)
-        arch += cc
-        h_t *= bb
-        h_t += arch
+    # eta_t in the shock array once eta_t is copied out. One errstate
+    # covers the loop, as _factor_into asks.
+    with np.errstate(all="ignore"):
+        for t in range(t_len):
+            if not _factor_into(h_t, low):
+                raise NumericalOverflowError(
+                    f"simulated covariance lost positive definiteness at t={t}", t=t
+                )
+            e_t = eta[t]
+            eta_t[:] = e_t
+            np.dot(low, eta_t, out=e_t)
+            np.multiply(a, e_t, out=ae)
+            np.multiply(ae_col, ae, out=arch)
+            arch += cc
+            h_t *= bb
+            h_t += arch
     return _sim_panel(eta, mu, labels)

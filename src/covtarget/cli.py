@@ -8,7 +8,8 @@ file of options; explicit flags win over the file, which wins over the
 defaults in ``OPTIONS``. A file key must name an option of some command;
 keys the running command does not take are ignored, so one file serves
 fit, simulate and evaluate alike. Exit codes: 0 success, 2 usage problems,
-3 data errors, 4 estimation failures. Set COVTARGET_LOG (DEBUG/INFO/...)
+3 data errors, 4 estimation failures. Standard output is UTF-8 whatever
+the locale, as every written file is. Set COVTARGET_LOG (DEBUG/INFO/...)
 to get diagnostics on stderr.
 """
 from __future__ import annotations
@@ -87,11 +88,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
     moments = sample_moments(panel)
     graph = build_graph(moments.corr, panel.labels, delta)
     out = Path(args.out_dir)
-    write_text_atomic(out / "graph.json", render_json(graph_to_json(graph)))
-    write_text_atomic(out / "graph.dot", graph_to_dot(graph))
-    sys.stdout.write(
-        graph_to_dot(graph) if args.format == "dot" else render_json(graph_to_json(graph))
-    )
+    texts = {"json": render_json(graph_to_json(graph)), "dot": graph_to_dot(graph)}
+    for fmt, text in texts.items():
+        write_text_atomic(out / f"graph.{fmt}", text)
+    sys.stdout.write(texts[args.format])
     return 0
 
 
@@ -299,6 +299,10 @@ def _setup_logging() -> None:
 
 def main(argv=None) -> int:
     _setup_logging()
+    # Stdout carries series labels, so it is UTF-8 whatever the locale, like
+    # every file the commands write.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:

@@ -50,7 +50,7 @@ from .garch import (
     garch11_filter,
     garch11_fit,
 )
-from .linalg import _checked_pd, _tril, gaussian_path_loglik, symmetrize
+from .linalg import _checked_pd, _factor_into, _tril, gaussian_path_loglik, symmetrize
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
 
@@ -277,7 +277,12 @@ def dcc_simulate(
 ) -> ReturnPanel:
     """Simulate r_t = mu + D_t L_t eta_t with Gaussian eta_t, where L_t is the
     lower Cholesky factor of R_t, starting from the per-series unconditional
-    variances and Q_1 = q_bar."""
+    variances and Q_1 = q_bar.
+
+    Each step factors R_t with numpy's Cholesky gufunc (the one
+    np.linalg.cholesky calls, so the factors are the same bits) into one
+    buffer. An R_t it cannot factor raises NumericalOverflowError naming
+    the step t; a non-finite return raises it as an overflow."""
     n = params.n
     mu, eta = _sim_shocks(n, mu, t_len, seed)
     h_t = np.array([p.unconditional_var() for p in params.univariate])
@@ -288,33 +293,33 @@ def dcc_simulate(
     t1, t2 = params.theta1, params.theta2
     intercept = (1.0 - t1 - t2) * params.q_bar
     d, z_t, arch = np.empty((3, n))
-    r_t, outer = np.empty((2, n, n))
+    r_t, outer, low = np.empty((3, n, n))
     # Each step updates h_t and Q_t in place as (omega + alpha e^2) + beta h
     # and (intercept + t1 z z') + t2 Q, through diagonals as strided views
     # and outer products as column-times-row broadcasts; e_t overwrites
-    # eta_t in the shock array once z_t has been formed from it.
+    # eta_t in the shock array once z_t has been formed from it. One errstate
+    # covers the loop, as _factor_into asks.
     q_diag, r_diag = q_t.reshape(-1)[:: n + 1], r_t.reshape(-1)[:: n + 1]
     d_col, z_col = d[:, None], z_t[:, None]
-    for t in range(t_len):
-        np.sqrt(q_diag, out=d)
-        np.divide(q_t, np.multiply(d_col, d, out=outer), out=r_t)
-        r_diag.fill(1.0)
-        try:
-            low = np.linalg.cholesky(r_t)
-        except np.linalg.LinAlgError:
-            raise NumericalOverflowError(
-                f"simulated correlation lost positive definiteness at t={t}", t=t
-            ) from None
-        np.dot(low, eta[t], out=z_t)
-        e_t = eta[t]
-        np.multiply(np.sqrt(h_t, out=e_t), z_t, out=e_t)
-        np.multiply(alpha, np.square(e_t, out=arch), out=arch)
-        arch += omega
-        h_t *= beta
-        h_t += arch
-        np.multiply(z_col, z_t, out=outer)
-        outer *= t1
-        outer += intercept
-        q_t *= t2
-        q_t += outer
+    with np.errstate(all="ignore"):
+        for t in range(t_len):
+            np.sqrt(q_diag, out=d)
+            np.divide(q_t, np.multiply(d_col, d, out=outer), out=r_t)
+            r_diag.fill(1.0)
+            if not _factor_into(r_t, low):
+                raise NumericalOverflowError(
+                    f"simulated correlation lost positive definiteness at t={t}", t=t
+                )
+            np.dot(low, eta[t], out=z_t)
+            e_t = eta[t]
+            np.multiply(np.sqrt(h_t, out=e_t), z_t, out=e_t)
+            np.multiply(alpha, np.square(e_t, out=arch), out=arch)
+            arch += omega
+            h_t *= beta
+            h_t += arch
+            np.multiply(z_col, z_t, out=outer)
+            outer *= t1
+            outer += intercept
+            q_t *= t2
+            q_t += outer
     return _sim_panel(eta, mu, labels)

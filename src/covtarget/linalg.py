@@ -8,10 +8,12 @@ as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DataError, NotPositiveDefiniteError, ShapeError
 
@@ -69,6 +71,23 @@ class CholFactor:
     @property
     def n(self) -> int:
         return self.lower.shape[0]
+
+
+def _factor_into(a: np.ndarray, low: np.ndarray) -> bool:
+    """Write the lower Cholesky factor of ``a`` into ``low``, the same bits as
+    np.linalg.cholesky(a); False if numpy cannot factor ``a``.
+
+    For the simulators' step loops, which call it inside one
+    np.errstate(all="ignore") (outside one, a failure also warns): it calls
+    numpy's Cholesky gufunc without np.linalg.cholesky's per-call wrapper
+    (array conversion, shape and type checks, an errstate), which costs
+    about twice the factorization of a 15 x 15 matrix. The gufunc fills a
+    factor it cannot find with NaN, and a factor it finds has sqrt(a[0, 0])
+    at [0, 0], so it failed exactly when low[0, 0] is NaN and a[0, 0] is not
+    (numpy's LAPACK factors NaN pivots without failing). Fits factor once
+    per evaluation and keep np.linalg.cholesky."""
+    _umath_linalg.cholesky_lo(a, out=low)
+    return not math.isnan(low[0, 0]) or math.isnan(a[0, 0])
 
 
 def _factor(a: np.ndarray, what: str) -> CholFactor:

@@ -412,10 +412,11 @@ class TestCLocale:
     CLI = "import sys\nfrom covtarget.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     RETURNS = [[0.01, -0.02], [0.03, 0.0], [-0.01, 0.025]]
 
-    def child(self, code, *argv):
+    def child(self, code, *argv, encoding="utf-8"):
+        """``code`` run with ``argv``; its output is bytes if ``encoding`` is None."""
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": str(SRC)}
         return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                              capture_output=True, text=True, encoding="utf-8")
+                              capture_output=True, encoding=encoding)
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         accented, plain = tmp_path / "accented.csv", tmp_path / "plain.csv"
@@ -438,6 +439,26 @@ class TestCLocale:
         proc = self.child(self.CLI, "cliques", "--input", latin1, "--out-dir", tmp_path)
         assert proc.returncode == 3
         assert proc.stderr == f"data error: {latin1}: not UTF-8 text (invalid continuation byte)\n"
+
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
+        accented = tmp_path / "accented.csv"
+        assert self.child(self.WRITE % (self.RETURNS,), accented, tmp_path / "p.csv").returncode == 0
+
+        def stdout(*argv):
+            proc = self.child(self.CLI, *argv, "--input", accented, "--out-dir", tmp_path,
+                              encoding=None)
+            assert proc.returncode == 0, proc.stderr
+            return proc.stdout
+
+        out = stdout("cliques", "--delta", "0.1")
+        doc = json.loads((tmp_path / "cliques.json").read_text(encoding="utf-8"))
+        assert out == "".join("{" + ", ".join(c) + "}\n" for c in doc["cliques"]).encode("utf-8")
+        assert "\u00e9".encode("utf-8") in out
+        assert stdout("graph", "--delta", "0.1") == (tmp_path / "graph.dot").read_bytes()
+        out = stdout("cluster")
+        doc = json.loads((tmp_path / "dendrogram.json").read_text(encoding="utf-8"))
+        assert out.endswith((doc["newick"] + "\n").encode("utf-8"))
+        assert "\u00e9" in doc["newick"]
 
 
 class TestCluster:

@@ -3,7 +3,8 @@ every private module-level name is read somewhere in the package, every
 public module-level function and class is read by the package or the
 benchmark, no module imports scipy (the package runs on numpy alone),
 no module calls numpy.linalg.inv (every inverse goes through a Cholesky
-factor), NotPositiveDefiniteError is constructed at one place in
+factor), only linalg.py reaches numpy's private _umath_linalg (the one
+place the simulators' Cholesky kernel is taken from), NotPositiveDefiniteError is constructed at one place in
 linalg.py (one factorization gate names every failing pivot), and every
 text file is opened with an explicit encoding (files read and write as
 UTF-8 whatever the locale).
@@ -190,6 +191,38 @@ def test_no_module_calls_a_general_inverse():
     # linalg's module docstring: every inverse goes through a Cholesky factor
     for path in SOURCES:
         assert general_inverse_calls(path.read_text()) == [], path.name
+
+
+def private_linalg_uses(source: str) -> list[int]:
+    """Lines of ``source`` that import numpy's private _umath_linalg, or
+    anything from it, or read it as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+        else:
+            continue
+        if any("_umath_linalg" in name.split(".") for name in names):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_private_linalg_uses_are_found():
+    source = ("import numpy as np\nfrom numpy.linalg import _umath_linalg\n"
+              "import numpy.linalg._umath_linalg as u\n"
+              "from numpy.linalg._umath_linalg import cholesky_lo\n"
+              "np.linalg._umath_linalg.cholesky_lo(a)\nnp.linalg.cholesky(a)\n"
+              "from numpy.linalg import cholesky\n")
+    assert private_linalg_uses(source) == [2, 3, 4, 5]
+
+
+def test_only_linalg_uses_numpys_private_linalg():
+    # linalg._cholesky_lo: one line depends on numpy's private module
+    for path in SOURCES:
+        found = private_linalg_uses(path.read_text(encoding="utf-8"))
+        assert len(found) == (path.name == "linalg.py"), path.name
 
 
 def constructions(source: str, cls: str) -> list[int]:

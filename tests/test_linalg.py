@@ -15,6 +15,7 @@ from covtarget import (
 )
 from covtarget.linalg import (
     PD_FLOOR,
+    _factor_into,
     _lower_inverse,
     gaussian_path_loglik,
     stacked_cholesky,
@@ -136,6 +137,43 @@ class TestFactorizationGate:
             match=r"^matrix at time index 0 is not positive definite \(pivot 1\)$",
         ):
             stacked_cholesky(m[None])
+
+
+@st.composite
+def step_kernel_inputs(draw):
+    """An SPD (n, n) matrix, n in [1, 15], scaled by 1e-6 to 1e6; or the same
+    matrix with one eigenvalue shifted to zero or below, or with a NaN or an
+    infinity at one symmetric pair of entries."""
+    n = draw(st.integers(1, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_spd(rng, n, 10.0 ** draw(st.integers(-6, 6)))
+    kind = draw(st.sampled_from(["spd", "shifted", "nan", "inf", "-inf"]))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "shifted":
+        a -= np.linalg.eigvalsh(a)[i] * draw(st.floats(1.0, 2.0)) * np.eye(n)
+    elif kind != "spd":
+        a[i, j] = a[j, i] = float(kind)
+    return a, kind
+
+
+@given(case=step_kernel_inputs())
+@settings(max_examples=300, deadline=None)
+def test_factor_into_is_np_linalg_cholesky(case):
+    # The simulators factor each step with _factor_into; a numpy that changes
+    # the bits of its gufunc's factor, or how that gufunc marks a failure,
+    # fails here.
+    a, kind = case
+    low = np.full(a.shape, 7.0)  # nothing of the buffer's old contents survives
+    with np.errstate(all="ignore"):
+        factored = _factor_into(a, low)
+    try:
+        ref = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        assert not factored and np.isnan(low).all()
+    else:
+        assert factored
+        assert low.tobytes() == ref.tobytes()
+    assert factored or kind != "spd"
 
 
 class TestNearestPd:

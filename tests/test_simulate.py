@@ -6,6 +6,7 @@ the same order of operations, so both must give the same panel bit for
 bit: the comparison is np.array_equal, with no tolerance.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,65 @@ def test_overflow_names_the_first_non_finite_row():
     assert 0 < t < 49
     assert err.value.t == t
     assert str(err.value) == f"simulation overflowed at t={t}"
+
+
+def test_bekk_overflow_names_the_first_non_finite_row():
+    # H_t overflows to inf, and with b = 0 the next H_t is 0 * inf = NaN: a
+    # NaN pivot numpy factors, not a lost factor, so the loop runs on
+    params = BekkParams(c_lower=np.array([[0.1]]), a_diag=np.array([0.99]),
+                        b_diag=np.array([0.0]))
+    h1 = np.array([[8e307]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = bekk_simulate_loop(params, np.zeros(1), 30, 3, h1)
+    with pytest.raises(NumericalOverflowError) as err:
+        bekk_simulate(params, np.zeros(1), 30, 3, h1=h1)
+    t = int(np.argwhere(~np.isfinite(ref))[0][0])
+    assert np.isnan(ref[t + 1:]).all()
+    assert err.value.t == t
+    assert str(err.value) == f"simulation overflowed at t={t}"
+
+
+def first_failing_step(loop):
+    """The step at which ``loop(t_len)`` first raises LinAlgError: a loop of
+    length k raises once its failing step is below k, and its first k shocks
+    do not depend on its length."""
+    for t_len in range(1, 100):
+        try:
+            loop(t_len)
+        except np.linalg.LinAlgError:
+            return t_len - 1
+    raise AssertionError("the reference loop factors every step")
+
+
+def assert_lost_definiteness_at(t, simulate, params, what, **kwargs):
+    # the failed factor is found from its NaNs, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalOverflowError) as err:
+            simulate(params, np.zeros(params.n), 50, 0, **kwargs)
+    assert err.value.t == t
+    assert str(err.value) == f"simulated {what} lost positive definiteness at t={t}"
+
+
+def test_bekk_lost_definiteness_names_the_loops_failing_step():
+    # Two series with the same a and b start correlated to within 1e-15, so
+    # H_t's smallest eigenvalue, pulled toward C C' = 1e-20 I, falls below the
+    # rounding of entries near 1 within a few steps.
+    params = BekkParams(c_lower=1e-10 * np.eye(2), a_diag=np.full(2, 0.7),
+                        b_diag=np.full(2, 0.1))
+    h1 = np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]])
+    t = first_failing_step(lambda t_len: bekk_simulate_loop(params, np.zeros(2), t_len, 0, h1))
+    assert t > 0
+    assert_lost_definiteness_at(t, bekk_simulate, params, "covariance", h1=h1)
+
+
+def test_dcc_lost_definiteness_names_the_loops_failing_step():
+    # two identical series: q_bar is PSD but singular, so R_1 fails at once
+    params = DccParams(univariate=(Garch11Params(1e-4, 0.05, 0.9),) * 2,
+                       theta1=0.05, theta2=0.9, q_bar=np.ones((2, 2)))
+    t = first_failing_step(lambda t_len: dcc_simulate_loop(params, np.zeros(2), t_len, 0))
+    assert t == 0
+    assert_lost_definiteness_at(t, dcc_simulate, params, "correlation")
 
 
 def test_finite_panel_with_bad_labels_is_a_data_error():
