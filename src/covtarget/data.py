@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import functools
 import io
 import os
 import re
@@ -330,7 +331,7 @@ def _sim_panel(eps: np.ndarray, mu: np.ndarray, labels) -> ReturnPanel:
         raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t) from None
 
 
-_CSV_BLOCK = 1024  # rows rendered per chunk of a written returns file
+_CSV_BLOCK = 256  # rows per chunk of a written returns file; ~5 KB of temporaries a row at N = 15
 
 
 def _csv_cell(text: str) -> str:
@@ -341,24 +342,153 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if quote else text
 
 
+# Returns are written as repr writes them: the shortest digits that read back
+# as the same double, the nearest such (ties to even), found exactly in uint64
+# arithmetic (Steele & White 1990; Adams 2018). A normal double x = ±m·2^q
+# (m its 53-bit significand) that is not a power of two, with
+# 10^k <= |x| < 10^(k+1), is scaled to Z = m·5^s/2^t = |x|·10^(16-k), in
+# [10^16, 10^17), with s = 16-k in [0, 27] and t = -(q+s) in [1, 62]. The
+# decimals that read back as x are then the integers within h = 5^s/2^(t+1)
+# = Z/2m of Z, h in (0.55, 11.2), and the shortest is the multiple of the
+# highest power of ten among them. The interval's ends are never integers
+# (5^s is odd, 2^(t+1)·Z even), so which ends are open does not matter.
+# repr itself renders every other double.
+_U64 = np.uint64
+_POW5 = _U64(5) ** np.arange(28, dtype=_U64)
+_POW10 = _U64(10) ** np.arange(18, dtype=_U64)
+_MASK32 = _U64(2**32 - 1)
+_KMIN, _KMAX = -11, 15  # the decimal exponents the kernel covers
+_CELL = 25  # a comma and the longest repr, "-2.2250738585072014e-308"
+# A value's source row: these 15 bytes, then its 17 digits.
+_SOURCE = b"\0-.e,0123456789"
+_DIGIT_MARKS = "ABCDEFGHIJKLMNOPQ"  # the 17 digits in a cell layout
+_SOURCE_AT = bytes.maketrans(_SOURCE + _DIGIT_MARKS.encode(), bytes(range(32)))
+
+
+def _ten_to(k: int) -> float:
+    """10^k rounded up to a double: |x| >= _ten_to(k) exactly when |x| >= 10^k."""
+    v = 10.0**k if k >= 0 else 1 / 10**-k  # exact, or correctly rounded
+    n, d = v.as_integer_ratio()
+    return v if n * 10 ** max(-k, 0) >= d * 10 ** max(k, 0) else float(np.nextafter(v, 1.0))
+
+
+_TENS = np.array([_ten_to(k) for k in range(_KMIN, _KMAX + 2)])
+
+
+@functools.cache
+def _render_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Built on first use, not at import (about a millisecond): the ASCII
+    digits of 0..9999 as one uint32 each, and per (sign, k, p) the
+    source-row bytes of "," + repr for a value of p significant digits in
+    [10^k, 10^(k+1)), NUL padded (its digits are zeros beyond the p-th)."""
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), np.uint8)
+    digits4 = np.empty((100, 100, 4), np.uint8)
+    digits4[:, :, :2], digits4[:, :, 2:] = pairs.reshape(100, 1, 2), pairs.reshape(100, 2)
+    cells, d = [], _DIGIT_MARKS
+    for k in range(_KMIN, _KMAX + 1):
+        for p in range(1, 18):
+            if k < -4:
+                body = d[0] + ("." + d[1:p] if p > 1 else "") + f"e-{-k:02d}"
+            elif k < 0:
+                body = "0." + "0" * (-k - 1) + d[:p]
+            else:
+                body = d[: k + 1] + "." + d[k + 1 : max(p, k + 2)]
+            cells.append(("," + body).ljust(_CELL, "\0"))
+    plus = np.frombuffer("".join(cells).encode().translate(_SOURCE_AT), np.uint8)
+    plus = plus.reshape(-1, _CELL).astype(np.intp)
+    minus = np.insert(plus[:, :-1], 1, _SOURCE.index(b"-"), axis=1)
+    tables = digits4.view(np.uint32).ravel(), np.concatenate([plus, minus])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _shortest(x: np.ndarray):
+    """Per double of the flat array ``x``: its shortest digits as a 17-digit
+    integer (zeros after the p-th), k, p, and whether repr must render it."""
+    bits = x.view(_U64)
+    frac = bits & _U64(2**52 - 1)
+    exp = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64)
+    k = np.searchsorted(_TENS, np.abs(x), side="right") + (_KMIN - 1)
+    s, t = 16 - k, k + 1059 - exp  # q = exp - 1075; s >= 0, and s <= 27 gives t <= 62
+    ok = (exp > 0) & (frac > 0) & (s <= 27) & (t >= 1)
+    f = _POW5[np.clip(s, 0, 27)]
+    t = np.clip(t, 1, 62).astype(_U64)
+    # Z·2^t = m·5^s, a 128-bit product, from 32-bit limbs
+    m = frac | _U64(2**52)
+    m_hi, m_lo, f_hi, f_lo = m >> _U64(32), m & _MASK32, f >> _U64(32), f & _MASK32
+    low = m_lo * f_lo
+    mid = m_lo * f_hi + m_hi * f_lo + (low >> _U64(32))
+    hi, lo = m_hi * f_hi + (mid >> _U64(32)), mid << _U64(32) | low & _MASK32
+    z, r = hi << (_U64(64) - t) | lo >> t, lo & (_U64(1) << t) - _U64(1)  # Z = z + r/2^t
+    t1 = t + _U64(1)
+    h, h_frac, r2 = f >> t1, f & (_U64(1) << t1) - _U64(1), r << _U64(1)
+    below = z - h + (r2 > h_frac) - _U64(1)  # the last integer below the interval
+    top = z + h + (r2 + h_frac >> t1)  # the last integer in it
+    half = _U64(1) << t - _U64(1)
+    c = z + ((r > half) | (r == half) & (z & _U64(1) == 1))
+    tens = z // _U64(10)
+    unit = z - tens * _U64(10)
+    up = (unit > 5) | (unit == 5) & ((r > 0) | (tens & _U64(1) == 1))
+    ten = top // _U64(10) != below // _U64(10)  # a multiple of 10 in the interval
+    c = np.where(ten, (tens + up) * _U64(10), c)
+    p = 17 - ten
+    hundreds = top // _U64(100)
+    at = np.flatnonzero(hundreds != below // _U64(100))  # one multiple of 100 in it
+    c[at] = hundreds[at] * _U64(100)
+    p[at] = 15 - (hundreds[at, None] % _POW10[1:16] == 0).sum(axis=1)
+    at = np.flatnonzero(c == _POW10[17])  # that multiple is 10^(k+1)
+    c[at], k[at], p[at] = _POW10[16], k[at] + 1, 1
+    return c, k, p, ~ok
+
+
+def _render_rows(rows: np.ndarray, dates: np.ndarray) -> str:
+    """The CSV lines of a block of return rows: each date (an "S10" array),
+    then the row's values as repr writes them."""
+    t_len, n = rows.shape
+    x = np.ascontiguousarray(rows, dtype=float).ravel()
+    c, k, p, fallback = _shortest(x)
+    digits4, layouts = _render_tables()
+    src = np.empty((x.size, 32), np.uint8)
+    src[:, :15] = np.frombuffer(_SOURCE, np.uint8)
+    head, tail = c // _POW10[8], c % _POW10[8]
+    src[:, 15] = head // _POW10[8] + _U64(ord("0"))
+    words = src.view(np.uint32)
+    for col, part in (4, head % _POW10[8]), (6, tail):
+        words[:, col] = digits4[part // _U64(10**4)]
+        words[:, col + 1] = digits4[part % _U64(10**4)]
+    # clipped only for the values repr renders, whose k and p mean nothing
+    key = (x.view(_U64) >> _U64(63)).astype(np.intp) * (_KMAX - _KMIN + 1)
+    key = (key + np.clip(k, _KMIN, _KMAX) - _KMIN) * 17 + np.clip(p, 1, 17) - 1
+    index = np.take(layouts, key, axis=0)
+    index += np.arange(0, src.size, 32)[:, None]
+    text = np.empty((t_len, 11 + n * _CELL), np.uint8)
+    text[:, :10] = dates.view(np.uint8).reshape(t_len, 10)
+    text[:, -1] = ord("\n")
+    cells = text[:, 10:-1].reshape(t_len, n, _CELL)
+    np.take(src.ravel(), index.reshape(cells.shape), out=cells)
+    at = np.flatnonzero(fallback)
+    if at.size:
+        reprs = "".join(("," + repr(v)).ljust(_CELL, "\0") for v in x[at].tolist())
+        cells[at // n, at % n] = np.frombuffer(reprs.encode(), np.uint8).reshape(-1, _CELL)
+    return text[text != 0].tobytes().decode("ascii")
+
+
 def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     """Write a ReturnPanel in the sentinel format, atomically, streaming
     blocks of rows to disk as they are rendered. Header labels are quoted as
-    needed. An undated panel's rows are dated daily from 1970-01-02, each
-    block's dates rendered in bulk."""
+    needed; each value is written as repr writes it. An undated panel's rows
+    are dated daily from 1970-01-02, each block's dates rendered in bulk."""
 
     def chunks():
         yield f"{RETURNS_SENTINEL}\ndate,{','.join(map(_csv_cell, panel.labels))}\n"
         for at in range(0, panel.t_len, _CSV_BLOCK):
-            rows = panel.returns[at : at + _CSV_BLOCK].tolist()
+            rows = panel.returns[at : at + _CSV_BLOCK]
             if panel.dates is None:
-                dates = (_FIRST_SIM_DAY + np.arange(at, at + len(rows))).astype(str).tolist()
+                dates = (_FIRST_SIM_DAY + np.arange(at, at + len(rows))).astype("S10")
             else:
-                dates = [d.isoformat() for d in panel.dates[at : at + _CSV_BLOCK]]
-            yield "".join(
-                date + "," + ",".join(map(repr, row)) + "\n"
-                for date, row in zip(dates, rows)
-            )
+                dates = np.array([d.isoformat() for d in panel.dates[at : at + _CSV_BLOCK]], "S10")
+            yield _render_rows(rows, dates)
 
     write_text_atomic(path, chunks())
 

@@ -43,10 +43,13 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise DataError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    gap = float(np.abs(a - a.T).max(initial=0.0))
+    # Halves cannot overflow when added or subtracted, and halving is exact
+    # for normal entries; a Python float overflows to inf without a warning.
+    half = 0.5 * a
+    gap = 2.0 * float(np.abs(half - half.T).max(initial=0.0))
     if gap > SYM_TOL * scale:
         raise ShapeError(f"matrix is not symmetric (max asymmetry {gap:.3e})")
-    return 0.5 * (a + a.T)
+    return half + half.T
 
 
 def check_correlation(corr: np.ndarray) -> np.ndarray:

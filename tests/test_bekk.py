@@ -329,6 +329,14 @@ class TestSimulate:
         with pytest.raises(NotPositiveDefiniteError):
             bekk_simulate(p, np.zeros(2), 50, seed=0, h1=np.zeros((2, 2)))
 
+    def test_start_near_the_largest_double_stays_finite(self):
+        # symmetrizing h1 once overflowed to an infinite H_1 (with a warning)
+        p = bekk2()
+        h1 = np.diag([1e308, 1e308])
+        panel = bekk_simulate(p, np.zeros(2), 3, seed=0, h1=h1)
+        eta = np.random.default_rng(0).standard_normal((3, 2))
+        assert panel.returns[0].tolist() == (np.sqrt(1e308) * eta[0]).tolist()
+
     def test_rejects_mis_sized_start(self):
         with pytest.raises(ShapeError, match=r"h1 must be \(2, 2\), got \(3, 3\)"):
             bekk_simulate(bekk2(), np.zeros(2), 50, seed=0, h1=np.eye(3))

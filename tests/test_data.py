@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -311,7 +312,7 @@ class TestReturnsCsv:
         assert load_panel(ppath).returns.shape == (3, 2)
 
     # Undated rows follow the synth_dates oracle; 1,023 rows pass 1972-02-29.
-    @pytest.mark.parametrize("t_len", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("t_len", [1, 4 * BLOCK - 1, 4 * BLOCK, 4 * BLOCK + 1, 12 * BLOCK + 5])
     def test_streamed_file_is_the_whole_text(self, tmp_path, t_len):
         rng = np.random.default_rng(t_len)
         r = rng.standard_normal((t_len, 3)) * 10.0 ** rng.integers(-300, 300, (t_len, 3))
@@ -350,6 +351,17 @@ class TestReturnsCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         # the first block had reached the temporary file before the failure
         assert len(seen) == 1 and seen[0] > 0
+
+    def test_writing_streams_in_bounded_memory(self, tmp_path):
+        panel = gaussian_panel(0, t_len=20_000, n=15)
+        write_returns_csv(panel, tmp_path / "first.csv")  # builds the render tables
+        tracemalloc.start()
+        try:
+            write_returns_csv(panel, tmp_path / "r.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_quoted_header_labels_round_trip(self, tmp_path):
         path = write(tmp_path, "in.csv",
@@ -420,6 +432,77 @@ class TestReturnsCsv:
         finally:
             os.umask(old)
         assert (tmp_path / "r.csv").stat().st_mode & 0o777 == mode
+
+
+def assert_written_as_repr(values, directory) -> None:
+    """Write finite doubles as a returns panel of up to 16 columns (zeros
+    fill the last row) and check the file against the whole_text oracle."""
+    x = np.asarray(values, dtype=float).ravel()
+    n = min(16, x.size)
+    x = np.concatenate([x, np.zeros(-x.size % n)]).reshape(-1, n)
+    panel = ReturnPanel(labels=tuple(f"S{j}" for j in range(n)), returns=x)
+    path = Path(directory) / "r.csv"
+    write_returns_csv(panel, path)
+    got, want = path.read_bytes().decode().splitlines(), whole_text(panel).splitlines()
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, (got[bad], want[bad])
+    assert len(got) == len(want)
+
+
+def bits_to_floats(bits) -> np.ndarray:
+    """The finite doubles among the given IEEE bit patterns."""
+    x = np.array(bits, dtype=np.uint64).view(float)
+    return x[np.isfinite(x)]
+
+
+POWERS_OF_TWO = 2.0 ** np.arange(-1074, 1024)
+POWERS_OF_TEN = np.array([float(f"1e{e}") for e in range(-20, 23)])
+EDGE_FAMILIES = {
+    "zeros and extremes": [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+    "powers of two": np.concatenate([np.nextafter(POWERS_OF_TWO, 0.0), POWERS_OF_TWO,
+                                     np.nextafter(POWERS_OF_TWO, np.inf)]),
+    "powers of ten": np.concatenate([np.nextafter(POWERS_OF_TEN, 0.0), POWERS_OF_TEN,
+                                     np.nextafter(POWERS_OF_TEN, np.inf)]),
+    # halfway at the 16th digit (8.0000152587890625 is written 8.000015258789062)
+    # and at the 17th (1 + c/2^17, c odd: the 18th digit is a final 5)
+    "ties": np.concatenate([8.0 + np.arange(1, 65536) / 65536,
+                            1.0 + np.arange(1, 2**17, 2) / 2**17]),
+    # where repr switches between positional and exponent form
+    "form boundaries": [v for b in (1e-4, 1e-5, 9999999999999998.0, 1e16)
+                        for v in (np.nextafter(b, 0.0), b, np.nextafter(b, np.inf))],
+    "1 to 17 significant digits": [
+        float(f"{digits}e{e}")
+        for p in range(1, 18)
+        for digits in np.random.default_rng(p).integers(10 ** (p - 1), 10**p, 40)
+        for e in range(-20 - p, 20 - p, 3)
+    ],
+}
+
+
+class TestValuesAreWrittenAsRepr:
+    @pytest.mark.parametrize("family", EDGE_FAMILIES)
+    def test_edge_families(self, tmp_path, family):
+        x = np.asarray(EDGE_FAMILIES[family], dtype=float)
+        assert_written_as_repr(np.concatenate([x, -x]), tmp_path)
+
+    def test_a_million_returns_at_simulated_scale(self, tmp_path):
+        assert_written_as_repr(0.02 * np.random.default_rng(19).standard_normal(10**6), tmp_path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40).map(bits_to_floats),
+            # biased exponents 980-1080: the kernel's range, 1e-11 to 2^51, and beyond
+            st.lists(
+                st.tuples(st.integers(0, 1), st.integers(980, 1080), st.integers(0, 2**52 - 1)),
+                min_size=1, max_size=40,
+            ).map(lambda parts: bits_to_floats([s << 63 | e << 52 | f for s, e, f in parts])),
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+        ).filter(len)
+    )
+    def test_any_finite_doubles(self, values):
+        with tempfile.TemporaryDirectory() as d:
+            assert_written_as_repr(values, d)
 
 
 def whole_text(panel: ReturnPanel) -> str:

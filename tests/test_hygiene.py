@@ -5,15 +5,17 @@ benchmark, no module imports scipy (the package runs on numpy alone),
 no module calls numpy.linalg.inv (every inverse goes through a Cholesky
 factor), only linalg.py reaches numpy's private _umath_linalg (the one
 place the simulators' Cholesky kernel is taken from), NotPositiveDefiniteError is constructed at one place in
-linalg.py (one factorization gate names every failing pivot), and every
+linalg.py (one factorization gate names every failing pivot), every
 text file is opened with an explicit encoding (files read and write as
-UTF-8 whatever the locale).
+UTF-8 whatever the locale), and no module names numpy's long double
+(written bytes must not depend on the platform).
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports, and ``covtarget.__all__`` must list exactly those), and so are
 ``__future__`` imports.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -298,3 +300,25 @@ def test_unencoded_text_io_is_found():
 def test_every_text_file_is_opened_with_an_encoding():
     for path in SOURCES:
         assert unencoded_text_io(path.read_text(encoding="utf-8")) == [], path.name
+
+
+
+def long_double_uses(source: str) -> list[int]:
+    """Lines of ``source`` that name numpy's long double, as longdouble,
+    float128 or longfloat, anywhere: code, dtype strings or comments."""
+    names = re.compile(r"\b(longdouble|float128|longfloat)\b")
+    return [n for n, line in enumerate(source.splitlines(), 1) if names.search(line)]
+
+
+def test_long_double_uses_are_found():
+    source = ("import numpy as np\nfrom numpy import float128 as f\n"
+              "np.longdouble(1)\nx.astype('longfloat')\nnp.float64(1)\n"
+              "np.dtype('f8')\n# float1280\n")
+    assert long_double_uses(source) == [2, 3, 4]
+
+
+def test_no_module_uses_a_long_double():
+    # written bytes must not depend on the platform's long double: 80-bit
+    # on x86, quad on aarch64, a plain double on macOS
+    for path in SOURCES:
+        assert long_double_uses(path.read_text(encoding="utf-8")) == [], path.name

@@ -46,6 +46,31 @@ class TestSymmetrize:
         out = symmetrize(m)
         assert out[0, 1] == out[1, 0]
 
+    def test_entries_near_the_largest_double_stay_finite(self):
+        assert symmetrize(np.array([[1e308]])).tolist() == [[1e308]]
+        m = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+        assert np.array_equal(symmetrize(m), m)
+
+    def test_asymmetry_beyond_the_largest_double_is_rejected(self):
+        with pytest.raises(ShapeError, match="max asymmetry inf"):
+            symmetrize(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
+    # Entries whose sum stays finite and whose halves stay normal, each
+    # off-diagonal pair apart by up to 1e-13 relative (within SYM_TOL).
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        entries=st.lists(
+            st.floats(-8e307, 8e307).filter(lambda v: v == 0.0 or abs(v) > 1e-300),
+            min_size=25, max_size=25,
+        ),
+        skew=st.lists(st.floats(-1e-13, 1e-13), min_size=25, max_size=25),
+    )
+    def test_matches_the_half_sum_bit_for_bit(self, n, entries, skew):
+        m = np.array(entries[: n * n]).reshape(n, n)
+        m = np.triu(m) + np.triu(m, 1).T * (1.0 + np.array(skew[: n * n]).reshape(n, n))
+        assert symmetrize(m).tobytes() == (0.5 * (m + m.T)).tobytes()
+
 
 class TestCholesky:
     def test_reconstructs_input(self, rng):
