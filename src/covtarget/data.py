@@ -88,8 +88,11 @@ class ReturnPanel:
             raise DataError(
                 f"{len(self.dates)} dates for {r.shape[0]} return rows"
             )
+        with np.errstate(over="ignore"):  # a column may sum past the largest double
+            mean = r.mean(axis=0)
+            mean = mean if np.isfinite(mean).all() else np.nan_to_num((r / len(r)).sum(axis=0))
         object.__setattr__(self, "returns", r)
-        object.__setattr__(self, "mean", _readonly(r.mean(axis=0)))
+        object.__setattr__(self, "mean", _readonly(mean))
 
     @property
     def n(self) -> int:
@@ -122,76 +125,174 @@ class SampleMoments:
         object.__setattr__(self, "gamma", _readonly(self.gamma))
 
 
-# The characters of a body of ISO dates and plain decimal numbers. On such
-# text no csv quoting can occur, and numpy's C number parser accepts exactly
-# the cells that float() accepts, with the same values: both end in Python's
-# correctly rounded string-to-double conversion.
-_PLAIN_CHARS = b"0123456789eE.+-,\r\n"
+# Panels are read by an exact kernel: each value cell of a plain body (ISO
+# dates and decimals, nothing quoted or blank) becomes a sign, an integer
+# w < 2^64 and a decimal exponent q, and w·10^q is rounded to a double by one
+# IEEE operation where w <= 2^53 and |q| <= 22 (Clinger 1990), else by Eisel–
+# Lemire (Lemire 2021), else by float(). The kinds of bytes other than digits:
+_COMMA, _EOL, _EXP, _PLUS, _MINUS, _DOT, _DASH = range(1, 8)  # 0: not plain; 1-3 end runs
+_KIND = np.zeros(256, np.uint8)
+_KIND[np.frombuffer(b",\n+-.eE", np.uint8)] = [_COMMA, _EOL, _PLUS, _MINUS, _DOT, _EXP, _EXP]
+_TOKENS = bytes.maketrans(b",\neE", b"    ")  # with .+- deleted, an integer a run of digits
+_READ_BLOCK = 2**19  # bytes of rows parsed at once; ~10 bytes of temporaries a byte
+_POW10_F = np.array([float(10**k) for k in range(23)])  # exact
+_QMIN, _QMAX = -342, 308  # beyond, each w·10^q is subnormal or overflows
+_U64, _MASK32 = np.uint64, np.uint64(2**32 - 1)
 
 
-def _parse_plain(body: str, n_labels: int) -> tuple[list[dt.date], np.ndarray] | None:
-    """The rows of a regular body in the plain alphabet, parsed in C; None
-    when anything is irregular (another character, a blank line, a bad date
-    or number, a row of the wrong width), so that the cell-by-cell parse
-    takes over and names the fault."""
-    if not body.isascii() or body.encode("ascii").translate(None, _PLAIN_CHARS):
+def _mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products a·b, from 32-bit limbs."""
+    a_hi, a_lo, b_hi, b_lo = a >> _U64(32), a & _MASK32, b >> _U64(32), b & _MASK32
+    low, mid = a_lo * b_lo, a_hi * b_lo
+    cross = (low >> _U64(32)) + (mid & _MASK32) + a_lo * b_hi  # < 2^64
+    return a_hi * b_hi + (mid >> _U64(32)) + (cross >> _U64(32)), cross << _U64(32) | low & _MASK32
+
+
+@functools.cache
+def _pow10_table() -> np.ndarray:
+    """Built on first use: rows of the high and low 64 bits, per q in [_QMIN,
+    _QMAX], of 10^q·2^(127-e) truncated to an integer in [2^127, 2^128),
+    where e = floor(log2 10^q) = 217706·q >> 16 over this range."""
+    rows = []
+    for q in range(_QMIN, _QMAX + 1):
+        b = (p := 5 ** abs(q)).bit_length()
+        rows.append(divmod(p << 128 >> b if q >= 0 else (1 << 127 + b) // p, 2**64))
+    return np.array(rows, _U64).T.copy()
+
+
+def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
+    """Each ±w·10^q rounded to a double, and where float() must decide it
+    instead: w = 2^64 - 1 (it may have overflowed), q beyond the table, a
+    subnormal or infinite result, or an ambiguous Eisel–Lemire case."""
+    p = _POW10_F[np.minimum(np.abs(q), 22)]
+    x = w / p if (q <= 0).all() else np.where(q < 0, w / p, w * p)  # exact w below 2^53
+    at = np.flatnonzero((w > _U64(2**53)) | (np.abs(q) > 22) & (w > 0))
+    w, q = w[at], q[at]
+    bad = (w == _U64(2**64 - 1)) | (q < _QMIN) | (q > _QMAX)
+    i, (hi_t, lo_t) = np.clip(q, _QMIN, _QMAX) - _QMIN, _pow10_table()
+    # w to [2^63, 2^64): its top bit, no two ones adjacent, converts uncarried
+    z = 64 - np.frexp((w & ~(w >> _U64(1))).astype(np.float64))[1]
+    w = w << z.astype(_U64)
+    # x = w·hi_t[i] is short by < w units of x_lo: only a carry via 9 ones rounds
+    x_hi, x_lo = _mul128(w, hi_t[i])
+    at2 = np.flatnonzero((x_hi & _U64(0x1FF) == 0x1FF) & (x_lo + w < w))
+    y_hi, y_lo = _mul128(w[at2], lo_t[i[at2]])
+    x_lo[at2] += y_hi
+    x_hi[at2] += x_lo[at2] < y_hi
+    bad[at2] |= (x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0) & (y_lo + w[at2] < w[at2])
+    top = x_hi >> _U64(63)
+    mant = x_hi >> top + _U64(9)  # 54 bits: the significand and a half bit
+    bad |= (x_lo == 0) & (x_hi & _U64(0x1FF) == 0) & (mant & _U64(3) == 1)  # a tie?
+    mant = mant + (mant & _U64(1)) >> _U64(1)  # half up, or to even on a tie
+    carry = mant >> _U64(53)
+    exp = (217706 * q >> 16) + 1087 - z - (top == 0) + (carry == 1)  # 1087 = 1023 + 64
+    bad |= (exp < 1) | (exp > 2046)
+    x[at] = (np.clip(exp, 0, 2047).astype(_U64) << _U64(52) | (mant >> carry) & _U64(2**52 - 1)
+             ).view(np.float64)
+    return np.where(neg, -x, x), at[bad]
+
+
+def _plain_rows(chunk: bytes, n: int) -> tuple[list[dt.date], np.ndarray] | None:
+    """Dates and values of whole rows of a plain body; None where they are
+    irregular (a blank line, a bad date or number, a row of the wrong width)."""
+    if b"\r" in chunk:
+        chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    a = np.frombuffer(chunk if chunk.endswith(b"\n") else chunk + b"\n", np.uint8)
+    m = np.flatnonzero(a - np.uint8(48) > 9)  # the bytes that are not digits
+    k = _KIND[a[m]]
+    sep = np.flatnonzero(k <= _EOL)
+    rows, width = sep.size // (n + 1), n + 1
+    if not k.all() or sep.size != rows * width or (
+            k[sep].reshape(rows, width) != [_COMMA] * n + [_EOL]).any():
         return None
-    heads = [line.partition(",") for line in body.splitlines()]
-    if not heads or not all(rest for _, _, rest in heads):
+    end = m[sep]  # of each cell
+    start = np.concatenate([[0], end[:-1] + 1])
+    # a date is YYYY-MM-DD: 10 bytes, two of them not digits
+    d0, di = start[::width], sep[::width]
+    day = a.take(d0[:, None] + np.arange(10), mode="clip")
+    if not ((end[::width] - d0 == 10) & (day[:, 4] == ord("-")) & (day[:, 7] == ord("-"))
+            & ((day - np.uint8(48) > 9).sum(axis=1) == 2)).all():
         return None
+    k[di - 2] = k[di - 1] = _DASH
     try:
-        dates = [dt.date.fromisoformat(date) for date, _, _ in heads]
-        values = np.loadtxt(
-            [rest for _, _, rest in heads], delimiter=",", comments=None, ndmin=2
-        )
+        dates = day.view("S10").astype("datetime64[D]").ravel()
     except ValueError:
         return None
-    if values.shape != (len(dates), n_labels):
+    # a value is [sign] digits [. digits] [e|E [sign] digits]: a sign opens a run
+    # of digits or follows an e, a dot ends its run, no run is empty
+    sign = np.flatnonzero((k == _PLUS) | (k == _MINUS))
+    exp = np.flatnonzero(k == _EXP)
+    cell_of_exp = np.searchsorted(sep, exp)
+    runs = np.insert(sep, cell_of_exp, exp)
+    after = k[exp + 1]
+    if not ((dates >= np.datetime64("0001-01-01")).all()
+            and (k[sign - 1] <= _EXP).all() and (m[sign - 1] + 1 == m[sign]).all()
+            and (k[np.flatnonzero(k == _DOT) + 1] <= _EXP).all()
+            and (np.diff(m[runs] - runs, prepend=0) > 0).all()
+            and ((after <= _EOL) | (after >= _PLUS) & (after <= _MINUS)
+                 & (k[np.minimum(exp + 2, k.size - 1)] <= _EOL)).all()):
         return None
-    return dates, values
+    # the integers: one per date, one per mantissa and one per exponent
+    tokens = np.fromstring(chunk.translate(_TOKENS, b".+-"), _U64, sep=" ")
+    first = np.arange(sep.size)  # each cell's first
+    first += np.searchsorted(cell_of_exp, first)
+    value = np.roll(k[sep] == _COMMA, 1)  # the cells after a comma
+    vi = cell_of_exp - cell_of_exp // width - 1  # the value cells with an exponent
+    tail = sep[value]  # the marker that ends each mantissa
+    tail[vi] = exp
+    q = np.where(k[tail - 1] == _DOT, m[tail - 1] - m[tail] + 1, 0)
+    e = np.minimum(tokens[first[cell_of_exp] + 1], _U64(10**6)).astype(np.int64)
+    q[vi] += np.where(after == _MINUS, -e, e)
+    start, end = start[value], end[value]
+    x, fallback = _decimals(a[start] == ord("-"), tokens[first[value]], q)
+    for j in fallback.tolist():
+        x[j] = float(chunk[start[j] : end[j]])
+    return dates.tolist(), x.reshape(rows, n)
 
 
-def _parse_rows(
-    body: str, labels: tuple[str, ...], path: str, line0: int
-) -> tuple[list[dt.date], np.ndarray]:
-    """Dates and values of the data rows; ``body`` is the text after the
-    header, whose first line is line ``line0`` of the file."""
-    plain = _parse_plain(body, len(labels))
-    if plain is not None:
-        return plain
+# A stripped cell the cell-by-cell parse takes: the plain grammar, nan or inf.
+_NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                     r"|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE)
+
+
+def _parse_rows(data: bytes, at: int, labels: tuple[str, ...], path: str,
+                line0: int) -> tuple[list[dt.date], np.ndarray]:
+    """Dates and values of the rows of ``data[at:]``, whose first is line ``line0``
+    of the file: by the kernel in blocks of whole rows unless one is irregular."""
+    blocks, end = [], at
+    while end < len(data) and None not in blocks:
+        start, end = end, data.find(b"\n", end + _READ_BLOCK) + 1 or len(data)
+        blocks.append(_plain_rows(data[start:end], len(labels)))
+    if blocks and None not in blocks:
+        return [d for b in blocks for d in b[0]], np.concatenate([b[1] for b in blocks])
     dates: list[dt.date] = []
     values: list[list[float]] = []
-    for k, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
+    for k, row in enumerate(csv.reader(io.StringIO(data[at:].decode(), newline=""))):
         line = line0 + k
         if not row or all(not c.strip() for c in row):
             continue  # ignore blank lines
         if len(row) != len(labels) + 1:
-            raise ParseError(
-                f"{path}:{line}: expected {len(labels) + 1} cells, got {len(row)}"
-            )
+            raise ParseError(f"{path}:{line}: expected {len(labels) + 1} cells, got {len(row)}")
         try:
             date = dt.date.fromisoformat(row[0].strip())
         except ValueError:
             raise ParseError(f"{path}:{line}: bad date {row[0]!r}") from None
-        vals = []
+        dates.append(date)
+        values.append([])
         for j, cell in enumerate(row[1:]):
             text = cell.strip()
             if not text:
-                raise DataError(
-                    f"{path}:{line}: missing value for {labels[j]}"
-                )
-            try:
-                vals.append(float(text))
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{line}: bad number {cell!r} for {labels[j]}"
-                ) from None
-        dates.append(date)
-        values.append(vals)
+                raise DataError(f"{path}:{line}: missing value for {labels[j]}")
+            if not _NUMBER.fullmatch(text):
+                raise ParseError(f"{path}:{line}: bad number {cell!r} for {labels[j]}")
+            values[-1].append(float(text))
     if not dates:
         raise InsufficientDataError(f"{path}: no data rows")
     return dates, np.asarray(values, dtype=float)
 
+
+# A line as a file opened with newline="" gives it: up to \n, \r\n or \r.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 # One cell of a CSV record as csv reads it: opened by a quote (its quotes
 # doubled, anything after the closing quote kept) or plain up to a comma.
@@ -218,26 +319,27 @@ def load_panel(path: str | Path) -> ReturnPanel:
     and a price panel becomes its log returns r_t = log(p_t / p_{t-1}),
     dated by the later row."""
     path = str(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    record: list[re.Match] = []  # the lines of the record last read
+    reader = csv.reader(record.append(line) or line[0].decode() for line in _LINE.finditer(data))
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            record: list[str] = []  # the lines of the record last read
-            reader = csv.reader(record.append(line) or line for line in fh)
+        try:
+            first = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
+        if is_returns:
+            record.clear()
             try:
                 first = next(reader)
             except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            is_returns = bool(first) and first[0].strip() == RETURNS_SENTINEL
-            if is_returns:
-                record.clear()
-                try:
-                    first = next(reader)
-                except StopIteration:
-                    raise ParseError(f"{path}: missing header after sentinel") from None
-            if not first or first[0].strip().lower() != "date":
-                raise ParseError(f"{path}: first header column must be 'date'")
-            labels = _header_labels("".join(record))
-            _check_labels(labels)
-            dates, values = _parse_rows(fh.read(), labels, path, reader.line_num + 1)
+                raise ParseError(f"{path}: missing header after sentinel") from None
+        if not first or first[0].strip().lower() != "date":
+            raise ParseError(f"{path}: first header column must be 'date'")
+        labels = _header_labels(b"".join(line[0] for line in record).decode())
+        _check_labels(labels)
+        dates, values = _parse_rows(data, record[-1].end(), labels, path, reader.line_num + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     order = sorted(range(len(dates)), key=lambda i: dates[i])
@@ -353,10 +455,8 @@ def _csv_cell(text: str) -> str:
 # highest power of ten among them. The interval's ends are never integers
 # (5^s is odd, 2^(t+1)·Z even), so which ends are open does not matter.
 # repr itself renders every other double.
-_U64 = np.uint64
 _POW5 = _U64(5) ** np.arange(28, dtype=_U64)
 _POW10 = _U64(10) ** np.arange(18, dtype=_U64)
-_MASK32 = _U64(2**32 - 1)
 _KMIN, _KMAX = -11, 15  # the decimal exponents the kernel covers
 _CELL = 25  # a comma and the longest repr, "-2.2250738585072014e-308"
 # A value's source row: these 15 bytes, then its 17 digits.
@@ -414,12 +514,7 @@ def _shortest(x: np.ndarray):
     ok = (exp > 0) & (frac > 0) & (s <= 27) & (t >= 1)
     f = _POW5[np.clip(s, 0, 27)]
     t = np.clip(t, 1, 62).astype(_U64)
-    # Z·2^t = m·5^s, a 128-bit product, from 32-bit limbs
-    m = frac | _U64(2**52)
-    m_hi, m_lo, f_hi, f_lo = m >> _U64(32), m & _MASK32, f >> _U64(32), f & _MASK32
-    low = m_lo * f_lo
-    mid = m_lo * f_hi + m_hi * f_lo + (low >> _U64(32))
-    hi, lo = m_hi * f_hi + (mid >> _U64(32)), mid << _U64(32) | low & _MASK32
+    hi, lo = _mul128(frac | _U64(2**52), f)  # Z·2^t = m·5^s
     z, r = hi << (_U64(64) - t) | lo >> t, lo & (_U64(1) << t) - _U64(1)  # Z = z + r/2^t
     t1 = t + _U64(1)
     h, h_frac, r2 = f >> t1, f & (_U64(1) << t1) - _U64(1), r << _U64(1)

@@ -40,16 +40,21 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    scale = float(np.abs(a).max(initial=1.0))  # nan or inf with a non-finite entry
+    if not math.isfinite(scale):
         raise DataError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    # Halves cannot overflow when added or subtracted, and halving is exact
-    # for normal entries; a Python float overflows to inf without a warning.
+    # Halves cannot overflow when subtracted (a Python float overflows to inf
+    # without a warning). The half sum keeps symmetric entries' bits, subnormal
+    # ones too; only entries of 2^1023 or more need their halves added.
     half = 0.5 * a
     gap = 2.0 * float(np.abs(half - half.T).max(initial=0.0))
     if gap > SYM_TOL * scale:
         raise ShapeError(f"matrix is not symmetric (max asymmetry {gap:.3e})")
-    return half + half.T
+    if scale < 2.0**1023:
+        return 0.5 * (a + a.T)
+    with np.errstate(over="ignore"):
+        s = 0.5 * (a + a.T)
+    return np.where(np.isfinite(s), s, half + half.T)
 
 
 def check_correlation(corr: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from covtarget import (
     load_panel,
     sample_moments,
 )
+from covtarget import data
 from covtarget.data import _CSV_BLOCK as BLOCK
 from covtarget.data import (
-    _FIRST_SIM_DAY, _MAX_SIM_LEN, _parse_plain, check_sim_len, write_returns_csv,
+    _FIRST_SIM_DAY, _MAX_SIM_LEN, _QMAX, _QMIN, _mul128, _parse_rows, _plain_rows,
+    _pow10_table, check_sim_len, write_returns_csv,
 )
 
 from conftest import gaussian_panel, synth_dates
@@ -104,10 +107,10 @@ class TestLoadPrices:
 
     @pytest.mark.parametrize("cell, plain", [("1e500", True), ("nan", False)])
     def test_rejects_non_finite_price(self, tmp_path, cell, plain):
-        # 1e500 overflows in the C parse of plain bodies; nan takes the
-        # cell-by-cell parse.
+        # 1e500 is plain, and float() converts it to inf there; nan takes
+        # the cell-by-cell parse.
         body = f"2020-01-02,1.0\n2020-01-03,{cell}\n"
-        assert (_parse_plain(body, 1) is not None) == plain
+        assert (_plain_rows(body.encode(), 1) is not None) == plain
         with pytest.raises(DataError, match="non-finite value for AA on 2020-01-03"):
             load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
 
@@ -120,7 +123,9 @@ class TestLoadPrices:
 # rejects the others.
 PLAIN_CELLS = ["1.5", "2", "+3.25", "-1", ".5", "5.", "1e3", "1E-2", "1e+2",
                "100.00000000000004", "0.1", "1e500", "", "e", "-", "1..2",
-               "1.5e", "+-1"]
+               "1.5e", "+-1", "1-2", "1e+-2", "1e2.5", ".", "-.e1", "e5", "1.2.3",
+               "1ee5", "1e5e5", "5.e-3", "-.5E+07", "1e-", "1+", "2020-01-02", "1e-2.5",
+               "1E+.5"]
 
 
 def reference_rows(body: str):
@@ -145,11 +150,11 @@ class TestPlainFastPath:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_cell_by_cell(self, n, cells, eol):
-        # The C parse either declines or returns exactly what float() gives.
+        # The kernel either declines or returns exactly what float() gives.
         lines = [",".join([f"2020-01-{k + 10:02d}", *cells[k * n:(k + 1) * n]])
                  for k in range(max(1, len(cells) // n))]
         body = eol.join(lines) + eol
-        got, want = _parse_plain(body, n), reference_rows(body)
+        got, want = _plain_rows(body.encode(), n), reference_rows(body)
         if want is not None and want[1].shape[1] == n:
             assert got is not None
         if got is not None:
@@ -159,16 +164,20 @@ class TestPlainFastPath:
             assert got[1].tobytes() == want[1].tobytes()
 
     def test_declines_irregular_bodies(self):
-        assert _parse_plain("2020-01-02,1.0\n\n2020-01-03,2.0\n", 1) is None
-        assert _parse_plain("2020-01-02,1.0,2.0\n", 1) is None
-        assert _parse_plain('2020-01-02,"1.0"\n', 1) is None
-        assert _parse_plain("2020-01-02,1_0\n", 1) is None
-        assert _parse_plain("", 1) is None
+        assert _plain_rows(b"2020-01-02,1.0\n\n2020-01-03,2.0\n", 1) is None
+        assert _plain_rows(b"2020-01-02,1.0,2.0\n", 1) is None
+        assert _plain_rows(b'2020-01-02,"1.0"\n', 1) is None
+        assert _plain_rows(b"2020-01-02,1_0\n", 1) is None
+        assert _plain_rows(b"", 1) is None
+        for cell in ["1-2", "1e+-2", "1e-2.5", "1E+.5", "-.e1", "1e-", "5e", ".", "e5", "1..2",
+                     "1.2.3"]:
+            assert _plain_rows(f"2020-01-02,{cell}\n".encode(), 1) is None, cell
 
     @pytest.mark.parametrize("body, err, match", [
         ("2020-01-02,1.0\n2020-01-03,1.5e\n", ParseError, ":3: bad number"),
         ("2020-01-02,1.0\n2020-01-03\n", ParseError, ":3: expected 2 cells"),
         ("2020-01-02,1.0\n2020-02-30,2.0\n", ParseError, ":3: bad date"),
+        ("2020-01-02,1.0\n0000-01-03,2.0\n", ParseError, ":3: bad date"),
     ])
     def test_errors_name_the_line(self, tmp_path, body, err, match):
         with pytest.raises(err, match=match):
@@ -179,6 +188,141 @@ class TestPlainFastPath:
         panel = load_panel(write(tmp_path, "p.csv", text))
         want = np.log(np.array([[101.0, 49.5]]) / np.array([[100.0, 50.0]]))
         assert panel.returns.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("cell", ["1_5", "\u0663", "\uff11.5", "1_000.5", " 1_5 ", "0x10"])
+    def test_rejects_numbers_no_csv_writer_writes(self, tmp_path, cell):
+        # digit-group underscores and non-ASCII digits, which float() accepts
+        path = tmp_path / "p.csv"
+        path.write_bytes(f"date,AA\n2020-01-02,1.0\n2020-01-03,{cell}\n".encode())
+        with pytest.raises(ParseError, match=f"p.csv:3: bad number {cell!r} for AA$"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("cell", ["nan", " NaN ", "inf", "-Infinity", "+inf"])
+    def test_nan_and_infinity_stay_non_finite_values(self, tmp_path, cell):
+        text = f"#returns\ndate,AA\n2020-01-02,1.0\n2020-01-03,{cell}\n"
+        with pytest.raises(DataError, match="non-finite value for AA on 2020-01-03"):
+            load_panel(write(tmp_path, "r.csv", text))
+
+    def test_whitespace_around_a_number_is_stripped(self, tmp_path):
+        panel = load_panel(write(tmp_path, "r.csv", "#returns\ndate,AA\n2020-01-02, -1.5e-3\t\n"))
+        assert panel.returns.tolist() == [[-1.5e-3]]
+
+
+# Cells in every form float() accepts in the plain alphabet: 1 to 25
+# significant digits after up to three leading zeros, a dot anywhere or none,
+# an optional sign and exponent, and the edges of the conversion.
+EDGE_CELLS = [
+    "-0.0", "0e999", "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308", "1.7976931348623158e308", "1e500",
+    "9007199254740993", "1.00000000000000011102230246251565404236316680908203125",
+    "18446744073709551615", "18446744073709551616", "1e22", "1e23", "1e-22", ".5", "5.",
+]
+PLAIN_NUMBERS = st.one_of(
+    st.sampled_from(EDGE_CELLS),
+    st.builds(
+        lambda sign, zeros, digits, dot, exp: sign + (
+            (zeros + digits)[:dot] + "." + (zeros + digits)[dot:] if dot is not None
+            else zeros + digits) + exp,
+        st.sampled_from(["", "+", "-"]),
+        st.sampled_from(["", "0", "000"]),
+        st.from_regex(r"[1-9][0-9]{0,24}", fullmatch=True),
+        st.none() | st.integers(0, 28),
+        st.just("") | st.builds("{}{}{}".format, st.sampled_from("eE"),
+                                st.sampled_from(["", "+", "-"]), st.integers(0, 400)),
+    ),
+)
+
+
+class TestExactReader:
+    @settings(max_examples=300, deadline=None)
+    @given(cells=st.lists(PLAIN_NUMBERS, min_size=1, max_size=30), n=st.integers(1, 4),
+           eol=st.sampled_from(["\n", "\r\n"]), block=st.sampled_from([1, 40, 2**18]))
+    def test_every_cell_loads_as_float_gives_it(self, cells, n, eol, block):
+        cells += ["1"] * (-len(cells) % n)
+        rows = [cells[k : k + n] for k in range(0, len(cells), n)]
+        header = "#returns" + eol + "date," + ",".join(f"S{j}" for j in range(n)) + eol
+        text = header + "".join(
+            ",".join([str(dt.date(2000, 1, 1) + dt.timedelta(days=t)), *row]) + eol
+            for t, row in enumerate(rows))
+        want = np.array([[float(c) for c in row] for row in rows])
+        with mock.patch.object(data, "_READ_BLOCK", block):
+            got = _parse_rows(text.encode(), len(header), tuple(range(n)), "r.csv", 3)[1]
+            assert got.tobytes() == want.tobytes()
+            if not np.isfinite(want).all():
+                with tempfile.TemporaryDirectory() as d:
+                    (Path(d) / "r.csv").write_bytes(text.encode())
+                    with pytest.raises(DataError, match="non-finite value"):
+                        load_panel(Path(d) / "r.csv")
+
+    # The first 128-bit product leaves these undecided, and the second one
+    # (its carry included) rounds them the other way.
+    @pytest.mark.parametrize("cell", [
+        "75293283758257984e-47", "33994191621154368e-24", "22574650540040308e-6",
+        "1074578772575656192e42", "314179182548956160e-26", "314074452744116352e-54",
+    ])
+    def test_cases_the_second_product_decides(self, cell):
+        assert _plain_rows(f"2020-01-02,{cell}\n".encode(), 1)[1].tolist() == [[float(cell)]]
+
+    @pytest.mark.parametrize("kind", ["returns", "prices"])
+    def test_written_and_price_files_need_no_float_call(self, tmp_path, monkeypatch, kind):
+        # A returns file of a million 0.02·N(0, 1) values and a price file
+        # like the screen500 benchmark's, 500 random walks from 100 written
+        # with repr: the kernel converts every cell, float() none.
+        rng = np.random.default_rng(20)
+        path = tmp_path / f"{kind}.csv"
+        if kind == "returns":
+            x = 0.02 * rng.standard_normal((62_500, 16))
+            write_returns_csv(ReturnPanel(labels=tuple(f"S{j}" for j in range(16)), returns=x),
+                              path)
+        else:
+            x = 100.0 * np.exp(np.cumsum(0.02 * rng.standard_normal((200, 500)), axis=0))
+            lines = ["date," + ",".join(f"S{j:03d}" for j in range(500))] + [
+                f"{d.isoformat()}," + ",".join(map(repr, row))
+                for d, row in zip(synth_dates(200), x.tolist())]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = path.read_bytes()
+        body = raw.index(b"\n", raw.index(b"date,")) + 1
+        calls = []
+        monkeypatch.setattr(data, "float", lambda cell: calls.append(cell), raising=False)
+        dates, values = _parse_rows(raw, body, tuple(range(x.shape[1])), str(path), 3)
+        assert calls == []
+        assert values.tobytes() == x.tobytes()
+        assert len(dates) == x.shape[0]
+
+    def test_loading_peaks_under_three_times_the_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_returns_csv(gaussian_panel(0, t_len=20_000, n=15), path)
+        load_panel(path)  # builds the kernel's table
+        tracemalloc.start()
+        try:
+            load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
+
+    def test_table_exponents_and_entries(self):
+        table = _pow10_table()
+        for q in (_QMIN, -23, -1, 0, 1, 27, 28, 55, _QMAX):
+            e = 217706 * q >> 16
+            p = 10**q if q >= 0 else None
+            assert e == (p.bit_length() - 1 if p else -((10**-q - 1).bit_length()))
+            hi, lo = map(int, table[:, q - _QMIN])
+            v = hi << 64 | lo
+            assert 2**127 <= v < 2**128
+            # v <= 10^q·2^(127-e) < v + 1
+            num, den = (10**q << max(127 - e, 0), 1 << max(e - 127, 0)) if q >= 0 else (
+                1 << 127 - e, 10**-q)
+            assert v * den <= num < (v + 1) * den
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                    min_size=1, max_size=20))
+    def test_mul128_matches_python_integers(self, pairs):
+        a, b = (np.array(col, np.uint64) for col in zip(*pairs))
+        hi, lo = _mul128(a, b)
+        assert [h << 64 | w for h, w in zip(map(int, hi), map(int, lo))] == [
+            x * y for x, y in pairs]
 
 
 class TestLogReturns:
@@ -221,6 +365,14 @@ class TestReturnPanel:
         contiguous = ReturnPanel(labels=labels, returns=x.copy())
         assert strided.mean.tobytes() == contiguous.mean.tobytes()
         assert strided.demeaned().tobytes() == contiguous.demeaned().tobytes()
+
+    @pytest.mark.parametrize("t_len", [2, 3, 7, 30])
+    def test_mean_of_a_column_summing_past_the_largest_double(self, t_len):
+        big = np.full(t_len, 1.7976931348623157e308)
+        panel = ReturnPanel(labels=("A", "B", "C"),
+                            returns=np.column_stack([big, -big, np.arange(t_len) / 8.0]))
+        want = [big[0], -big[0], np.mean(np.arange(t_len) / 8.0)]
+        assert np.allclose(panel.mean, want, rtol=1e-15, atol=0.0)
 
     def test_arrays_read_only(self, rng):
         panel = gaussian_panel(rng)

@@ -72,6 +72,32 @@ class TestSymmetrize:
         assert symmetrize(m).tobytes() == (0.5 * (m + m.T)).tobytes()
 
 
+    def test_odd_subnormals_keep_their_last_bit(self):
+        m = np.array([[5e-324, 1e-310], [1e-310, 3e-323]])
+        assert symmetrize(m).tobytes() == m.tobytes()
+
+    # Symmetric matrices from any finite doubles: subnormals, and entries
+    # whose sum with their mirror overflows.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        entries=st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.floats(-1e-300, 1e-300),
+                st.integers(1, 2**52 - 1).map(lambda f: float(np.uint64(f).view(float))),
+                st.floats(8.9e307, 1.7976931348623157e308).map(lambda v: -v),
+                st.floats(8.9e307, 1.7976931348623157e308),
+            ),
+            min_size=25, max_size=25,
+        ),
+    )
+    def test_symmetric_input_comes_back_bit_for_bit(self, n, entries):
+        m = np.array(entries[: n * n]).reshape(n, n)
+        m = np.triu(m) + np.triu(m, 1).T
+        assert symmetrize(m).tobytes() == m.tobytes()
+
+
 class TestCholesky:
     def test_reconstructs_input(self, rng):
         for _ in range(20):
