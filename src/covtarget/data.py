@@ -135,6 +135,7 @@ _KIND = np.zeros(256, np.uint8)
 _KIND[np.frombuffer(b",\n+-.eE", np.uint8)] = [_COMMA, _EOL, _PLUS, _MINUS, _DOT, _EXP, _EXP]
 _TOKENS = bytes.maketrans(b",\neE", b"    ")  # with .+- deleted, an integer a run of digits
 _READ_BLOCK = 2**19  # bytes of rows parsed at once; ~10 bytes of temporaries a byte
+_EOL_BYTES = re.compile(rb"\r\n?|\n")  # where a block of rows may end
 _POW10_F = np.array([float(10**k) for k in range(23)])  # exact
 _QMIN, _QMAX = -342, 308  # beyond, each w·10^q is subnormal or overflows
 _U64, _MASK32 = np.uint64, np.uint64(2**32 - 1)
@@ -192,9 +193,10 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     return np.where(neg, -x, x), at[bad]
 
 
-def _plain_rows(chunk: bytes, n: int) -> tuple[list[dt.date], np.ndarray] | None:
-    """Dates and values of whole rows of a plain body; None where they are
-    irregular (a blank line, a bad date or number, a row of the wrong width)."""
+def _plain_rows(chunk: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dates (datetime64[D]) and values of whole rows of a plain body; None
+    where they are irregular (a blank line, a bad date or number, a row of the
+    wrong width)."""
     if b"\r" in chunk:
         chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     a = np.frombuffer(chunk if chunk.endswith(b"\n") else chunk + b"\n", np.uint8)
@@ -247,7 +249,7 @@ def _plain_rows(chunk: bytes, n: int) -> tuple[list[dt.date], np.ndarray] | None
     x, fallback = _decimals(a[start] == ord("-"), tokens[first[value]], q)
     for j in fallback.tolist():
         x[j] = float(chunk[start[j] : end[j]])
-    return dates.tolist(), x.reshape(rows, n)
+    return dates, x.reshape(rows, n)
 
 
 # A stripped cell the cell-by-cell parse takes: the plain grammar, nan or inf.
@@ -256,15 +258,17 @@ _NUMBER = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 def _parse_rows(data: bytes, at: int, labels: tuple[str, ...], path: str,
-                line0: int) -> tuple[list[dt.date], np.ndarray]:
-    """Dates and values of the rows of ``data[at:]``, whose first is line ``line0``
-    of the file: by the kernel in blocks of whole rows unless one is irregular."""
+                line0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dates (datetime64[D], in file order) and values of the rows of
+    ``data[at:]``, whose first is line ``line0`` of the file: by the kernel in
+    blocks of whole rows, each cut after a line end, unless one is irregular."""
     blocks, end = [], at
     while end < len(data) and None not in blocks:
-        start, end = end, data.find(b"\n", end + _READ_BLOCK) + 1 or len(data)
+        eol = _EOL_BYTES.search(data, end + _READ_BLOCK)
+        start, end = end, eol.end() if eol else len(data)
         blocks.append(_plain_rows(data[start:end], len(labels)))
     if blocks and None not in blocks:
-        return [d for b in blocks for d in b[0]], np.concatenate([b[1] for b in blocks])
+        return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
     dates: list[dt.date] = []
     values: list[list[float]] = []
     for k, row in enumerate(csv.reader(io.StringIO(data[at:].decode(), newline=""))):
@@ -288,7 +292,7 @@ def _parse_rows(data: bytes, at: int, labels: tuple[str, ...], path: str,
             values[-1].append(float(text))
     if not dates:
         raise InsufficientDataError(f"{path}: no data rows")
-    return dates, np.asarray(values, dtype=float)
+    return np.array(dates, "datetime64[D]"), np.asarray(values, dtype=float)
 
 
 # A line as a file opened with newline="" gives it: up to \n, \r\n or \r.
@@ -342,12 +346,13 @@ def load_panel(path: str | Path) -> ReturnPanel:
         dates, values = _parse_rows(data, record[-1].end(), labels, path, reader.line_num + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    order = sorted(range(len(dates)), key=lambda i: dates[i])
-    dates = tuple(dates[i] for i in order)
-    for a, b in zip(dates, dates[1:]):
-        if a == b:
-            raise DataError(f"{path}: duplicate date {a}")
-    values = values[order]
+    if not (dates[1:] > dates[:-1]).all():
+        order = np.argsort(dates, kind="stable")
+        dates, values = dates[order], values[order]
+        same = np.flatnonzero(dates[1:] == dates[:-1])
+        if same.size:
+            raise DataError(f"{path}: duplicate date {dates[same[0]]}")
+    dates = tuple(dates.tolist())
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         t, j = map(int, bad[0])

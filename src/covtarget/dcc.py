@@ -28,6 +28,11 @@ with Z_{t-1} = z_{t-1} z_{t-1}' and sums over t >= 1. Like the filter, the
 adjoint scans only the N(N+1)/2 lower-triangle entries: every matrix here
 is symmetric, so an off-diagonal entry stands for itself and its mirror and
 enters dl/dQ_t with weight 2.
+
+The simulator never forms R_t either: the lower Cholesky factor of R_t is
+diag(Q_t)^{-1/2} chol(Q_t) (Engle 2002), so each step factors Q_t, and the
+per-series GARCH variances, which z_t drives without feedback, follow in a
+second pass over the stored z path.
 """
 from __future__ import annotations
 
@@ -55,6 +60,7 @@ from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked
 from .targeting import TargetSpec
 
 _PSD_TOL = 1e-10
+_VAR_BLOCK = 1024  # rows per block of dcc_simulate's variance pass
 
 
 @dataclass(frozen=True)
@@ -275,51 +281,54 @@ def dcc_simulate(
     seed: int,
     labels: tuple[str, ...] | None = None,
 ) -> ReturnPanel:
-    """Simulate r_t = mu + D_t L_t eta_t with Gaussian eta_t, where L_t is the
-    lower Cholesky factor of R_t, starting from the per-series unconditional
-    variances and Q_1 = q_bar.
+    """Simulate r_t = mu + D_t z_t with Gaussian eta_t and z_t = L_t eta_t,
+    where L_t is the lower Cholesky factor of R_t, starting from the
+    per-series unconditional variances and Q_1 = q_bar.
 
-    Each step factors R_t with numpy's Cholesky gufunc (the one
+    R_t is never formed: with S_t = diag(Q_t)^{1/2}, R_t = S_t^{-1} Q_t
+    S_t^{-1}, so L_t = S_t^{-1} chol(Q_t) and z_t = chol(Q_t) eta_t / diag(S_t).
+    Each step factors Q_t with numpy's Cholesky gufunc (the one
     np.linalg.cholesky calls, so the factors are the same bits) into one
-    buffer. An R_t it cannot factor raises NumericalOverflowError naming
-    the step t; a non-finite return raises it as an overflow."""
+    buffer; a Q_t it cannot factor raises NumericalOverflowError naming the
+    step t. The GARCH variances, driven by z alone, follow in a second pass
+    in time order; a non-finite return raises it as an overflow."""
     n = params.n
     mu, eta = _sim_shocks(n, mu, t_len, seed)
-    h_t = np.array([p.unconditional_var() for p in params.univariate])
     q_t = params.q_bar.copy()
-    omega = np.array([p.omega for p in params.univariate])
-    alpha = np.array([p.alpha for p in params.univariate])
-    beta = np.array([p.beta for p in params.univariate])
     t1, t2 = params.theta1, params.theta2
     intercept = (1.0 - t1 - t2) * params.q_bar
-    d, z_t, arch = np.empty((3, n))
-    r_t, outer, low = np.empty((3, n, n))
-    # Each step updates h_t and Q_t in place as (omega + alpha e^2) + beta h
-    # and (intercept + t1 z z') + t2 Q, through diagonals as strided views
-    # and outer products as column-times-row broadcasts; e_t overwrites
-    # eta_t in the shock array once z_t has been formed from it. One errstate
-    # covers the loop, as _factor_into asks.
-    q_diag, r_diag = q_t.reshape(-1)[:: n + 1], r_t.reshape(-1)[:: n + 1]
-    d_col, z_col = d[:, None], z_t[:, None]
+    low, outer = np.empty((2, n, n))
+    s, lz = np.empty((2, n))
+    q_diag = q_t.reshape(-1)[:: n + 1]
+    omega, alpha, beta = np.array([(p.omega, p.alpha, p.beta) for p in params.univariate]).T
+    rows = min(_VAR_BLOCK, t_len)
+    c, h = np.empty((rows, n)), np.empty((rows + 1, n))
+    h[0] = [p.unconditional_var() for p in params.univariate]
+    # Each step writes z_t over eta_t and updates Q_t in place as
+    # (intercept + t1 z z') + t2 Q, the diagonal a strided view. Then, per
+    # block of rows, c_t = alpha z_t^2 + beta, h_{t+1} = c_t h_t + omega step
+    # by step, and e_t = sqrt(h_t) z_t over z_t. One errstate covers both
+    # passes, as _factor_into asks.
     with np.errstate(all="ignore"):
-        for t in range(t_len):
-            np.sqrt(q_diag, out=d)
-            np.divide(q_t, np.multiply(d_col, d, out=outer), out=r_t)
-            r_diag.fill(1.0)
-            if not _factor_into(r_t, low):
+        for t, z_t in enumerate(eta):
+            if not _factor_into(q_t, low):
                 raise NumericalOverflowError(
                     f"simulated correlation lost positive definiteness at t={t}", t=t
                 )
-            np.dot(low, eta[t], out=z_t)
-            e_t = eta[t]
-            np.multiply(np.sqrt(h_t, out=e_t), z_t, out=e_t)
-            np.multiply(alpha, np.square(e_t, out=arch), out=arch)
-            arch += omega
-            h_t *= beta
-            h_t += arch
-            np.multiply(z_col, z_t, out=outer)
+            np.divide(np.dot(low, z_t, lz), np.sqrt(q_diag, s), z_t)
+            np.multiply.outer(z_t, z_t, out=outer)
             outer *= t1
             outer += intercept
             q_t *= t2
             q_t += outer
+        for at in range(0, t_len, rows):
+            z = eta[at : at + rows]
+            k = len(z)
+            np.multiply(alpha, np.square(z, c[:k]), c[:k])
+            c[:k] += beta
+            for c_t, h_t, h_next in zip(c[:k], h, h[1:]):
+                np.multiply(c_t, h_t, h_next)
+                h_next += omega
+            z *= np.sqrt(h[:k], h[:k])
+            h[0] = h[k]
     return _sim_panel(eta, mu, labels)

@@ -102,10 +102,20 @@ def simplex_unmap(w: np.ndarray) -> np.ndarray:
 
 class _SimplexTransform:
     """u -> simplex_map(u), strictly inside the open simplex: the (alpha,
-    beta) of a variance-targeted GARCH and the (theta1, theta2) of DCC."""
+    beta) of a variance-targeted GARCH and the (theta1, theta2) of DCC.
 
-    forward = staticmethod(simplex_map)
+    Large u rounds onto the boundary (u = (40, 40) maps to (0.5, 0.5)), which
+    the models' parameter checks reject; there every weight steps down one
+    ulp at a time until the sum is below 1. Interior points keep their bits."""
+
     inverse = staticmethod(simplex_unmap)
+
+    @staticmethod
+    def forward(u: np.ndarray) -> np.ndarray:
+        w = simplex_map(u)
+        while not w.sum() < 1.0:
+            w = np.nextafter(w, 0.0)
+        return w
 
     def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
         return simplex_vjp(simplex_map(u), g)

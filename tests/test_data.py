@@ -24,7 +24,7 @@ from covtarget import (
 from covtarget import data
 from covtarget.data import _CSV_BLOCK as BLOCK
 from covtarget.data import (
-    _FIRST_SIM_DAY, _MAX_SIM_LEN, _QMAX, _QMIN, _mul128, _parse_rows, _plain_rows,
+    _FIRST_SIM_DAY, _MAX_SIM_LEN, _QMAX, _QMIN, _READ_BLOCK, _mul128, _parse_rows, _plain_rows,
     _pow10_table, check_sim_len, write_returns_csv,
 )
 
@@ -89,6 +89,22 @@ class TestLoadPrices:
         bad = "date,AA\n2020-01-02,1.0\n2020-01-02,2.0\n"
         with pytest.raises(DataError, match="duplicate date"):
             load_panel(write(tmp_path, "p.csv", bad))
+
+    def test_sorts_shuffled_dates_and_names_the_first_duplicate(self, tmp_path):
+        rng = np.random.default_rng(3)
+        days = list(synth_dates(300))
+        x = rng.standard_normal((300, 2))
+        order = rng.permutation(300)
+        rows = [f"{days[i]},{x[i, 0].item()!r},{x[i, 1].item()!r}" for i in order]
+        path = write(tmp_path, "p.csv", "#returns\ndate,AA,BB\n" + "\n".join(rows) + "\n")
+        panel = load_panel(path)
+        assert panel.dates == tuple(days)
+        assert panel.returns.tobytes() == x.tobytes()
+        # two dates each appear twice, the later one first in the file
+        dup = rows + [rows[list(order).index(200)], rows[list(order).index(7)]]
+        path = write(tmp_path, "d.csv", "#returns\ndate,AA,BB\n" + "\n".join(dup[::-1]) + "\n")
+        with pytest.raises(DataError, match=f"^{path}: duplicate date {days[7]}$"):
+            load_panel(path)
 
     def test_rejects_nonpositive_price(self, tmp_path):
         bad = "date,AA\n2020-01-02,0.0\n"
@@ -159,7 +175,7 @@ class TestPlainFastPath:
             assert got is not None
         if got is not None:
             assert got[1].shape[1] == n
-            assert got[0] == want[0]
+            assert got[0].tolist() == want[0]
             assert got[1].shape == want[1].shape
             assert got[1].tobytes() == want[1].tobytes()
 
@@ -300,6 +316,36 @@ class TestExactReader:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * path.stat().st_size
+
+    def test_loading_lone_cr_lines_peaks_under_three_times_the_file(self, tmp_path):
+        # blocks are cut after a lone \r as after \n
+        path = tmp_path / "r.csv"
+        panel = gaussian_panel(0, t_len=20_000, n=15)
+        write_returns_csv(panel, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        assert load_panel(path).returns.tobytes() == panel.returns.tobytes()
+        tracemalloc.start()
+        try:
+            load_panel(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * path.stat().st_size
+
+    @pytest.mark.parametrize("first", ["1.5", "1.25", "1.125"])
+    def test_crlf_across_a_block_edge_stays_one_line_end(self, monkeypatch, first):
+        # 16-byte rows after a first row of 16, 17 or 18 bytes put a \r\n
+        # before, across or at the first block's edge: each block still
+        # starts on a row, so the kernel takes every one
+        rows = 2 * _READ_BLOCK // 16
+        raw = f"2020-01-02,{first}\r\n".encode() + b"2020-01-02,2.5\r\n" * rows
+        chunks = []
+        spy = data._plain_rows
+        monkeypatch.setattr(data, "_plain_rows", lambda c, n: chunks.append(c) or spy(c, n))
+        dates, values = _parse_rows(raw, 0, ("A",), "r.csv", 2)
+        assert len(chunks) > 1 and not any(c.startswith(b"\n") for c in chunks)
+        assert values.ravel().tolist() == [float(first)] + [2.5] * rows
+        assert len(dates) == rows + 1
 
     def test_table_exponents_and_entries(self):
         table = _pow10_table()

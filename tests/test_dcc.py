@@ -28,6 +28,7 @@ import covtarget.dcc
 import covtarget.garch
 
 from conftest import gaussian_panel
+from tables import CORR15
 
 QBAR3 = np.array(
     [[1.0, 0.5, 0.3], [0.5, 1.0, 0.4], [0.3, 0.4, 1.0]]
@@ -240,6 +241,23 @@ class TestFit:
                     )
             assert abs(moved.theta1 - base.theta1) <= 1e-6
             assert abs(moved.theta2 - base.theta2) <= 1e-6
+
+    def test_fit_at_the_unit_root_boundary_returns_valid_params(self):
+        # With the thresholded target as intercept the stage-two optimum is
+        # theta1 + theta2 -> 1, where the optimizer's point rounds to a sum of
+        # 1.0; the fit must still return parameters inside the simplex.
+        truth = DccParams(univariate=(Garch11Params(5e-6, 0.05, 0.9),) * 15,
+                          theta1=0.05, theta2=0.90, q_bar=CORR15)
+        panel = dcc_simulate(truth, np.zeros(15), 500, seed=1)
+        s1 = dcc_stage1(panel)
+        z = build_target(sample_moments(panel), 0.5).z_hat_pd
+        d = np.sqrt(np.diag(z))
+        q_bar = z / np.outer(d, d)
+        np.fill_diagonal(q_bar, 1.0)
+        s1 = covtarget.dcc.Stage1Result(s1.params, s1.std_resid, 0.5 * (q_bar + q_bar.T))
+        params, _ = dcc_fit(panel, stage1=s1)
+        assert params.theta1 + params.theta2 < 1.0
+        assert params.theta1 + params.theta2 > 1.0 - 1e-9
 
     def test_short_panel_fails_loudly(self):
         panel = gaussian_panel(5, t_len=30, n=2)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from covtarget import (
     CovTargetError,
     DataError,
+    DccParams,
     EstimationError,
     FitReport,
+    Garch11Params,
     OptimizerOptions,
     fd_gradient,
     maximize,
@@ -23,6 +25,7 @@ from covtarget.optimize import (
     _WOLFE_C2,
     _bfgs,
     _line_search,
+    _SimplexTransform,
     simplex_map,
     simplex_unmap,
     simplex_vjp,
@@ -65,12 +68,31 @@ class TestSimplexMap:
 
     def test_stable_for_large_inputs(self):
         # extreme coordinates must not overflow; saturation onto the
-        # closed-simplex boundary is caught downstream by validation
+        # closed-simplex boundary is undone by the fits' _SimplexTransform
         w = simplex_map(np.array([800.0, -800.0]))
         assert np.all(np.isfinite(w))
         assert np.all(w >= 0.0) and w.sum() <= 1.0
         w = simplex_map(np.array([30.0, -30.0]))
         assert np.all(w > 0.0) and 0.0 < w.sum() < 1.0
+
+    @pytest.mark.parametrize("u", [(40.0, 40.0), (20.0, 38.0)])
+    def test_fit_transform_stays_inside_where_the_map_rounds_to_the_boundary(self, u):
+        # simplex_map(u) sums to exactly 1.0 here; the fits' transform steps
+        # it back inside, so the points GARCH and DCC fits return pass their
+        # parameter checks
+        u = np.array(u)
+        assert simplex_map(u).sum() == 1.0
+        w = _SimplexTransform.forward(u)
+        assert np.all(w > 0.0) and w.sum() < 1.0
+        assert np.allclose(w, simplex_map(u), rtol=1e-15, atol=0.0)
+        a, b = map(float, w)
+        Garch11Params(omega=2.0 * (1.0 - a - b), alpha=a, beta=b)
+        DccParams(univariate=(Garch11Params(1.0, 0.05, 0.9),) * 2, theta1=a,
+                  theta2=b, q_bar=np.eye(2))
+
+    def test_fit_transform_keeps_interior_bits(self, rng):
+        for u in rng.standard_normal((200, 2)) * 10:
+            assert np.array_equal(_SimplexTransform.forward(u), simplex_map(u))
 
     def test_vjp_matches_finite_differences(self, rng):
         for _ in range(20):
