@@ -135,7 +135,6 @@ _KIND = np.zeros(256, np.uint8)
 _KIND[np.frombuffer(b",\n+-.eE", np.uint8)] = [_COMMA, _EOL, _PLUS, _MINUS, _DOT, _EXP, _EXP]
 _TOKENS = bytes.maketrans(b",\neE", b"    ")  # with .+- deleted, an integer a run of digits
 _READ_BLOCK = 2**19  # bytes of rows parsed at once; ~10 bytes of temporaries a byte
-_EOL_BYTES = re.compile(rb"\r\n?|\n")  # where a block of rows may end
 _POW10_F = np.array([float(10**k) for k in range(23)])  # exact
 _QMIN, _QMAX = -342, 308  # beyond, each w·10^q is subnormal or overflows
 _U64, _MASK32 = np.uint64, np.uint64(2**32 - 1)
@@ -264,8 +263,8 @@ def _parse_rows(data: bytes, at: int, labels: tuple[str, ...], path: str,
     blocks of whole rows, each cut after a line end, unless one is irregular."""
     blocks, end = [], at
     while end < len(data) and None not in blocks:
-        eol = _EOL_BYTES.search(data, end + _READ_BLOCK)
-        start, end = end, eol.end() if eol else len(data)
+        rest = _LINE.match(data, end + _READ_BLOCK)  # of the line the block's edge falls in
+        start, end = end, rest.end() if rest else len(data)
         blocks.append(_plain_rows(data[start:end], len(labels)))
     if blocks and None not in blocks:
         return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
