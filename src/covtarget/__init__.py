@@ -49,7 +49,6 @@ from .errors import (
 )
 from .garch import (
     Garch11Params,
-    VariancePath,
     garch11_filter,
     garch11_fit,
     garch11_loglik,
@@ -105,7 +104,6 @@ __all__ = [
     "StartOutcome",
     "TargetSpec",
     "ThresholdGraph",
-    "VariancePath",
     "bekk_filter",
     "bekk_fit",
     "bekk_loglik",

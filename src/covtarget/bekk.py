@@ -215,7 +215,11 @@ class _BekkTransform:
     L_ij = u_ij, so every coordinate is free of the returns' scale. Each
     pair is mapped through the open simplex so that
     a_i^2 = e^{u_a}/(1+e^{u_a}+e^{u_b}), b_i^2 likewise; this enforces
-    a_i, b_i > 0 and a_i^2 + b_i^2 < 1 strictly.
+    a_i, b_i > 0 and a_i^2 + b_i^2 < 1 strictly. Large u rounds onto the
+    boundary (u_ab = (40, 40) gives a_i^2 + b_i^2 = 1 + 2^-52), which
+    BekkParams rejects; there a_i and b_i step down one ulp at a time until
+    the sum of squares is below 1, as in optimize._SimplexTransform. Interior
+    points keep their bits.
     """
 
     def __init__(self, n: int):
@@ -233,6 +237,8 @@ class _BekkTransform:
         u = np.asarray(u, dtype=float)
         c_entries, _ = self._c_entries(u)
         ab = np.sqrt(simplex_map(u[self.m :].reshape(self.n, 2)))
+        while (out := ab[:, 0] ** 2 + ab[:, 1] ** 2 >= 1.0).any():
+            ab[out] = np.nextafter(ab[out], 0.0)
         return np.concatenate([c_entries, ab[:, 0], ab[:, 1]])
 
     def vjp(self, u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -277,6 +283,8 @@ def bekk_fit(
     sign-normalized (a_i, b_i > 0, diag(C) > 0) by the parametrization.
     """
     eps = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise DataError("eps contains non-finite values")
     if eps.ndim != 2:
         raise ShapeError(f"eps must be 2-D, got shape {eps.shape}")
     t_len, n = eps.shape

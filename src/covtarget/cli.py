@@ -134,7 +134,7 @@ def _load_run(args, sim_len: int | None = None) -> tuple[ReturnPanel, RunConfig]
         delta=_usage("--delta", check_delta, args.delta),
         seed=args.seed,
         sim_len=None if sim_len is None else _usage("--sim-len", check_sim_len, sim_len),
-        opts=_usage("--starts", OptimizerOptions, n_starts=args.starts, seed=args.seed),
+        starts=_usage("--starts", OptimizerOptions, args.starts).n_starts,
     )
     return load_panel(_require_input(args)), config
 

@@ -114,7 +114,6 @@ class SampleMoments:
     unit diagonal and entries in [-1, 1].
     """
 
-    labels: tuple[str, ...]
     cov: np.ndarray
     corr: np.ndarray
     gamma: np.ndarray
@@ -127,15 +126,14 @@ class SampleMoments:
 
 # Panels are read by an exact kernel: each value cell of a plain body (ISO
 # dates and decimals, nothing quoted or blank) becomes a sign, an integer
-# w < 2^64 and a decimal exponent q, and w·10^q is rounded to a double by one
-# IEEE operation where w <= 2^53 and |q| <= 22 (Clinger 1990), else by Eisel–
-# Lemire (Lemire 2021), else by float(). The kinds of bytes other than digits:
+# w < 2^64 and a decimal exponent q, and a nonzero w·10^q is rounded to a
+# double by Eisel–Lemire (Lemire 2021), else by float(). The kinds of bytes
+# other than digits:
 _COMMA, _EOL, _EXP, _PLUS, _MINUS, _DOT, _DASH = range(1, 8)  # 0: not plain; 1-3 end runs
 _KIND = np.zeros(256, np.uint8)
 _KIND[np.frombuffer(b",\n+-.eE", np.uint8)] = [_COMMA, _EOL, _PLUS, _MINUS, _DOT, _EXP, _EXP]
 _TOKENS = bytes.maketrans(b",\neE", b"    ")  # with .+- deleted, an integer a run of digits
 _READ_BLOCK = 2**19  # bytes of rows parsed at once; ~10 bytes of temporaries a byte
-_POW10_F = np.array([float(10**k) for k in range(23)])  # exact
 _QMIN, _QMAX = -342, 308  # beyond, each w·10^q is subnormal or overflows
 _U64, _MASK32 = np.uint64, np.uint64(2**32 - 1)
 
@@ -161,12 +159,11 @@ def _pow10_table() -> np.ndarray:
 
 
 def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
-    """Each ±w·10^q rounded to a double, and where float() must decide it
-    instead: w = 2^64 - 1 (it may have overflowed), q beyond the table, a
-    subnormal or infinite result, or an ambiguous Eisel–Lemire case."""
-    p = _POW10_F[np.minimum(np.abs(q), 22)]
-    x = w / p if (q <= 0).all() else np.where(q < 0, w / p, w * p)  # exact w below 2^53
-    at = np.flatnonzero((w > _U64(2**53)) | (np.abs(q) > 22) & (w > 0))
+    """Each ±w·10^q rounded to a double by Eisel–Lemire, and where float()
+    must decide it instead: w = 2^64 - 1 (it may have overflowed), q beyond
+    the table, a subnormal or infinite result, or an ambiguous case."""
+    x = np.zeros(w.shape)
+    at = np.flatnonzero(w)
     w, q = w[at], q[at]
     bad = (w == _U64(2**64 - 1)) | (q < _QMIN) | (q > _QMAX)
     i, (hi_t, lo_t) = np.clip(q, _QMIN, _QMAX) - _QMIN, _pow10_table()
@@ -179,9 +176,12 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     y_hi, y_lo = _mul128(w[at2], lo_t[i[at2]])
     x_lo[at2] += y_hi
     x_hi[at2] += x_lo[at2] < y_hi
-    bad[at2] |= (x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0) & (y_lo + w[at2] < w[at2])
     top = x_hi >> _U64(63)
     mant = x_hi >> top + _U64(9)  # 54 bits: the significand and a half bit
+    # a carry lost below y_lo would raise mant by one, which rounds alike unless
+    # mant is even (mant + 1 a midpoint): an exact 0.5 or 100.25 is decided here
+    bad[at2] |= ((x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0)
+                 & (y_lo + w[at2] < w[at2]) & (mant[at2] & _U64(1) == 0))
     bad |= (x_lo == 0) & (x_hi & _U64(0x1FF) == 0) & (mant & _U64(3) == 1)  # a tie?
     mant = mant + (mant & _U64(1)) >> _U64(1)  # half up, or to even on a tie
     carry = mant >> _U64(53)
@@ -400,9 +400,7 @@ def sample_moments(panel: ReturnPanel) -> SampleMoments:
     if panel.t_len < 2:
         raise InsufficientDataError("need at least two return rows for moments")
     s, c, corr = _moments(panel.returns, panel.labels)
-    return SampleMoments(
-        labels=panel.labels, cov=0.5 * (c + c.T), corr=corr, gamma=np.diag(s)
-    )
+    return SampleMoments(cov=0.5 * (c + c.T), corr=corr, gamma=np.diag(s))
 
 
 def check_sim_len(t_len: int) -> int:
@@ -577,7 +575,11 @@ def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     """Write a ReturnPanel in the sentinel format, atomically, streaming
     blocks of rows to disk as they are rendered. Header labels are quoted as
     needed; each value is written as repr writes it. An undated panel's rows
-    are dated daily from 1970-01-02, each block's dates rendered in bulk."""
+    are dated daily from 1970-01-02, each block's dates rendered in bulk;
+    one too long to end by 9999-12-31 raises DataError and writes nothing."""
+    if panel.dates is None and panel.t_len > _MAX_SIM_LEN:
+        raise DataError(f"an undated panel of {panel.t_len} rows would be dated past "
+                        f"9999-12-31 (at most {_MAX_SIM_LEN} rows)")
 
     def chunks():
         yield f"{RETURNS_SENTINEL}\ndate,{','.join(map(_csv_cell, panel.labels))}\n"

@@ -133,20 +133,17 @@ class Stage1Result:
 def _stage1_paths(
     eps: np.ndarray, univariate: tuple[Garch11Params, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-series variance paths h and standardized residuals z of demeaned
-    returns eps, both (T, N), each filter started at the series' sample
-    variance."""
+    """Per-series variance paths h of demeaned returns eps, each filter
+    started at the series' sample variance, and the standardized residuals
+    z = eps / sqrt(h), both (T, N)."""
     if eps.shape[1] != len(univariate):
         raise ShapeError(
             f"panel has {eps.shape[1]} series but params expect {len(univariate)}"
         )
     h = np.empty_like(eps)
-    z = np.empty_like(eps)
     for j, p in enumerate(univariate):
-        path = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1)))
-        h[:, j] = path.h
-        z[:, j] = path.z
-    return h, z
+        h[:, j] = garch11_filter(eps[:, j], p, h1=float(eps[:, j].var(ddof=1)))
+    return h, eps / np.sqrt(h)
 
 
 def dcc_stage1(panel: ReturnPanel, opts: OptimizerOptions | None = None) -> Stage1Result:

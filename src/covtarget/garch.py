@@ -74,14 +74,6 @@ class Garch11Params:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
-@dataclass(frozen=True)
-class VariancePath:
-    """Conditional variance path and the standardized residuals z = eps/sqrt(h)."""
-
-    h: np.ndarray
-    z: np.ndarray
-
-
 # Rows of at most this many entries step on Python floats, one entry at a
 # time (~0.1 us per entry and step); wider rows run the odd-even scan, about
 # 4 log2(T) numpy calls at any width. The two break even at three entries.
@@ -153,8 +145,8 @@ def _one_pole_adjoint(g: np.ndarray, coef) -> np.ndarray:
     return _one_pole(g[::-1], coef, 0.0)[::-1]
 
 
-def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> VariancePath:
-    """Run the variance recursion from h_1 = h1 over demeaned returns eps."""
+def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> np.ndarray:
+    """The variance path h of demeaned returns eps, run from h_1 = h1."""
     eps = np.asarray(eps, dtype=float)
     if eps.ndim != 1 or eps.size < 1:
         raise DataError(f"eps must be a nonempty 1-D array, got shape {eps.shape}")
@@ -171,7 +163,7 @@ def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> Varianc
         raise NumericalOverflowError(
             f"variance recursion overflowed at t={t}", t=t
         )
-    return VariancePath(h=h, z=eps / np.sqrt(h))
+    return h
 
 
 def garch11_loglik(
@@ -187,7 +179,7 @@ def garch11_loglik(
     eps = np.asarray(eps, dtype=float)
     if h1 is None:
         h1 = float(eps.var(ddof=1))
-    h = garch11_filter(eps, params, h1).h
+    h = garch11_filter(eps, params, h1)
     e2 = eps**2
     value = -0.5 * float((_LOG_2PI + np.log(h) + e2 / h).sum())
     if not grad:
@@ -209,6 +201,8 @@ def garch11_fit(
     starts at h_1 = s2.
     """
     eps = np.asarray(eps, dtype=float)
+    if not np.all(np.isfinite(eps)):
+        raise DataError("eps contains non-finite values")
     if eps.ndim != 1:
         raise DataError(f"eps must be 1-D, got shape {eps.shape}")
     if eps.size < MIN_OBS:

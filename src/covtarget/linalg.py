@@ -76,10 +76,6 @@ class CholFactor:
     lower: np.ndarray
     logdet: float
 
-    @property
-    def n(self) -> int:
-        return self.lower.shape[0]
-
 
 def _factor_into(a: np.ndarray, low: np.ndarray) -> bool:
     """Write the lower Cholesky factor of ``a`` into ``low``, the same bits as
@@ -169,7 +165,7 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
         raise ShapeError(
             f"covariance shapes differ: {cp.lower.shape} vs {cq.lower.shape}"
         )
-    n = cp.n
+    n = cp.lower.shape[0]
     # Tr(Q^{-1} P) = ||Lq^{-1} Lp||_F^2 with P = Lp Lp', Q = Lq Lq'.
     y = np.linalg.solve(cq.lower, cp.lower)
     trace = float((y * y).sum())

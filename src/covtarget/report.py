@@ -52,20 +52,23 @@ def check_models(models: tuple[str, ...]) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated evaluation configuration."""
+    """Validated evaluation configuration. The fits' ``opts`` are derived
+    from ``starts`` and ``seed``, the one seed report.json records."""
 
     input: str
     models: tuple[str, ...] = MODEL_KINDS
     delta: float = 0.5
     seed: int = 0
     sim_len: int | None = None
-    opts: OptimizerOptions = field(default_factory=OptimizerOptions)
+    starts: int = OptimizerOptions.n_starts
+    opts: OptimizerOptions = field(init=False)
 
     def __post_init__(self):
         check_models(self.models)
         check_delta(self.delta)
         if self.sim_len is not None:
             check_sim_len(self.sim_len)
+        object.__setattr__(self, "opts", OptimizerOptions(self.starts, self.seed))
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,7 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
             "delta": float(config.delta),
             "seed": int(config.seed),
             "sim_len": int(config.sim_len) if config.sim_len is not None else None,
-            "starts": int(config.opts.n_starts),
+            "starts": int(config.starts),
         },
         "panel": {
             "labels": list(panel.labels),

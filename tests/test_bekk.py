@@ -22,6 +22,7 @@ from covtarget import (
     sample_moments,
 )
 import covtarget.bekk
+from covtarget.optimize import simplex_map
 
 from conftest import bekk2, gaussian_panel, random_spd
 from tables import CORR5
@@ -108,6 +109,23 @@ class TestParams:
         # fixed point of the recursion in expectation
         assert np.allclose(cc + (aa + bb) * h_bar, h_bar, atol=1e-14)
 
+    @pytest.mark.parametrize("u_ab", [(40.0, 40.0), (20.0, 38.0)])
+    def test_transform_stays_inside_where_the_map_rounds_to_the_boundary(self, u_ab):
+        # a^2 + b^2 rounds to 1 + 2^-52 here; stepped back inside, the point
+        # a fit would return passes BekkParams
+        ab = np.sqrt(simplex_map(np.array(u_ab)))
+        assert ab @ ab >= 1.0
+        x = covtarget.bekk._BekkTransform(1).forward(np.array([0.0, *u_ab]))
+        assert np.allclose(x[1:], ab, rtol=1e-15, atol=0.0)
+        p = BekkParams.from_vector(x, 1)
+        assert p.a_diag[0] ** 2 + p.b_diag[0] ** 2 < 1.0
+
+    def test_transform_keeps_interior_bits(self, rng):
+        for u in rng.standard_normal((200, 7)) * 5:
+            ab = np.sqrt(simplex_map(u[3:].reshape(2, 2)))
+            x = covtarget.bekk._BekkTransform(2).forward(u)
+            assert np.array_equal(x[3:], ab.T.ravel())
+
     def test_vector_round_trip(self):
         p = bekk2()
         q = BekkParams.from_vector(p.to_vector(), 2)
@@ -140,7 +158,7 @@ class TestFilter:
         pg = Garch11Params(omega=c * c, alpha=a * a, beta=b * b)
         eps = rng.standard_normal(200)
         hm = bekk_filter(eps[:, None], p1, np.array([[1.5]]))[:, 0, 0]
-        hu = garch11_filter(eps, pg, h1=1.5).h
+        hu = garch11_filter(eps, pg, h1=1.5)
         assert np.allclose(hm, hu, rtol=1e-13, atol=0)
 
     def test_zero_arch_terms_give_constant_covariance(self, rng):
@@ -278,6 +296,13 @@ class TestFit:
         # 2 assets need 3 + 4 + 10 rows
         with pytest.raises(InsufficientDataError):
             bekk_fit(rng.standard_normal((16, 2)))
+
+    def test_non_finite_returns_fail_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(covtarget.bekk, "maximize", no_evaluation)
+        eps = desk_panel().demeaned()
+        eps[5, 1] = np.inf
+        with pytest.raises(DataError, match="eps contains non-finite values"):
+            bekk_fit(eps)
 
     @pytest.mark.parametrize("h1, error, match", [
         (np.eye(3), ShapeError, r"h1 must be \(5, 5\), got \(3, 3\)"),

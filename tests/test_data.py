@@ -279,6 +279,19 @@ class TestExactReader:
     def test_cases_the_second_product_decides(self, cell):
         assert _plain_rows(f"2020-01-02,{cell}\n".encode(), 1)[1].tolist() == [[float(cell)]]
 
+    # Exact values of 17 to 19 digits: the truncated powers leave each product
+    # a unit short of the exact one, which rounds alike whether or not it is.
+    @pytest.mark.parametrize("cell", [
+        "100.2500000000000000", "0.5000000000000000000", "1234.000000000000000",
+        "9007199254740992.000", "1.125000000000000000", "-0.0009765625000000000",
+    ])
+    def test_exact_values_need_no_float_call(self, cell, monkeypatch):
+        calls = []
+        monkeypatch.setattr(data, "float", calls.append, raising=False)
+        x = _plain_rows(f"2020-01-02,{cell}\n".encode(), 1)[1]
+        assert calls == []
+        assert x.tobytes() == np.array([[float(cell)]]).tobytes()
+
     @pytest.mark.parametrize("kind", ["returns", "prices"])
     def test_written_and_price_files_need_no_float_call(self, tmp_path, monkeypatch, kind):
         # A returns file of a million 0.02·N(0, 1) values and a price file
@@ -549,6 +562,12 @@ class TestReturnsCsv:
         assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
         # the first block had reached the temporary file before the failure
         assert len(seen) == 1 and seen[0] > 0
+
+    def test_undated_panel_past_9999_is_refused_before_writing(self, tmp_path):
+        panel = ReturnPanel(labels=("A",), returns=np.zeros((_MAX_SIM_LEN + 1, 1)))
+        with pytest.raises(DataError, match="dated past 9999-12-31"):
+            write_returns_csv(panel, tmp_path / "r.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_writing_streams_in_bounded_memory(self, tmp_path):
         panel = gaussian_panel(0, t_len=20_000, n=15)

@@ -21,6 +21,7 @@ from covtarget import (
     dcc_stage1,
     dcc_stage2_loglik,
     dcc_std_residuals,
+    garch11_filter,
     kl_divergence,
     sample_moments,
 )
@@ -287,6 +288,15 @@ class TestPaths:
         d = np.sqrt(np.diagonal(h, axis1=1, axis2=2))
         assert np.allclose(h, r * (d[:, :, None] * d[:, None, :]), rtol=1e-12)
         assert np.linalg.eigvalsh(h).min() > 0.0
+
+    def test_residuals_are_returns_over_filtered_volatility(self):
+        p = dcc3()
+        panel = dcc_simulate(p, np.zeros(3), 200, seed=9)
+        eps = panel.demeaned()
+        z = dcc_std_residuals(panel, p)
+        for j, g in enumerate(p.univariate):
+            h = garch11_filter(eps[:, j], g, h1=float(eps[:, j].var(ddof=1)))
+            assert z[:, j].tobytes() == (eps[:, j] / np.sqrt(h)).tobytes()
 
     def test_residuals_match_stage1(self):
         panel = gaussian_panel(7, t_len=300, n=2)

@@ -58,10 +58,9 @@ class TestParams:
 class TestFilter:
     def test_hand_example(self):
         p = Garch11Params(omega=1.0, alpha=0.25, beta=0.25)
-        path = garch11_filter(np.array([1.0, 2.0, 0.0]), p, h1=1.0)
+        h = garch11_filter(np.array([1.0, 2.0, 0.0]), p, h1=1.0)
         # h2 = 1 + 0.25*1 + 0.25*1, h3 = 1 + 0.25*4 + 0.25*1.5
-        assert np.allclose(path.h, [1.0, 1.5, 2.375])
-        assert np.allclose(path.z, [1.0, 2.0 / np.sqrt(1.5), 0.0])
+        assert np.allclose(h, [1.0, 1.5, 2.375])
 
     def test_matches_naive_recursion(self):
         rng = np.random.default_rng(7)
@@ -71,13 +70,13 @@ class TestFilter:
             p = Garch11Params(omega=rng.uniform(0.01, 1.0), alpha=a, beta=b)
             eps = rng.standard_normal(rng.integers(2, 200))
             h1 = rng.uniform(0.1, 2.0)
-            path = garch11_filter(eps, p, h1=h1)
-            assert np.allclose(path.h, naive_filter(eps, p, h1), rtol=1e-13, atol=0)
+            h = garch11_filter(eps, p, h1=h1)
+            assert np.allclose(h, naive_filter(eps, p, h1), rtol=1e-13, atol=0)
 
     def test_single_observation(self):
         p = Garch11Params(omega=0.1, alpha=0.1, beta=0.8)
-        path = garch11_filter(np.array([0.5]), p, h1=2.0)
-        assert path.h.tolist() == [2.0]
+        h = garch11_filter(np.array([0.5]), p, h1=2.0)
+        assert h.tolist() == [2.0]
 
     def test_rejects_bad_inputs(self):
         p = Garch11Params(omega=0.1, alpha=0.1, beta=0.8)
@@ -309,7 +308,7 @@ class TestLoglik:
         p = Garch11Params(omega=0.05, alpha=0.08, beta=0.85)
         eps = 0.1 * rng.standard_normal(300)
         h1 = float(eps.var(ddof=1))
-        h = garch11_filter(eps, p, h1=h1).h
+        h = garch11_filter(eps, p, h1=h1)
         ref = -0.5 * np.sum(LOG_2PI + np.log(h) + eps**2 / h)
         assert np.isclose(garch11_loglik(eps, p), ref, rtol=1e-12)
         assert np.isclose(garch11_loglik(eps, p, h1=h1), ref, rtol=1e-12)
@@ -366,6 +365,12 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             garch11_fit(np.zeros(49) + np.arange(49) * 0.01)
 
+    def test_non_finite_returns_fail_before_any_start(self):
+        eps = 0.01 * np.random.default_rng(0).standard_normal(300)
+        eps[100] = np.nan
+        with pytest.raises(DataError, match="eps contains non-finite values"):
+            garch11_fit(eps)
+
     def test_degenerate_series(self):
         with pytest.raises(DegenerateSeriesError):
             garch11_fit(np.full(100, 0.25))
@@ -378,8 +383,8 @@ class TestSimulate:
         eps2, h2 = garch11_simulate(p, 500, seed=42)
         assert np.array_equal(eps1, eps2) and np.array_equal(h1, h2)
         # re-filtering the simulated shocks reproduces the simulated path
-        path = garch11_filter(eps1, p, h1=h1[0])
-        assert np.allclose(path.h, h1, rtol=1e-12, atol=0)
+        h = garch11_filter(eps1, p, h1=h1[0])
+        assert np.allclose(h, h1, rtol=1e-12, atol=0)
 
     def test_seed_changes_draws(self):
         p = Garch11Params(omega=0.02, alpha=0.1, beta=0.85)

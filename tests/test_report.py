@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,6 @@ from covtarget import (
     DataError,
     DccParams,
     Garch11Params,
-    OptimizerOptions,
     RunConfig,
     bekk_simulate,
     build_target,
@@ -37,7 +37,7 @@ def small_config(**kw):
         delta=0.3,
         seed=7,
         sim_len=60,
-        opts=OptimizerOptions(n_starts=1, seed=7),
+        starts=1,
     )
     base.update(kw)
     return RunConfig(**base)
@@ -56,6 +56,12 @@ class TestRunConfig:
             small_config(delta=1.0)
         with pytest.raises(DataError):
             small_config(sim_len=1)
+        with pytest.raises(DataError):
+            small_config(starts=0)
+
+    def test_the_fits_draw_from_the_run_seed(self):
+        opts = small_config().opts
+        assert (opts.n_starts, opts.seed) == (1, 7)
 
 
 @st.composite
@@ -159,6 +165,12 @@ class TestRunEvaluation:
             assert block["losses"]["kl_simulated"] >= 0.0
         assert doc["panel"] == {"labels": ["A1", "A2"], "n": 2, "t": 150}
         assert doc["config"]["sim_len"] == 60
+
+    def test_config_records_every_setting(self, report):
+        # one key per RunConfig argument, so no setting of a run goes unrecorded
+        init = [f.name for f in dataclasses.fields(RunConfig) if f.init]
+        assert init == ["input", "models", "delta", "seed", "sim_len", "starts"]
+        assert sorted(report.doc["config"]) == sorted(init)
 
     def test_json_rendering_is_deterministic(self, panel, report):
         again = run_evaluation(panel, small_config())
