@@ -162,12 +162,10 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     """Each ±w·10^q rounded to a double by Eisel–Lemire, and where float()
     must decide it instead: w = 2^64 - 1 (it may have overflowed), q beyond
     the table, a subnormal or infinite result, or an ambiguous case."""
-    x = np.zeros(w.shape)
-    at = np.flatnonzero(w)
-    w, q = w[at], q[at]
     bad = (w == _U64(2**64 - 1)) | (q < _QMIN) | (q > _QMAX)
     i, (hi_t, lo_t) = np.clip(q, _QMIN, _QMAX) - _QMIN, _pow10_table()
-    # w to [2^63, 2^64): its top bit, no two ones adjacent, converts uncarried
+    # w to [2^63, 2^64): its top bit, no two ones adjacent, converts uncarried;
+    # w = 0 shifts to 0 and is set to 0.0 at the end
     z = 64 - np.frexp((w & ~(w >> _U64(1))).astype(np.float64))[1]
     w = w << z.astype(_U64)
     # x = w·hi_t[i] is short by < w units of x_lo: only a carry via 9 ones rounds
@@ -178,8 +176,8 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     x_hi[at2] += x_lo[at2] < y_hi
     top = x_hi >> _U64(63)
     mant = x_hi >> top + _U64(9)  # 54 bits: the significand and a half bit
-    # a carry lost below y_lo would raise mant by one, which rounds alike unless
-    # mant is even (mant + 1 a midpoint): an exact 0.5 or 100.25 is decided here
+    # the truncated powers can carry at most one unit more into mant, which rounds
+    # alike unless mant is even (mant + 1 a midpoint): exact 0.5 or 100.25 included
     bad[at2] |= ((x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0)
                  & (y_lo + w[at2] < w[at2]) & (mant[at2] & _U64(1) == 0))
     bad |= (x_lo == 0) & (x_hi & _U64(0x1FF) == 0) & (mant & _U64(3) == 1)  # a tie?
@@ -187,9 +185,11 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     carry = mant >> _U64(53)
     exp = (217706 * q >> 16) + 1087 - z - (top == 0) + (carry == 1)  # 1087 = 1023 + 64
     bad |= (exp < 1) | (exp > 2046)
-    x[at] = (np.clip(exp, 0, 2047).astype(_U64) << _U64(52) | (mant >> carry) & _U64(2**52 - 1)
-             ).view(np.float64)
-    return np.where(neg, -x, x), at[bad]
+    x = (np.clip(exp, 0, 2047).astype(_U64) << _U64(52) | (mant >> carry) & _U64(2**52 - 1)
+         ).view(np.float64)
+    zero = w == 0
+    x[zero] = 0.0
+    return np.where(neg, -x, x), np.flatnonzero(bad & ~zero)
 
 
 def _plain_rows(chunk: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:
