@@ -126,14 +126,15 @@ class SampleMoments:
 
 # Panels are read by an exact kernel: each value cell of a plain body (ISO
 # dates and decimals, nothing quoted or blank) becomes a sign, an integer
-# w < 2^64 and a decimal exponent q, and a nonzero w·10^q is rounded to a
-# double by Eisel–Lemire (Lemire 2021), else by float(). The kinds of bytes
-# other than digits:
+# w < 2^64 and a decimal exponent q, and w·10^q is rounded to a double by one
+# IEEE operation where w <= 2^53 and |q| <= 22 (Clinger 1990), else by Eisel–
+# Lemire (Lemire 2021), else by float(). The kinds of bytes other than digits:
 _COMMA, _EOL, _EXP, _PLUS, _MINUS, _DOT, _DASH = range(1, 8)  # 0: not plain; 1-3 end runs
 _KIND = np.zeros(256, np.uint8)
 _KIND[np.frombuffer(b",\n+-.eE", np.uint8)] = [_COMMA, _EOL, _PLUS, _MINUS, _DOT, _EXP, _EXP]
 _TOKENS = bytes.maketrans(b",\neE", b"    ")  # with .+- deleted, an integer a run of digits
 _READ_BLOCK = 2**19  # bytes of rows parsed at once; ~10 bytes of temporaries a byte
+_POW10_F = np.array([float(10**k) for k in range(23)])  # exact
 _QMIN, _QMAX = -342, 308  # beyond, each w·10^q is subnormal or overflows
 _U64, _MASK32 = np.uint64, np.uint64(2**32 - 1)
 
@@ -159,13 +160,16 @@ def _pow10_table() -> np.ndarray:
 
 
 def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
-    """Each ±w·10^q rounded to a double by Eisel–Lemire, and where float()
-    must decide it instead: w = 2^64 - 1 (it may have overflowed), q beyond
-    the table, a subnormal or infinite result, or an ambiguous case."""
+    """Each ±w·10^q rounded to a double, and where float() must decide it
+    instead: w = 2^64 - 1 (it may have overflowed), q beyond the table, a
+    subnormal or infinite result, or an ambiguous Eisel–Lemire case."""
+    p = _POW10_F[np.minimum(np.abs(q), 22)]
+    x = w / p if (q <= 0).all() else np.where(q < 0, w / p, w * p)  # exact w below 2^53
+    at = np.flatnonzero((w > _U64(2**53)) | (np.abs(q) > 22) & (w > 0))
+    w, q = w[at], q[at]
     bad = (w == _U64(2**64 - 1)) | (q < _QMIN) | (q > _QMAX)
     i, (hi_t, lo_t) = np.clip(q, _QMIN, _QMAX) - _QMIN, _pow10_table()
-    # w to [2^63, 2^64): its top bit, no two ones adjacent, converts uncarried;
-    # w = 0 shifts to 0 and is set to 0.0 at the end
+    # w to [2^63, 2^64): its top bit, no two ones adjacent, converts uncarried
     z = 64 - np.frexp((w & ~(w >> _U64(1))).astype(np.float64))[1]
     w = w << z.astype(_U64)
     # x = w·hi_t[i] is short by < w units of x_lo: only a carry via 9 ones rounds
@@ -174,22 +178,17 @@ def _decimals(neg: np.ndarray, w: np.ndarray, q: np.ndarray):
     y_hi, y_lo = _mul128(w[at2], lo_t[i[at2]])
     x_lo[at2] += y_hi
     x_hi[at2] += x_lo[at2] < y_hi
+    bad[at2] |= (x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0) & (y_lo + w[at2] < w[at2])
     top = x_hi >> _U64(63)
     mant = x_hi >> top + _U64(9)  # 54 bits: the significand and a half bit
-    # the truncated powers can carry at most one unit more into mant, which rounds
-    # alike unless mant is even (mant + 1 a midpoint): exact 0.5 or 100.25 included
-    bad[at2] |= ((x_hi[at2] & _U64(0x1FF) == 0x1FF) & (~x_lo[at2] == 0)
-                 & (y_lo + w[at2] < w[at2]) & (mant[at2] & _U64(1) == 0))
     bad |= (x_lo == 0) & (x_hi & _U64(0x1FF) == 0) & (mant & _U64(3) == 1)  # a tie?
     mant = mant + (mant & _U64(1)) >> _U64(1)  # half up, or to even on a tie
     carry = mant >> _U64(53)
     exp = (217706 * q >> 16) + 1087 - z - (top == 0) + (carry == 1)  # 1087 = 1023 + 64
     bad |= (exp < 1) | (exp > 2046)
-    x = (np.clip(exp, 0, 2047).astype(_U64) << _U64(52) | (mant >> carry) & _U64(2**52 - 1)
-         ).view(np.float64)
-    zero = w == 0
-    x[zero] = 0.0
-    return np.where(neg, -x, x), np.flatnonzero(bad & ~zero)
+    x[at] = (np.clip(exp, 0, 2047).astype(_U64) << _U64(52) | (mant >> carry) & _U64(2**52 - 1)
+             ).view(np.float64)
+    return np.where(neg, -x, x), at[bad]
 
 
 def _plain_rows(chunk: bytes, n: int) -> tuple[np.ndarray, np.ndarray] | None:

@@ -279,19 +279,6 @@ class TestExactReader:
     def test_cases_the_second_product_decides(self, cell):
         assert _plain_rows(f"2020-01-02,{cell}\n".encode(), 1)[1].tolist() == [[float(cell)]]
 
-    # Exact values of 17 to 19 digits: the truncated powers leave each product
-    # a unit short of the exact one, which rounds alike whether or not it is.
-    @pytest.mark.parametrize("cell", [
-        "100.2500000000000000", "0.5000000000000000000", "1234.000000000000000",
-        "9007199254740992.000", "1.125000000000000000", "-0.0009765625000000000",
-    ])
-    def test_exact_values_need_no_float_call(self, cell, monkeypatch):
-        calls = []
-        monkeypatch.setattr(data, "float", calls.append, raising=False)
-        x = _plain_rows(f"2020-01-02,{cell}\n".encode(), 1)[1]
-        assert calls == []
-        assert x.tobytes() == np.array([[float(cell)]]).tobytes()
-
     @pytest.mark.parametrize("kind", ["returns", "prices"])
     def test_written_and_price_files_need_no_float_call(self, tmp_path, monkeypatch, kind):
         # A returns file of a million 0.02·N(0, 1) values and a price file
