@@ -8,10 +8,12 @@ ties by the lexicographically smallest (min id, max id) pair, so the run is
 fully deterministic. The Lance-Williams update for complete linkage,
 d(A u B, C) = max(d(A, C), d(B, C)), is one elementwise maximum of two rows
 written into the surviving slot's row and column; the other slot is retired.
-The maximum of two floats is exact, so heights are input entries. Cost:
-O(N^2) memory and one vectorised O(N^2) pass per merge. Complete linkage
-makes merge heights nondecreasing, which the Dendrogram type asserts on
-every construction.
+The maximum of two floats is exact, so heights are input entries. Each
+live slot's smallest distance is cached (Anderberg's row minima): a merge
+scans only the rows holding the minimum and rescans only the rows whose
+minimum sat in a merged slot. Cost: O(N^2) memory and O(N) work per merge
+besides those rows. Complete linkage makes merge heights nondecreasing,
+which the Dendrogram type asserts on every construction.
 
 Cluster ids: leaves are 0..N-1; the cluster created by merge k is N+k.
 """
@@ -87,21 +89,30 @@ def complete_linkage(dist: np.ndarray, labels: tuple[str, ...]) -> Dendrogram:
         raise DataError("empty distance matrix")
     work = d  # symmetrize returned a fresh array
     np.fill_diagonal(work, np.inf)
+    rowmin = work.min(axis=1)
     ids = np.arange(n)
     merges: list[tuple[int, int, float]] = []
     for k in range(n - 1):
-        height = work.min()
-        # flat indices: 2-D np.nonzero is ~6x slower at N = 500
-        rows, cols = np.divmod(np.flatnonzero(work == height), n)
+        height = rowmin.min()
+        # every entry equal to height lies in a row whose minimum it is
+        tied = np.flatnonzero(rowmin == height)
+        sub, cols = np.divmod(np.flatnonzero(work[tied] == height), n)
+        rows = tied[sub]
         lo = np.minimum(ids[rows], ids[cols])
         hi = np.maximum(ids[rows], ids[cols])
         pick = np.lexsort((hi, lo))[0]
         keep, drop = rows[pick], cols[pick]
+        old = np.minimum(work[keep], work[drop])
         merged = np.maximum(work[keep], work[drop])
         work[keep] = merged
         work[:, keep] = merged
         work[drop] = np.inf
         work[:, drop] = np.inf
+        rowmin[drop] = np.inf
+        # only a row whose minimum sat at keep or drop can change it; retired
+        # rows read inf in both
+        stale = np.flatnonzero((old == rowmin) & (old < np.inf))
+        rowmin[stale] = work[stale].min(axis=1)
         ids[keep] = n + k
         merges.append((int(lo[pick]), int(hi[pick]), float(height)))
     return Dendrogram(labels=tuple(labels), merges=tuple(merges))
@@ -141,8 +152,8 @@ def to_newick(dend: Dendrogram) -> str:
 
 
 def _quote(label: str) -> str:
-    # Newick reserved characters force quoting.
-    if any(ch in label for ch in "(),:;'\" \t"):
+    # Newick reserved characters (brackets open comments) and whitespace force quoting.
+    if any(ch in "()[],:;'\"" or ch.isspace() for ch in label):
         return "'" + label.replace("'", "''") + "'"
     return label
 

@@ -1,9 +1,10 @@
 """Threshold correlation graphs and maximal-clique analysis.
 
 Vertices are series; an edge joins i and j when |rho_ij| > delta (strict).
-Maximal cliques are enumerated with Bron-Kerbosch using pivoting; output
-ordering is canonical (each clique sorted, cliques sorted lexicographically)
-and therefore independent of pivot choices.
+Maximal cliques are enumerated with Bron-Kerbosch using Tomita's pivot, on
+integer bitsets and from an explicit stack, so cliques of any order fit;
+output ordering is canonical (each clique sorted, cliques sorted
+lexicographically) and therefore independent of pivot choices.
 """
 from __future__ import annotations
 
@@ -40,9 +41,6 @@ class ThresholdGraph:
     def n(self) -> int:
         return len(self.labels)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.adjacency[v]).tolist()) - {v}
-
     def weight(self, i: int, j: int) -> float:
         return float(self.adjacency[i, j])
 
@@ -61,22 +59,32 @@ def maximal_cliques(graph: ThresholdGraph) -> tuple[tuple[int, ...], ...]:
     """Enumerate all maximal cliques (isolated vertices count as cliques of
     order one) in canonical order: each clique a sorted vertex tuple, the
     cliques sorted lexicographically."""
-    nbrs = [graph.neighbors(v) for v in range(graph.n)]
+    # Vertex sets are int bitmasks: bit v of nbrs[u] says u and v are adjacent.
+    rows = (np.packbits(a != 0.0, bitorder="little").tobytes() for a in graph.adjacency)
+    nbrs = [int.from_bytes(b, "little") & ~(1 << v) for v, b in enumerate(rows)]
     out: list[tuple[int, ...]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
+    stack = [((), (1 << graph.n) - 1, 0)]  # (R, P, X) of each pending call
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
             out.append(tuple(sorted(r)))
-            return
+            continue
         # Pivot on the vertex covering most of P; only non-neighbors of the
         # pivot are branched on.
-        pivot = max(p | x, key=lambda u: len(p & nbrs[u]))
-        for v in sorted(p - nbrs[pivot]):
-            expand(r | {v}, p & nbrs[v], x & nbrs[v])
-            p.remove(v)
-            x.add(v)
-
-    expand(set(), set(range(graph.n)), set())
+        best, rest = -1, p | x
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            cover = (p & nbrs[u]).bit_count()
+            if cover > best:
+                best, pivot = cover, u
+        branch = p & ~nbrs[pivot]
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            v = bit.bit_length() - 1
+            stack.append((r + (v,), p & nbrs[v], x & nbrs[v]))
+            p, x = p ^ bit, x | bit
     return tuple(sorted(out))
 
 

@@ -171,6 +171,34 @@ class TestCompleteLinkage:
             == reference_complete_linkage(d, labels).merges
         )
 
+    def test_matches_dict_oracle_with_many_stale_row_minima(self, rng):
+        # distances in {0, ..., 4} at n = 120: merges tie in many rows at once
+        # and leave many rows whose cached minimum sat in a merged slot
+        n = 120
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = rng.integers(0, 5, n * (n - 1) // 2)
+        d += d.T
+        labels = tuple(f"V{i}" for i in range(n))
+        assert (
+            complete_linkage(d, labels).merges
+            == reference_complete_linkage(d, labels).merges
+        )
+
+    def test_matches_dict_oracle_on_a_three_block_market(self, rng):
+        # sample correlations of three sectors of 200 assets: the rows of a
+        # sector keep their minima in the slots that sector's merges touch
+        n, t = 200, 250
+        sector = np.arange(n) % 3
+        r = rng.standard_normal((t, 3))[:, sector] + rng.standard_normal((t, n))
+        c = np.corrcoef(r, rowvar=False)
+        np.fill_diagonal(c, 1.0)
+        d = corr_distance(0.5 * (c + c.T))
+        labels = tuple(f"V{i}" for i in range(n))
+        assert (
+            complete_linkage(d, labels).merges
+            == reference_complete_linkage(d, labels).merges
+        )
+
     def test_validation(self):
         with pytest.raises(DataError):
             complete_linkage(np.zeros((2, 2)) - 1.0, ("A", "B"))
@@ -219,6 +247,12 @@ class TestNewick:
         d = np.array([[0.0, 0.3], [0.3, 0.0]])
         dend = complete_linkage(d, ("A B", "C'D"))
         assert to_newick(dend) == "('A B':0.3,'C''D':0.3);"
+
+    def test_brackets_and_any_whitespace_quoted(self):
+        # Newick reads [...] as a comment; a raw newline splits the tree
+        d = np.array([[0.0, 0.3, 0.5], [0.3, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        dend = complete_linkage(d, ("A[1]", "B]", "C\nD"))
+        assert to_newick(dend) == "('C\nD':0.5,('A[1]':0.3,'B]':0.3):0.2);"
 
     def test_branch_lengths_recover_heights(self, rng):
         n = 6

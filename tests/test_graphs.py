@@ -92,10 +92,6 @@ class TestBuildGraph:
         with pytest.raises(TypeError):
             ThresholdGraph(labels=LABELS5, delta=0.5, adjacency=adj, edges=())
 
-    def test_neighbors(self):
-        g = build_graph(CORR5, LABELS5, 0.71)
-        assert g.neighbors(2) == frozenset({0, 1, 3, 4})
-
     def test_validation(self):
         with pytest.raises(DataError):
             build_graph(np.eye(3), ("A", "B"), 0.5)
@@ -163,6 +159,14 @@ class TestMaximalCliques:
         np.fill_diagonal(c, 1.0)
         g = build_graph(c, tuple("ABCDEF"), 0.0)
         assert maximal_cliques(g) == ((0, 1, 2, 3, 4, 5),)
+
+    def test_thousand_vertex_clique(self):
+        # one clique of order 1,000: deeper than Python's default recursion limit
+        n = 1000
+        c = np.full((n, n), 0.5)
+        np.fill_diagonal(c, 1.0)
+        g = build_graph(c, tuple(f"V{i}" for i in range(n)), 0.4)
+        assert maximal_cliques(g) == (tuple(range(n)),)
 
     def test_matches_brute_force(self, rng):
         for _ in range(30):
