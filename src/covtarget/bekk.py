@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ReturnPanel, _sim_panel, _sim_shocks
+from .data import ReturnPanel, _sim_panel
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
 from .linalg import _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik
@@ -312,6 +312,42 @@ def bekk_fit(
     return BekkParams.from_vector(x, n), report
 
 
+def _bekk_steps(params: BekkParams, h1: np.ndarray | None):
+    """bekk_simulate's step loop: a function ``steps(eta, t0)`` that turns a
+    block of shocks eta_t into e_t = L_t eta_t in place, t counted from
+    ``t0``, and carries H_t from one block to the next, starting at the
+    checked h1 (by default the implied unconditional covariance)."""
+    n = params.n
+    h_t, _ = _checked_pd(params.unconditional_cov() if h1 is None else h1, n, "h1")
+    cc = params.c_lower @ params.c_lower.T
+    a = params.a_diag
+    bb = np.outer(params.b_diag, params.b_diag)
+    eta_t, ae, arch, low = np.empty(n), np.empty(n), np.empty((n, n)), np.empty((n, n))
+    ae_col = ae[:, None]
+
+    # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
+    # and (b b') o H are symmetric entry by entry. Each step updates H_t in
+    # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}, and e_t replaces
+    # eta_t in the shock array once eta_t is copied out. One errstate
+    # covers the loop, as _factor_into asks.
+    def steps(eta: np.ndarray, t0: int) -> None:
+        with np.errstate(all="ignore"):
+            for t, e_t in enumerate(eta, t0):
+                if not _factor_into(h_t, low):
+                    raise NumericalOverflowError(
+                        f"simulated covariance lost positive definiteness at t={t}", t=t
+                    )
+                eta_t[:] = e_t
+                np.dot(low, eta_t, out=e_t)
+                np.multiply(a, e_t, out=ae)
+                np.multiply(ae_col, ae, out=arch)
+                np.add(arch, cc, out=arch)
+                np.multiply(h_t, bb, out=h_t)
+                np.add(h_t, arch, out=h_t)
+
+    return steps
+
+
 def bekk_simulate(
     params: BekkParams,
     mu: np.ndarray,
@@ -322,37 +358,11 @@ def bekk_simulate(
 ) -> ReturnPanel:
     """Simulate a return panel r_t = mu + L_t eta_t with Gaussian shocks
     eta_t, L_t the lower Cholesky factor of H_t; H_1 defaults to the implied
-    unconditional covariance.
+    unconditional covariance. The panel holds about 8 t_len N bytes: the
+    shocks become the returns in place.
 
     Each step factors H_t with numpy's Cholesky gufunc (the one
     np.linalg.cholesky calls, so the factors are the same bits) into one
     buffer. An H_t it cannot factor raises NumericalOverflowError naming
     the step t; a non-finite return raises it as an overflow."""
-    n = params.n
-    mu, eta = _sim_shocks(n, mu, t_len, seed)
-    h_t, _ = _checked_pd(params.unconditional_cov() if h1 is None else h1, n, "h1")
-    cc = params.c_lower @ params.c_lower.T
-    a = params.a_diag
-    bb = np.outer(params.b_diag, params.b_diag)
-    eta_t, ae, arch, low = np.empty(n), np.empty(n), np.empty((n, n)), np.empty((n, n))
-    ae_col = ae[:, None]
-    # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
-    # and (b b') o H are symmetric entry by entry. Each step updates H_t in
-    # place as (CC' + (a o e)(a o e)') + (b b') o H_{t-1}, and e_t replaces
-    # eta_t in the shock array once eta_t is copied out. One errstate
-    # covers the loop, as _factor_into asks.
-    with np.errstate(all="ignore"):
-        for t in range(t_len):
-            if not _factor_into(h_t, low):
-                raise NumericalOverflowError(
-                    f"simulated covariance lost positive definiteness at t={t}", t=t
-                )
-            e_t = eta[t]
-            eta_t[:] = e_t
-            np.dot(low, eta_t, out=e_t)
-            np.multiply(a, e_t, out=ae)
-            np.multiply(ae_col, ae, out=arch)
-            arch += cc
-            h_t *= bb
-            h_t += arch
-    return _sim_panel(eta, mu, labels)
+    return _sim_panel(_bekk_steps(params, h1), params.n, mu, t_len, seed, labels)

@@ -24,15 +24,14 @@ from typing import Callable, NamedTuple
 
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
 from .data import (
-    ReturnPanel, check_sim_len, load_panel, sample_moments, write_returns_csv,
-    write_text_atomic,
+    ReturnPanel, check_sim_len, load_panel, sample_moments, write_text_atomic,
 )
 from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError, ParseError
 from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, maximal_cliques
 from .optimize import OptimizerOptions
 from .report import (
-    MODEL_KINDS, RunConfig, check_models, params_from_document, render_json,
-    run_evaluation, run_fits, simulate_document,
+    MODEL_KINDS, RunConfig, _write_simulation, check_models, params_from_document,
+    render_json, run_evaluation, run_fits,
 )
 from .targeting import check_delta
 
@@ -153,8 +152,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _params_document(path: Path) -> dict:
-    """The params document at ``path``, checked by params_from_document."""
+def _load_params(path: Path) -> tuple:
+    """The params document at ``path``, parsed and checked by
+    params_from_document."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
@@ -163,8 +163,7 @@ def _params_document(path: Path) -> dict:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed params file {path}: {exc}") from exc
-    params_from_document(doc)
-    return doc
+    return params_from_document(doc)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -173,10 +172,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("--sim-len is required for simulate")
     sim_len = _usage("--sim-len", check_sim_len, args.sim_len)
     # Every document is checked before any model runs, so a bad one leaves
-    # no new sim.*.csv; each panel is dropped once it is written.
-    docs = {kind: _params_document(out / f"params.{kind}.json") for kind in _models(args)}
+    # no new sim.*.csv. Each file is written as its rows are simulated, one
+    # block at a time: the rows simulate_document's panel would hold.
+    docs = {kind: _load_params(out / f"params.{kind}.json") for kind in _models(args)}
     for kind, doc in docs.items():
-        write_returns_csv(simulate_document(doc, sim_len, args.seed), out / f"sim.{kind}.csv")
+        _write_simulation(doc, sim_len, args.seed, out / f"sim.{kind}.csv")
         sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({sim_len} rows)\n")
     return 0
 

@@ -22,7 +22,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -410,28 +410,55 @@ def check_sim_len(t_len: int) -> int:
     return t_len
 
 
-def _sim_shocks(n: int, mu, t_len: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """A simulation's checked mean and its (t_len, n) N(0, 1) shocks."""
+_SIM_BLOCK = 1024  # rows a simulator steps at a time: all the simulate command holds
+
+
+def _sim_labels(n: int) -> tuple[str, ...]:
+    return tuple(f"S{i + 1}" for i in range(n))
+
+
+def _check_finite(eps: np.ndarray, at: int = 0) -> None:
+    """Raise NumericalOverflowError naming the first row of ``eps``, counted
+    from ``at``, that holds a non-finite return."""
+    bad = ~np.isfinite(eps)
+    if bad.any():
+        t = at + int(np.argwhere(bad)[0][0])
+        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
+
+
+def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
+    """The undated panel mu + eps, labelled S1..Sn unless ``labels`` are
+    given. eps starts as the (t_len, n) N(0, 1) shocks, and ``step(block,
+    t)`` turns each block of _SIM_BLOCK rows, t the index of its first row,
+    into returns in place; the panel holds eps itself, mu added in place. A
+    non-finite return is an overflow."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
-    return mu, np.random.default_rng(seed).standard_normal((check_sim_len(t_len), n))
-
-
-def _sim_panel(eps: np.ndarray, mu: np.ndarray, labels) -> ReturnPanel:
-    """The undated panel mu + eps, labelled S1..Sn unless ``labels`` are given,
-    holding eps itself, mu added in place; a non-finite return is an overflow."""
+    eps = np.random.default_rng(seed).standard_normal((check_sim_len(t_len), n))
+    for at in range(0, t_len, _SIM_BLOCK):
+        step(eps[at : at + _SIM_BLOCK], at)
     eps += mu
     eps.setflags(write=False)
-    if labels is None:
-        labels = tuple(f"S{i + 1}" for i in range(eps.shape[1]))
     try:
-        return ReturnPanel(labels=labels, returns=eps)
+        return ReturnPanel(labels=_sim_labels(n) if labels is None else labels, returns=eps)
     except DataError:
-        if np.all(np.isfinite(eps)):
-            raise
-        t = int(np.argwhere(~np.isfinite(eps))[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t) from None
+        _check_finite(eps)
+        raise
+
+
+def _sim_blocks(step, n: int, mu: np.ndarray, t_len: int, seed: int) -> Iterator[np.ndarray]:
+    """The rows of _sim_panel's panel, one block at a time: each block's
+    shocks are drawn from the one generator as they are needed (drawn in
+    blocks, they are the same numbers), stepped, moved by mu and checked
+    finite."""
+    rng = np.random.default_rng(seed)
+    for at in range(0, check_sim_len(t_len), _SIM_BLOCK):
+        eps = rng.standard_normal((min(_SIM_BLOCK, t_len - at), n))
+        step(eps, at)
+        eps += mu
+        _check_finite(eps, at)
+        yield eps
 
 
 _CSV_BLOCK = 256  # rows per chunk of a written returns file; ~5 KB of temporaries a row at N = 15
@@ -579,16 +606,29 @@ def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     if panel.dates is None and panel.t_len > _MAX_SIM_LEN:
         raise DataError(f"an undated panel of {panel.t_len} rows would be dated past "
                         f"9999-12-31 (at most {_MAX_SIM_LEN} rows)")
+    rows = (panel.returns[at : at + _CSV_BLOCK] for at in range(0, panel.t_len, _CSV_BLOCK))
+    _write_returns(path, panel.labels, rows, panel.dates)
+
+
+def _write_returns(path: str | Path, labels: tuple[str, ...],
+                   blocks: Iterable[np.ndarray], dates=None) -> None:
+    """write_returns_csv's writer, over series ``labels`` and the return
+    rows of ``blocks``, dated by ``dates`` or else as an undated panel's. It
+    renders _CSV_BLOCK rows at a time and takes each block only once the
+    rows before it are written."""
 
     def chunks():
-        yield f"{RETURNS_SENTINEL}\ndate,{','.join(map(_csv_cell, panel.labels))}\n"
-        for at in range(0, panel.t_len, _CSV_BLOCK):
-            rows = panel.returns[at : at + _CSV_BLOCK]
-            if panel.dates is None:
-                dates = (_FIRST_SIM_DAY + np.arange(at, at + len(rows))).astype("S10")
-            else:
-                dates = np.array([d.isoformat() for d in panel.dates[at : at + _CSV_BLOCK]], "S10")
-            yield _render_rows(rows, dates)
+        yield f"{RETURNS_SENTINEL}\ndate,{','.join(map(_csv_cell, labels))}\n"
+        at = 0
+        for block in blocks:
+            for i in range(0, len(block), _CSV_BLOCK):
+                rows = block[i : i + _CSV_BLOCK]
+                if dates is None:
+                    days = (_FIRST_SIM_DAY + np.arange(at, at + len(rows))).astype("S10")
+                else:
+                    days = np.array([d.isoformat() for d in dates[at : at + len(rows)]], "S10")
+                yield _render_rows(rows, days)
+                at += len(rows)
 
     write_text_atomic(path, chunks())
 

@@ -31,8 +31,8 @@ enters dl/dQ_t with weight 2.
 
 The simulator never forms R_t either: the lower Cholesky factor of R_t is
 diag(Q_t)^{-1/2} chol(Q_t) (Engle 2002), so each step factors Q_t, and the
-per-series GARCH variances, which z_t drives without feedback, follow in a
-second pass over the stored z path.
+per-series GARCH variances, which z_t drives without feedback, follow over
+each block of rows right after that block's Q steps.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ReturnPanel, correlation_from_series, _sim_panel, _sim_shocks
+from .data import ReturnPanel, correlation_from_series, _sim_panel
 from .errors import (
     CovTargetError,
     DataError,
@@ -60,7 +60,6 @@ from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked
 from .targeting import TargetSpec
 
 _PSD_TOL = 1e-10
-_VAR_BLOCK = 1024  # rows per block of dcc_simulate's variance pass
 
 
 @dataclass(frozen=True)
@@ -271,6 +270,54 @@ def dcc_cov_path(panel: ReturnPanel, params: DccParams) -> np.ndarray:
     return dcc_filter(z, params).r * (d[:, :, None] * d[:, None, :])
 
 
+def _dcc_steps(params: DccParams):
+    """dcc_simulate's step loop: a function ``steps(eta, t0)`` that turns a
+    block of shocks eta_t into e_t = D_t z_t in place, t counted from
+    ``t0``, and carries Q_t and the GARCH variances h_t from one block to
+    the next, starting at Q_1 = q_bar and the unconditional variances."""
+    n = params.n
+    q_t = params.q_bar.copy()
+    t1, t2 = params.theta1, params.theta2
+    intercept = (1.0 - t1 - t2) * params.q_bar
+    low, outer = np.empty((2, n, n))
+    s, lz = np.empty((2, n))
+    q_diag = q_t.reshape(-1)[:: n + 1]
+    omega, alpha, beta = np.array([(p.omega, p.alpha, p.beta) for p in params.univariate]).T
+    # the GARCH variances at the first row of the next block
+    h0 = np.array([p.unconditional_var() for p in params.univariate])
+
+    # Each step writes z_t over eta_t and updates Q_t in place as
+    # (intercept + t1 z z') + t2 Q, the diagonal a strided view. Then, over
+    # the block, c_t = alpha z_t^2 + beta, h_{t+1} = c_t h_t + omega step by
+    # step, and e_t = sqrt(h_t) z_t over z_t. One errstate covers both
+    # passes, as _factor_into asks.
+    def steps(z: np.ndarray, t0: int) -> None:
+        k = len(z)
+        c, h = np.empty((k, n)), np.empty((k + 1, n))
+        h[0] = h0
+        with np.errstate(all="ignore"):
+            for t, z_t in enumerate(z, t0):
+                if not _factor_into(q_t, low):
+                    raise NumericalOverflowError(
+                        f"simulated correlation lost positive definiteness at t={t}", t=t
+                    )
+                np.divide(np.dot(low, z_t, lz), np.sqrt(q_diag, s), z_t)
+                np.multiply(z_t[:, None], z_t, outer)
+                np.multiply(outer, t1, outer)
+                np.add(outer, intercept, outer)
+                np.multiply(q_t, t2, q_t)
+                np.add(q_t, outer, q_t)
+            np.multiply(alpha, np.square(z, c), c)
+            c += beta
+            for c_t, h_t, h_next in zip(c, h, h[1:]):
+                np.multiply(c_t, h_t, h_next)
+                h_next += omega
+            h0[:] = h[k]
+            z *= np.sqrt(h[:k], h[:k])
+
+    return steps
+
+
 def dcc_simulate(
     params: DccParams,
     mu: np.ndarray,
@@ -280,52 +327,15 @@ def dcc_simulate(
 ) -> ReturnPanel:
     """Simulate r_t = mu + D_t z_t with Gaussian eta_t and z_t = L_t eta_t,
     where L_t is the lower Cholesky factor of R_t, starting from the
-    per-series unconditional variances and Q_1 = q_bar.
+    per-series unconditional variances and Q_1 = q_bar. The panel holds
+    about 8 t_len N bytes: the shocks become the returns in place.
 
     R_t is never formed: with S_t = diag(Q_t)^{1/2}, R_t = S_t^{-1} Q_t
     S_t^{-1}, so L_t = S_t^{-1} chol(Q_t) and z_t = chol(Q_t) eta_t / diag(S_t).
     Each step factors Q_t with numpy's Cholesky gufunc (the one
     np.linalg.cholesky calls, so the factors are the same bits) into one
     buffer; a Q_t it cannot factor raises NumericalOverflowError naming the
-    step t. The GARCH variances, driven by z alone, follow in a second pass
-    in time order; a non-finite return raises it as an overflow."""
-    n = params.n
-    mu, eta = _sim_shocks(n, mu, t_len, seed)
-    q_t = params.q_bar.copy()
-    t1, t2 = params.theta1, params.theta2
-    intercept = (1.0 - t1 - t2) * params.q_bar
-    low, outer = np.empty((2, n, n))
-    s, lz = np.empty((2, n))
-    q_diag = q_t.reshape(-1)[:: n + 1]
-    omega, alpha, beta = np.array([(p.omega, p.alpha, p.beta) for p in params.univariate]).T
-    rows = min(_VAR_BLOCK, t_len)
-    c, h = np.empty((rows, n)), np.empty((rows + 1, n))
-    h[0] = [p.unconditional_var() for p in params.univariate]
-    # Each step writes z_t over eta_t and updates Q_t in place as
-    # (intercept + t1 z z') + t2 Q, the diagonal a strided view. Then, per
-    # block of rows, c_t = alpha z_t^2 + beta, h_{t+1} = c_t h_t + omega step
-    # by step, and e_t = sqrt(h_t) z_t over z_t. One errstate covers both
-    # passes, as _factor_into asks.
-    with np.errstate(all="ignore"):
-        for t, z_t in enumerate(eta):
-            if not _factor_into(q_t, low):
-                raise NumericalOverflowError(
-                    f"simulated correlation lost positive definiteness at t={t}", t=t
-                )
-            np.divide(np.dot(low, z_t, lz), np.sqrt(q_diag, s), z_t)
-            np.multiply.outer(z_t, z_t, out=outer)
-            outer *= t1
-            outer += intercept
-            q_t *= t2
-            q_t += outer
-        for at in range(0, t_len, rows):
-            z = eta[at : at + rows]
-            k = len(z)
-            np.multiply(alpha, np.square(z, c[:k]), c[:k])
-            c[:k] += beta
-            for c_t, h_t, h_next in zip(c[:k], h, h[1:]):
-                np.multiply(c_t, h_t, h_next)
-                h_next += omega
-            z *= np.sqrt(h[:k], h[:k])
-            h[0] = h[k]
-    return _sim_panel(eta, mu, labels)
+    step t. The GARCH variances, driven by z alone, follow block by block,
+    each block's right after its Q steps; a non-finite return raises
+    NumericalOverflowError as an overflow."""
+    return _sim_panel(_dcc_steps(params), params.n, mu, t_len, seed, labels)

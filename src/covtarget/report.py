@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .bekk import BekkParams, bekk_filter, bekk_fit, bekk_simulate
-from .data import ReturnPanel, check_sim_len, sample_moments
-from .dcc import DccParams, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
+from .bekk import BekkParams, _bekk_steps, bekk_filter, bekk_fit, bekk_simulate
+from .data import (
+    ReturnPanel, _sim_blocks, _sim_labels, _write_returns, check_sim_len, sample_moments,
+)
+from .dcc import DccParams, _dcc_steps, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
 from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
 from .garch import MIN_OBS, Garch11Params
 from .graphs import (
@@ -212,6 +215,16 @@ def simulate_document(
     if model == "bekk":
         return bekk_simulate(params, mu, t_len, seed, h1=h1, labels=labels)
     return dcc_simulate(params, mu, t_len, seed, labels=labels)
+
+
+def _write_simulation(parsed: tuple, t_len: int, seed: int, path: Path) -> None:
+    """Write the file write_returns_csv writes of simulate_document's panel,
+    from a document parsed by params_from_document, simulating its rows one
+    block at a time as they are written."""
+    model, params, mu, h1 = parsed
+    step = _bekk_steps(params, h1) if model == "bekk" else _dcc_steps(params)
+    rows = _sim_blocks(step, params.n, mu, t_len, seed)
+    _write_returns(path, _sim_labels(params.n), rows)
 
 
 def _graph_block(graph: ThresholdGraph, cliques: tuple[tuple[int, ...], ...]) -> dict:

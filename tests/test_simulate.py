@@ -1,4 +1,6 @@
-"""bekk_simulate and dcc_simulate against straightforward per-step loops.
+"""bekk_simulate and dcc_simulate against straightforward per-step loops,
+and the simulate command, which streams the same rows to its file one
+block at a time, against them.
 
 The package's simulators update their state in place, in buffers allocated
 once per call. The loops below allocate every intermediate afresh and keep
@@ -8,12 +10,19 @@ factors Q_t rather than R_t, so its loop does too; dcc_simulate_r_loop
 keeps the model's textbook form, factoring R_t, and the two agree to
 rounding.
 """
+import json
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from covtarget import (
@@ -24,9 +33,17 @@ from covtarget import (
     NumericalOverflowError,
     bekk_simulate,
     dcc_simulate,
+    write_returns_csv,
 )
+from covtarget import data
+from covtarget.bekk import _bekk_steps
+from covtarget.cli import main
+from covtarget.dcc import _dcc_steps
+from covtarget.report import bekk_document, dcc_document, simulate_document
 
 from conftest import random_corr, random_spd
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -290,3 +307,139 @@ def test_simulation_holds_about_one_panel(kind):
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * panel.returns.nbytes
+
+
+def params_document(kind, params, mu, h1=None):
+    """The params document of a BEKK or DCC model; a BEKK's h1 is optional."""
+    if kind == "dcc":
+        return dcc_document(params, mu, None)
+    doc = bekk_document(params, mu, params.unconditional_cov() if h1 is None else h1, None)
+    return {**doc, "h1": None} if h1 is None else doc
+
+
+def simulate_in(out, kind, doc, t_len, seed=0):
+    """``main(["simulate", ...])`` over ``doc`` written to ``out``."""
+    (out / f"params.{kind}.json").write_text(json.dumps(doc), encoding="utf-8")
+    return main(["simulate", "--model", kind, "--sim-len", str(t_len),
+                 "--seed", str(seed), "--out-dir", str(out)])
+
+
+models = st.one_of(
+    bekk_cases().map(lambda case: ("bekk", *case)),
+    dcc_cases().map(lambda case: ("dcc", *case, None)),
+)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(models, st.integers(2, 3000), seeds, st.integers(1, 1500))
+def test_streamed_rows_are_the_panels_rows(capsys, case, t_len, seed, block):
+    # The command draws, steps and writes its shocks one block at a time; the
+    # panel's simulators step theirs at the default block size. Every block
+    # size gives the same rows bit for bit, and the same file.
+    kind, params, mu, h1 = case
+    doc = params_document(kind, params, mu, h1)
+    panel = simulate_document(doc, t_len, seed)
+    step = _bekk_steps(params, h1) if kind == "bekk" else _dcc_steps(params)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_SIM_BLOCK", block):
+        rows = list(data._sim_blocks(step, params.n, mu, t_len, seed))
+        out = Path(tmp)
+        assert simulate_in(out, kind, doc, t_len, seed) == 0
+        write_returns_csv(panel, out / "panel.csv")
+        assert (out / f"sim.{kind}.csv").read_bytes() == (out / "panel.csv").read_bytes()
+    capsys.readouterr()
+    assert [len(r) for r in rows[:-1]] == [block] * (len(rows) - 1)
+    assert np.array_equal(np.concatenate(rows), panel.returns)
+
+
+def bekk15_document():
+    return params_document("bekk", simulator15("bekk")[1], np.zeros(15))
+
+
+def simulate_peak(out, t_len):
+    """The traced peak of the simulate command over the 15-asset BEKK."""
+    tracemalloc.start()
+    try:
+        assert simulate_in(out, "bekk", bekk15_document(), t_len) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_command_memory_does_not_grow_with_sim_len(capsys, tmp_path):
+    # The command holds one block of rows, never the panel: ten times the rows
+    # (24 MB of returns against 2.4 MB) leave the traced peak where it was.
+    simulate_peak(tmp_path, 2)  # builds the render tables
+    short, long = simulate_peak(tmp_path, 20_000), simulate_peak(tmp_path, 200_000)
+    capsys.readouterr()
+    assert abs(long - short) < 2**20
+
+
+# The child's own peak resident set, read before it exits: exec starts a new
+# address space with its own VmHWM, whereas ru_maxrss can carry the peak of
+# the process that forked it.
+RSS_CHILD = """
+import sys
+from covtarget.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status", encoding="ascii") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_simulate_command_rss_does_not_grow_with_sim_len(tmp_path):
+    # Out of process, so heap growth that tracemalloc does not see counts too:
+    # 60,000 rows (7.2 MB of returns) peak within 3 MB of 2,000 rows.
+    doc = bekk15_document()
+    (tmp_path / "params.bekk.json").write_text(json.dumps(doc), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+
+    def peak_kib(t_len):
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, "simulate", "--model", "bekk",
+             "--sim-len", str(t_len), "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stderr.split()[-1])
+
+    assert peak_kib(60_000) - peak_kib(2_000) <= 3 * 1024
+
+
+# The failing paths of the tests above: kind, params, h1, seed, the step at
+# which the reference loop fails, the error's words, and a block size that
+# puts that step past the first block.
+LATE_FAILURES = {
+    "bekk overflow": (
+        "bekk", BekkParams(c_lower=np.array([[0.1]]), a_diag=np.array([0.99]),
+                           b_diag=np.array([0.0])),
+        np.array([[8e307]]), 3, 1, "simulation overflowed", 1),
+    "bekk definiteness": (
+        "bekk", BekkParams(c_lower=1e-10 * np.eye(2), a_diag=np.full(2, 0.7),
+                           b_diag=np.full(2, 0.1)),
+        np.array([[1.0, 1.0 - 1e-15], [1.0 - 1e-15, 1.0]]), 0, 3,
+        "simulated covariance lost positive definiteness", 2),
+    "dcc overflow": (
+        "dcc", DccParams(univariate=(Garch11Params(1.5e307, 0.9, 0.0),
+                                     Garch11Params(1e-4, 0.05, 0.9)),
+                         theta1=0.05, theta2=0.9, q_bar=np.eye(2)),
+        None, 0, 8, "simulation overflowed", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_FAILURES))
+def test_late_failure_names_its_step_and_leaves_no_file(capsys, tmp_path, case):
+    # The failing step lies past the first block, so it fails after the rows
+    # before it have gone to the temporary file.
+    kind, params, h1, seed, t, words, block = LATE_FAILURES[case]
+    assert t >= block
+    doc = params_document(kind, params, np.zeros(params.n), h1)
+    with mock.patch.object(data, "_SIM_BLOCK", block):
+        rc = simulate_in(tmp_path, kind, doc, 50, seed)
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == f"estimation error: {words} at t={t}\n"
+    assert captured.out == ""
+    assert [p.name for p in tmp_path.iterdir()] == [f"params.{kind}.json"]
