@@ -423,7 +423,7 @@ def _check_finite(eps: np.ndarray, at: int = 0) -> None:
     bad = ~np.isfinite(eps)
     if bad.any():
         t = at + int(np.argwhere(bad)[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
+        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t) from None
 
 
 def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
