@@ -358,8 +358,8 @@ def bekk_simulate(
 ) -> ReturnPanel:
     """Simulate a return panel r_t = mu + L_t eta_t with Gaussian shocks
     eta_t, L_t the lower Cholesky factor of H_t; H_1 defaults to the implied
-    unconditional covariance. The panel holds about 8 t_len N bytes: the
-    shocks become the returns in place.
+    unconditional covariance. The rows are the simulate command's blocks,
+    gathered into a panel of about 8 t_len N bytes plus one block.
 
     Each step factors H_t with numpy's Cholesky gufunc (the one
     np.linalg.cholesky calls, so the factors are the same bits) into one

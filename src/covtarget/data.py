@@ -52,12 +52,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
+    """The one check of a panel's or a graph's series labels."""
     if len(labels) == 0:
-        raise DataError("panel has no series columns")
+        raise DataError("no series labels")
     if any(not lab for lab in labels):
-        raise DataError("empty series label in header")
+        raise DataError("empty series label")
     if len(set(labels)) != len(labels):
-        raise DataError("duplicate series labels in header")
+        dup = next(lab for lab in labels if labels.count(lab) > 1)
+        raise DataError(f"duplicate series labels: {dup!r}")
 
 
 @dataclass(frozen=True)
@@ -417,48 +419,38 @@ def _sim_labels(n: int) -> tuple[str, ...]:
     return tuple(f"S{i + 1}" for i in range(n))
 
 
-def _check_finite(eps: np.ndarray, at: int = 0) -> None:
-    """Raise NumericalOverflowError naming the first row of ``eps``, counted
-    from ``at``, that holds a non-finite return."""
-    bad = ~np.isfinite(eps)
-    if bad.any():
-        t = at + int(np.argwhere(bad)[0][0])
-        raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t) from None
-
-
-def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
-    """The undated panel mu + eps, labelled S1..Sn unless ``labels`` are
-    given. eps starts as the (t_len, n) N(0, 1) shocks, and ``step(block,
-    t)`` turns each block of _SIM_BLOCK rows, t the index of its first row,
-    into returns in place; the panel holds eps itself, mu added in place. A
-    non-finite return is an overflow."""
+def _sim_blocks(step, n: int, mu, t_len: int, seed: int) -> Iterator[np.ndarray]:
+    """The rows mu + eps, _SIM_BLOCK at a time once mu and t_len are checked:
+    each block's N(0, 1) shocks are drawn from one generator as needed (the
+    same numbers as drawn at once), ``step(block, t)``, t its first row's
+    index, makes them returns in place, and a non-finite one is an overflow."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
-    eps = np.random.default_rng(seed).standard_normal((check_sim_len(t_len), n))
-    for at in range(0, t_len, _SIM_BLOCK):
-        step(eps[at : at + _SIM_BLOCK], at)
-    eps += mu
-    eps.setflags(write=False)
-    try:
-        return ReturnPanel(labels=_sim_labels(n) if labels is None else labels, returns=eps)
-    except DataError:
-        _check_finite(eps)
-        raise
-
-
-def _sim_blocks(step, n: int, mu: np.ndarray, t_len: int, seed: int) -> Iterator[np.ndarray]:
-    """The rows of _sim_panel's panel, one block at a time: each block's
-    shocks are drawn from the one generator as they are needed (drawn in
-    blocks, they are the same numbers), stepped, moved by mu and checked
-    finite."""
     rng = np.random.default_rng(seed)
-    for at in range(0, check_sim_len(t_len), _SIM_BLOCK):
+
+    def block(at: int) -> np.ndarray:
         eps = rng.standard_normal((min(_SIM_BLOCK, t_len - at), n))
         step(eps, at)
         eps += mu
-        _check_finite(eps, at)
-        yield eps
+        if not np.isfinite(eps).all():
+            t = at + int(np.argwhere(~np.isfinite(eps))[0][0])
+            raise NumericalOverflowError(f"simulation overflowed at t={t}", t=t)
+        return eps
+
+    return map(block, range(0, check_sim_len(t_len), _SIM_BLOCK))
+
+
+def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
+    """_sim_blocks' rows as one undated panel, labelled S1..Sn unless
+    ``labels`` are given: each block is copied into one read-only array as
+    it is stepped, so the panel holds about 8 t_len n bytes plus one block."""
+    blocks = _sim_blocks(step, n, mu, t_len, seed)
+    r = np.empty((t_len, n))
+    for at, block in zip(range(0, t_len, _SIM_BLOCK), blocks, strict=True):
+        r[at : at + _SIM_BLOCK] = block
+    r.setflags(write=False)
+    return ReturnPanel(labels=_sim_labels(n) if labels is None else labels, returns=r)
 
 
 _CSV_BLOCK = 256  # rows per chunk of a written returns file; ~5 KB of temporaries a row at N = 15
@@ -606,8 +598,7 @@ def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:
     if panel.dates is None and panel.t_len > _MAX_SIM_LEN:
         raise DataError(f"an undated panel of {panel.t_len} rows would be dated past "
                         f"9999-12-31 (at most {_MAX_SIM_LEN} rows)")
-    rows = (panel.returns[at : at + _CSV_BLOCK] for at in range(0, panel.t_len, _CSV_BLOCK))
-    _write_returns(path, panel.labels, rows, panel.dates)
+    _write_returns(path, panel.labels, [panel.returns], panel.dates)
 
 
 def _write_returns(path: str | Path, labels: tuple[str, ...],

@@ -327,8 +327,8 @@ def dcc_simulate(
 ) -> ReturnPanel:
     """Simulate r_t = mu + D_t z_t with Gaussian eta_t and z_t = L_t eta_t,
     where L_t is the lower Cholesky factor of R_t, starting from the
-    per-series unconditional variances and Q_1 = q_bar. The panel holds
-    about 8 t_len N bytes: the shocks become the returns in place.
+    per-series unconditional variances and Q_1 = q_bar: the simulate command's
+    blocks, gathered into a panel of about 8 t_len N bytes plus one block.
 
     R_t is never formed: with S_t = diag(Q_t)^{1/2}, R_t = S_t^{-1} Q_t
     S_t^{-1}, so L_t = S_t^{-1} chol(Q_t) and z_t = chol(Q_t) eta_t / diag(S_t).

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_labels
 from .errors import DataError
-from .targeting import threshold_correlation
+from .targeting import check_delta, threshold_correlation
 
 
 @dataclass(frozen=True)
@@ -31,6 +32,7 @@ class ThresholdGraph:
     edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
+        _check_labels(self.labels)
         a = np.array(self.adjacency, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
@@ -167,18 +169,29 @@ def graph_to_json(graph: ThresholdGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> ThresholdGraph:
-    """Rebuild a ThresholdGraph from graph_to_json output."""
+    """Rebuild a ThresholdGraph from graph_to_json output. What that could
+    not have written raises DataError: labels that are not a list, an edge
+    index that is not an integer, a pair given twice, or a weight not above
+    delta in magnitude."""
     try:
+        if isinstance(doc["labels"], str):
+            raise DataError(f"graph labels must be a list, got {doc['labels']!r}")
         labels = tuple(str(s) for s in doc["labels"])
-        delta = float(doc["delta"])
-        edges = [(int(i), int(j), float(w)) for i, j, w in doc["edges"]]
+        delta = check_delta(doc["delta"])
+        edges = [(i, j, float(w)) for i, j, w in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed graph document: {exc}") from exc
     n = len(labels)
     adj = np.zeros((n, n))
     np.fill_diagonal(adj, 1.0)
     for i, j, w in edges:
+        if type(i) is not int or type(j) is not int:
+            raise DataError(f"edge [{i!r}, {j!r}, {w!r}]: vertex indices must be integers")
         if not (0 <= i < n and 0 <= j < n and i != j):
             raise DataError(f"edge ({i}, {j}) out of range for {n} vertices")
+        if adj[i, j]:
+            raise DataError(f"edge ({i}, {j}) appears twice")
+        if not abs(w) > delta:
+            raise DataError(f"edge ({i}, {j}) has weight {w!r}, not above delta {delta!r}")
         adj[i, j] = adj[j, i] = w
     return build_graph(adj, labels, delta)

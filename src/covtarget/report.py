@@ -223,8 +223,7 @@ def _write_simulation(parsed: tuple, t_len: int, seed: int, path: Path) -> None:
     block at a time as they are written."""
     model, params, mu, h1 = parsed
     step = _bekk_steps(params, h1) if model == "bekk" else _dcc_steps(params)
-    rows = _sim_blocks(step, params.n, mu, t_len, seed)
-    _write_returns(path, _sim_labels(params.n), rows)
+    _write_returns(path, _sim_labels(params.n), _sim_blocks(step, params.n, mu, t_len, seed))
 
 
 def _graph_block(graph: ThresholdGraph, cliques: tuple[tuple[int, ...], ...]) -> dict:
@@ -341,6 +340,9 @@ def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
 
 def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
     """Run the full pipeline over every requested model kind."""
+    if config.sim_len is not None and config.sim_len <= panel.n:
+        raise DataError(f"simulation length {config.sim_len} must exceed the {panel.n} series: "
+                        "a shorter simulated panel has a singular covariance")
     setup = _setup(panel, config)
     moments, target, _ = setup
     observed_graph = build_graph(moments.corr, panel.labels, config.delta)

@@ -258,6 +258,23 @@ class TestDataErrors:
             ["params.bekk.json"] + (["params.dcc.json"] if fault in text else [])
         )
 
+    @pytest.mark.parametrize("sim_len", [3, 5])
+    def test_evaluate_sim_len_at_most_the_series_fails_before_any_fit(
+        self, capsys, tmp_path, sim_len
+    ):
+        # T simulated rows give a covariance of rank at most T - 1, which the
+        # simulated KL divergence cannot invert.
+        path = tmp_path / "panel5.csv"
+        write_returns_csv(gaussian_panel(2, t_len=120, n=5), path)
+        out = tmp_path / "out"
+        rc, stdout, err = run(capsys, "evaluate", "--input", str(path), "--out-dir", str(out),
+                              "--model", "bekk,dcc", "--sim-len", str(sim_len))
+        assert rc == 3
+        assert err == (f"data error: simulation length {sim_len} must exceed the 5 series: "
+                       "a shorter simulated panel has a singular covariance\n")
+        assert stdout == ""
+        assert not out.exists()
+
     @staticmethod
     def run_with_dependent_column(capsys, tmp_path, command, model, scale, noise):
         """Run `command` on a 252-row panel whose column DUP is `scale` times

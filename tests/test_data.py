@@ -535,6 +535,9 @@ class TestReturnsCsv:
         class FailingRows:
             """panel.returns, raising at the second block of rows."""
 
+            def __len__(self):
+                return panel.t_len
+
             def __getitem__(self, rows):
                 if rows.start:
                     seen.extend(p.stat().st_size for p in tmp_path.iterdir() if p != path)

@@ -321,3 +321,18 @@ class TestSerialization:
             graph_from_json(
                 {"labels": ["A", "B"], "delta": 0.5, "edges": [[0, 5, 0.9]]}
             )
+        # documents graph_to_json cannot write, each named by its edge or label
+        cases = [
+            (["A", "B"], [[0, 1, 0.3]], "edge (0, 1) has weight 0.3, not above delta 0.5"),
+            (["A", "B"], [[0, 1, -0.5]], "edge (0, 1) has weight -0.5, not above delta 0.5"),
+            (["A", "B"], [[0.7, 1.2, 0.9]], "edge [0.7, 1.2, 0.9]: vertex indices must be integers"),
+            (["A", "B"], [[0, True, 0.9]], "edge [0, True, 0.9]: vertex indices must be integers"),
+            (["A", "B"], [[0, 1, 0.9], [1, 0, 0.8]], "edge (1, 0) appears twice"),
+            (["A", "B"], [[0, 1, 0.9], [0, 1, 0.9]], "edge (0, 1) appears twice"),
+            ("AB", [], "graph labels must be a list, got 'AB'"),
+            (["A", "B", "A"], [], "duplicate series labels: 'A'"),
+        ]
+        for labels, edges, message in cases:
+            with pytest.raises(DataError) as err:
+                graph_from_json({"labels": labels, "delta": 0.5, "edges": edges})
+            assert str(err.value) == message

@@ -7,8 +7,10 @@ factor), only linalg.py reaches numpy's private _umath_linalg (the one
 place the simulators' Cholesky kernel is taken from), NotPositiveDefiniteError is constructed at one place in
 linalg.py (one factorization gate names every failing pivot), every
 text file is opened with an explicit encoding (files read and write as
-UTF-8 whatever the locale), and no module names numpy's long double
-(written bytes must not depend on the platform).
+UTF-8 whatever the locale), no module names numpy's long double
+(written bytes must not depend on the platform), and only the optimizer's
+start perturbations and the simulators' one block stream draw random
+numbers (so a panel and a streamed file come from the same code).
 
 ``__init__.py`` is exempt from the first check (its imports are
 re-exports, and ``covtarget.__all__`` must list exactly those), and so are
@@ -324,3 +326,56 @@ def test_no_module_uses_a_long_double():
     # on x86, quad on aarch64, a plain double on macOS
     for path in SOURCES:
         assert long_double_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def random_draw_callers(source: str, module: str) -> list[str]:
+    """Where ``source`` draws random numbers: a call to default_rng or
+    standard_normal, under any name it is imported as, or to anything under
+    np.random. Each is named ``module.function`` (``module.Class.method``)
+    by the top-level definition around it, or ``module`` outside one."""
+    tree = ast.parse(source)
+    names = {"default_rng", "standard_normal"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name in names and a.asname)
+
+    def draws(node) -> bool:
+        return any(
+            isinstance(n, ast.Call) and (
+                isinstance(n.func, ast.Name) and n.func.id in names
+                or isinstance(n.func, ast.Attribute) and (
+                    n.func.attr in names
+                    or ast.unparse(n.func.value) in ("np.random", "numpy.random")))
+            for n in ast.walk(node)
+        )
+
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            found.update(f"{module}.{node.name}.{m.name}" for m in node.body
+                         if isinstance(m, ast.FunctionDef) and draws(m))
+        elif draws(node):
+            found.add(f"{module}.{node.name}" if isinstance(node, ast.FunctionDef) else module)
+    return sorted(found)
+
+
+def test_random_draw_callers_are_found():
+    source = ("import numpy as np\nfrom numpy.random import default_rng as rng_of\n"
+              "def f():\n    return np.random.default_rng(0)\n"
+              "def g(rng):\n    def inner():\n        return rng.standard_normal(3)\n"
+              "    return inner\n"
+              "class C:\n    def m(self):\n        return rng_of(1)\n"
+              "    def n(self):\n        return np.linalg.norm(self)\n"
+              "def h():\n    return np.random.randn(2)\n"
+              "def k(x):\n    return np.sqrt(x)\n")
+    assert random_draw_callers(source, "m") == ["m.C.m", "m.f", "m.g", "m.h"]
+    assert random_draw_callers("import numpy\nX = numpy.random.rand()\n", "m") == ["m"]
+
+
+def test_only_the_optimizer_and_the_block_stream_draw():
+    # optimize.maximize perturbs its extra starts; data._sim_blocks draws
+    # every simulated shock, for the API's panels and the command's files
+    found = []
+    for path in SOURCES:
+        found += random_draw_callers(path.read_text(encoding="utf-8"), path.stem)
+    assert sorted(found) == ["data._sim_blocks", "optimize.maximize"]

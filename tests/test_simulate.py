@@ -31,6 +31,7 @@ from covtarget import (
     DccParams,
     Garch11Params,
     NumericalOverflowError,
+    ShapeError,
     bekk_simulate,
     dcc_simulate,
     write_returns_csv,
@@ -202,6 +203,7 @@ def test_overflow_names_the_first_non_finite_row():
     assert 0 < t < 49
     assert err.value.t == t
     assert str(err.value) == f"simulation overflowed at t={t}"
+    assert err.value.__context__ is None
 
 
 def test_bekk_overflow_names_the_first_non_finite_row():
@@ -218,6 +220,7 @@ def test_bekk_overflow_names_the_first_non_finite_row():
     assert np.isnan(ref[t + 1:]).all()
     assert err.value.t == t
     assert str(err.value) == f"simulation overflowed at t={t}"
+    assert err.value.__context__ is None
 
 
 def first_failing_step(loop):
@@ -284,6 +287,16 @@ def simulator15(kind):
     g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
     return dcc_simulate, DccParams(univariate=(g,) * n, theta1=0.05, theta2=0.9,
                                    q_bar=random_corr(rng, n))
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
+@pytest.mark.parametrize("t_len", [50, 1])
+def test_mis_sized_mu_is_a_shape_error(kind, t_len):
+    # mu is checked first, before the simulation length
+    simulate, params = simulator15(kind)
+    with pytest.raises(ShapeError) as err:
+        simulate(params, np.zeros(14), t_len, 0)
+    assert str(err.value) == "mu must have shape (15,), got (14,)"
 
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
