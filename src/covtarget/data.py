@@ -52,7 +52,6 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _check_labels(labels: tuple[str, ...]) -> None:
-    """The one check of a panel's or a graph's series labels."""
     if len(labels) == 0:
         raise DataError("no series labels")
     if any(not lab for lab in labels):
@@ -420,10 +419,10 @@ def _sim_labels(n: int) -> tuple[str, ...]:
 
 
 def _sim_blocks(step, n: int, mu, t_len: int, seed: int) -> Iterator[np.ndarray]:
-    """The rows mu + eps, _SIM_BLOCK at a time once mu and t_len are checked:
-    each block's N(0, 1) shocks are drawn from one generator as needed (the
-    same numbers as drawn at once), ``step(block, t)``, t its first row's
-    index, makes them returns in place, and a non-finite one is an overflow."""
+    """The rows mu + eps, _SIM_BLOCK at a time, mu and t_len checked at the
+    call: each block's N(0, 1) shocks are drawn from one generator as needed
+    (the numbers one whole draw gives), ``step(block, t)``, t its first row,
+    makes them returns in place, and a non-finite return is an overflow."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
@@ -443,8 +442,8 @@ def _sim_blocks(step, n: int, mu, t_len: int, seed: int) -> Iterator[np.ndarray]
 
 def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
     """_sim_blocks' rows as one undated panel, labelled S1..Sn unless
-    ``labels`` are given: each block is copied into one read-only array as
-    it is stepped, so the panel holds about 8 t_len n bytes plus one block."""
+    ``labels`` are given, each block copied into one read-only array as it
+    is stepped: 8 t_len n bytes, and one block more while it runs."""
     blocks = _sim_blocks(step, n, mu, t_len, seed)
     r = np.empty((t_len, n))
     for at, block in zip(range(0, t_len, _SIM_BLOCK), blocks, strict=True):

@@ -169,10 +169,8 @@ def graph_to_json(graph: ThresholdGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> ThresholdGraph:
-    """Rebuild a ThresholdGraph from graph_to_json output. What that could
-    not have written raises DataError: labels that are not a list, an edge
-    index that is not an integer, a pair given twice, or a weight not above
-    delta in magnitude."""
+    """Rebuild a ThresholdGraph from graph_to_json output; a document it
+    could not have written raises DataError naming the edge or label."""
     try:
         if isinstance(doc["labels"], str):
             raise DataError(f"graph labels must be a list, got {doc['labels']!r}")
@@ -182,13 +180,10 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed graph document: {exc}") from exc
     n = len(labels)
-    adj = np.zeros((n, n))
-    np.fill_diagonal(adj, 1.0)
+    adj = np.eye(n)
     for i, j, w in edges:
-        if type(i) is not int or type(j) is not int:
-            raise DataError(f"edge [{i!r}, {j!r}, {w!r}]: vertex indices must be integers")
-        if not (0 <= i < n and 0 <= j < n and i != j):
-            raise DataError(f"edge ({i}, {j}) out of range for {n} vertices")
+        if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and i != j):
+            raise DataError(f"edge {[i, j, w]}: indices must be distinct integers in [0, {n})")
         if adj[i, j]:
             raise DataError(f"edge ({i}, {j}) appears twice")
         if not abs(w) > delta:

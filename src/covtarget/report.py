@@ -341,8 +341,7 @@ def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
 def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
     """Run the full pipeline over every requested model kind."""
     if config.sim_len is not None and config.sim_len <= panel.n:
-        raise DataError(f"simulation length {config.sim_len} must exceed the {panel.n} series: "
-                        "a shorter simulated panel has a singular covariance")
+        raise DataError(f"simulation length {config.sim_len} must exceed the {panel.n} series")
     setup = _setup(panel, config)
     moments, target, _ = setup
     observed_graph = build_graph(moments.corr, panel.labels, config.delta)

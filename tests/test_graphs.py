@@ -325,8 +325,11 @@ class TestSerialization:
         cases = [
             (["A", "B"], [[0, 1, 0.3]], "edge (0, 1) has weight 0.3, not above delta 0.5"),
             (["A", "B"], [[0, 1, -0.5]], "edge (0, 1) has weight -0.5, not above delta 0.5"),
-            (["A", "B"], [[0.7, 1.2, 0.9]], "edge [0.7, 1.2, 0.9]: vertex indices must be integers"),
-            (["A", "B"], [[0, True, 0.9]], "edge [0, True, 0.9]: vertex indices must be integers"),
+            (["A", "B"], [[0.7, 1.2, 0.9]],
+             "edge [0.7, 1.2, 0.9]: indices must be distinct integers in [0, 2)"),
+            (["A", "B"], [[0, True, 0.9]],
+             "edge [0, True, 0.9]: indices must be distinct integers in [0, 2)"),
+            (["A", "B"], [[1, 1, 0.9]], "edge [1, 1, 0.9]: indices must be distinct integers in [0, 2)"),
             (["A", "B"], [[0, 1, 0.9], [1, 0, 0.8]], "edge (1, 0) appears twice"),
             (["A", "B"], [[0, 1, 0.9], [0, 1, 0.9]], "edge (0, 1) appears twice"),
             ("AB", [], "graph labels must be a list, got 'AB'"),
