@@ -446,8 +446,8 @@ def _sim_panel(step, n: int, mu, t_len: int, seed: int, labels) -> ReturnPanel:
     is stepped: 8 t_len n bytes, and one block more while it runs."""
     blocks = _sim_blocks(step, n, mu, t_len, seed)
     r = np.empty((t_len, n))
-    for at, block in zip(range(0, t_len, _SIM_BLOCK), blocks, strict=True):
-        r[at : at + _SIM_BLOCK] = block
+    for at in range(0, t_len, _SIM_BLOCK):
+        r[at : at + _SIM_BLOCK] = next(blocks)  # no block outlives its copy
     r.setflags(write=False)
     return ReturnPanel(labels=_sim_labels(n) if labels is None else labels, returns=r)
 
