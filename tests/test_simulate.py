@@ -310,8 +310,8 @@ def test_simulated_panel_is_read_only_and_undated(kind):
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
 def test_simulation_holds_about_one_panel(kind):
-    # The shocks become the returns in place and the panel keeps that array,
-    # so the traced peak stays near the panel's own bytes.
+    # Each block's shocks become its returns in place and are copied into the
+    # panel, so the traced peak stays near the panel's own bytes plus a block.
     simulate, params = simulator15(kind)
     tracemalloc.start()
     try:
