@@ -404,8 +404,10 @@ def sample_moments(panel: ReturnPanel) -> SampleMoments:
 
 
 def check_sim_len(t_len: int) -> int:
-    """``t_len`` if a simulated panel of that many rows has sample moments
-    and its last date, counted from 1970-01-02, is at most 9999-12-31."""
+    """``t_len`` if it is an integer, a simulated panel of that many rows has
+    sample moments and its last date, from 1970-01-02, is at most 9999-12-31."""
+    if not isinstance(t_len, (int, np.integer)):
+        raise DataError(f"simulation length must be an integer, got {t_len!r}")
     if not 2 <= t_len <= _MAX_SIM_LEN:
         raise DataError(f"simulation length must be in [2, {_MAX_SIM_LEN}], got {t_len}")
     return t_len

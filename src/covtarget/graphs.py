@@ -1,14 +1,15 @@
 """Threshold correlation graphs and maximal-clique analysis.
 
 Vertices are series; an edge joins i and j when |rho_ij| > delta (strict).
-Maximal cliques are enumerated with Bron-Kerbosch using Tomita's pivot, on
-integer bitsets and from an explicit stack, so cliques of any order fit;
-output ordering is canonical (each clique sorted, cliques sorted
+A graph stores only its adjacency; edges and comparisons read its upper
+triangle. Maximal cliques are enumerated with Bron-Kerbosch using Tomita's
+pivot, on integer bitsets and from an explicit stack, so cliques of any order
+fit; output ordering is canonical (each clique sorted, cliques sorted
 lexicographically) and therefore independent of pivot choices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,30 +22,29 @@ from .targeting import check_delta, threshold_correlation
 class ThresholdGraph:
     """Undirected graph of surviving correlations at a threshold.
 
-    adjacency holds the surviving correlation weights (zero elsewhere, unit
-    diagonal); edges, derived from it, are the (i, j) with i < j and a
-    nonzero weight, in lexicographic order.
+    adjacency, the one array stored, holds the surviving correlation weights
+    (zero elsewhere, unit diagonal); edges are read from it when asked for:
+    the (i, j) with i < j and a nonzero weight, in lexicographic order.
     """
 
     labels: tuple[str, ...]
     delta: float
     adjacency: np.ndarray
-    edges: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
         _check_labels(self.labels)
         a = np.array(self.adjacency, dtype=float)
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
-        rows, cols = np.nonzero(np.triu(a, 1))  # row-major: sorted by i, then j
-        object.__setattr__(self, "edges", tuple(zip(rows.tolist(), cols.tolist())))
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def weight(self, i: int, j: int) -> float:
-        return float(self.adjacency[i, j])
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        rows, cols = np.nonzero(np.triu(self.adjacency, 1))  # row-major: by i, then j
+        return tuple(zip(rows.tolist(), cols.tolist()))
 
 
 def build_graph(corr: np.ndarray, labels: tuple[str, ...], delta: float) -> ThresholdGraph:
@@ -71,10 +71,10 @@ def maximal_cliques(graph: ThresholdGraph) -> tuple[tuple[int, ...], ...]:
         if not p | x:
             out.append(tuple(sorted(r)))
             continue
-        # Pivot on the vertex covering most of P; only non-neighbors of the
-        # pivot are branched on.
-        best, rest = -1, p | x
-        while rest:
+        # Pivot on the first vertex covering most of P, at most top (no vertex
+        # neighbors itself); only non-neighbors of the pivot are branched on.
+        best, rest, top = -1, p | x, p.bit_count() - (not x)
+        while rest and best < top:
             u = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             cover = (p & nbrs[u]).bit_count()
@@ -106,10 +106,8 @@ class GraphComparison:
     clique_best_jaccard: tuple[float, ...]
 
 
-def _jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    return len(a & b) / len(a | b)
+def _jaccard(both: int, either: int) -> float:
+    return both / either if either else 1.0  # two empty sets agree
 
 
 def compare_graphs(
@@ -126,18 +124,17 @@ def compare_graphs(
         raise DataError(
             f"graphs have different thresholds: {observed.delta} vs {simulated.delta}"
         )
-    e_obs = set(observed.edges)
-    e_sim = set(simulated.edges)
-    edge_jaccard = _jaccard(frozenset(e_obs), frozenset(e_sim))
+    e_obs, e_sim = (np.triu(g.adjacency != 0.0, 1) for g in (observed, simulated))
     c_obs = [frozenset(c) for c in observed_cliques]
     c_sim = {frozenset(c) for c in simulated_cliques}
     return GraphComparison(
-        edges_only_observed=tuple(sorted(e_obs - e_sim)),
-        edges_only_simulated=tuple(sorted(e_sim - e_obs)),
-        edge_jaccard=edge_jaccard,
+        # argwhere is row-major, so both differences are lexicographic
+        edges_only_observed=tuple(map(tuple, np.argwhere(e_obs & ~e_sim).tolist())),
+        edges_only_simulated=tuple(map(tuple, np.argwhere(e_sim & ~e_obs).tolist())),
+        edge_jaccard=_jaccard(np.count_nonzero(e_obs & e_sim), np.count_nonzero(e_obs | e_sim)),
         cliques_matched=sum(c in c_sim for c in c_obs),
         clique_best_jaccard=tuple(
-            max((_jaccard(c, s) for s in c_sim), default=0.0) for c in c_obs
+            max((_jaccard(len(c & s), len(c | s)) for s in c_sim), default=0.0) for c in c_obs
         ),
     )
 
@@ -153,7 +150,7 @@ def graph_to_dot(graph: ThresholdGraph) -> str:
     lines = ["graph correlation {"]
     lines.extend(f"  {v};" for v in ids)
     for i, j in graph.edges:
-        w = graph.weight(i, j)
+        w = graph.adjacency[i, j]
         lines.append(f'  {ids[i]} -- {ids[j]} [weight="{w:.4f}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -164,7 +161,7 @@ def graph_to_json(graph: ThresholdGraph) -> dict:
     return {
         "labels": list(graph.labels),
         "delta": graph.delta,
-        "edges": [[i, j, graph.weight(i, j)] for i, j in graph.edges],
+        "edges": [[i, j, float(graph.adjacency[i, j])] for i, j in graph.edges],
     }
 
 
@@ -174,7 +171,9 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
     try:
         if isinstance(doc["labels"], str):
             raise DataError(f"graph labels must be a list, got {doc['labels']!r}")
-        labels = tuple(str(s) for s in doc["labels"])
+        labels = tuple(doc["labels"])
+        if bad := [lab for lab in labels if not isinstance(lab, str)]:
+            raise DataError(f"graph label {bad[0]!r} is not a string")
         delta = check_delta(doc["delta"])
         edges = [(i, j, float(w)) for i, j, w in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:

@@ -470,6 +470,13 @@ class TestSimLen:
         assert check_sim_len(2_932_896) == 2_932_896
         assert str(_FIRST_SIM_DAY + (_MAX_SIM_LEN - 1)) == "9999-12-31"
 
+    def test_only_integers_are_lengths(self):
+        assert check_sim_len(np.int32(2)) == 2
+        for t_len in (2.5, 2.0, "2", None):
+            with pytest.raises(DataError) as err:
+                check_sim_len(t_len)
+            assert str(err.value) == f"simulation length must be an integer, got {t_len!r}"
+
 
 class TestSampleMoments:
     def test_cov_corr_gamma_consistent(self, rng):

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from covtarget import (
     CovTargetError,
     DataError,
+    GraphComparison,
     ThresholdGraph,
     build_graph,
     compare_graphs,
@@ -44,6 +46,20 @@ def random_sym(rng, n):
     return c
 
 
+def graphs(n):
+    """Graphs on n vertices at delta 0.5 with random signed weights above it,
+    edgeless, complete or of a random density."""
+
+    def build(seed, density):
+        rng = np.random.default_rng(seed)
+        keep = np.triu(rng.random((n, n)) < density, 1)
+        a = np.where(keep, rng.uniform(0.51, 1.0, (n, n)) * rng.choice([-1.0, 1.0], (n, n)), 0.0)
+        return ThresholdGraph(tuple(f"V{i}" for i in range(n)), 0.5, a + a.T + np.eye(n))
+
+    density = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return st.builds(build, st.integers(0, 2**32 - 1), density)
+
+
 def brute_force_cliques(graph):
     """Maximal cliques by scanning every vertex subset as a bitmask."""
     n = graph.n
@@ -73,14 +89,14 @@ class TestBuildGraph:
         c = np.array([[1.0, 0.5, 0.6], [0.5, 1.0, 0.2], [0.6, 0.2, 1.0]])
         g = build_graph(c, ("A", "B", "C"), 0.5)
         assert g.edges == ((0, 2),)
-        assert g.weight(0, 2) == 0.6
-        assert g.weight(0, 1) == 0.0
+        assert g.adjacency[0, 2] == 0.6
+        assert g.adjacency[0, 1] == 0.0
 
     def test_negative_edges_kept_with_sign(self):
         c = np.array([[1.0, -0.9], [-0.9, 1.0]])
         g = build_graph(c, ("A", "B"), 0.5)
         assert g.edges == ((0, 1),)
-        assert g.weight(0, 1) == -0.9
+        assert g.adjacency[0, 1] == -0.9
 
     def test_edges_are_derived_from_the_adjacency(self):
         adj = threshold_correlation(CORR5, 0.5)
@@ -91,6 +107,14 @@ class TestBuildGraph:
         )
         with pytest.raises(TypeError):
             ThresholdGraph(labels=LABELS5, delta=0.5, adjacency=adj, edges=())
+        with pytest.raises(AttributeError):
+            g.edges = ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(graphs))
+    def test_edges_are_the_upper_triangle_in_row_major_order(self, g):
+        rows, cols = np.nonzero(np.triu(g.adjacency, 1))
+        assert g.edges == tuple(zip(rows.tolist(), cols.tolist()))
 
     def test_validation(self):
         with pytest.raises(DataError):
@@ -168,6 +192,22 @@ class TestMaximalCliques:
         g = build_graph(c, tuple(f"V{i}" for i in range(n)), 0.4)
         assert maximal_cliques(g) == (tuple(range(n)),)
 
+    def test_thousand_vertex_clique_holds_no_edge_objects(self):
+        # the graph holds its 8 MB adjacency and no Python object per edge
+        n = 1000
+        c = np.full((n, n), 0.5)
+        np.fill_diagonal(c, 1.0)
+        labels = tuple(f"V{i}" for i in range(n))
+        tracemalloc.start()
+        try:
+            g = build_graph(c, labels, 0.4)
+            cliques = maximal_cliques(g)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert cliques == (tuple(range(n)),)
+        assert held < 16 * 2**20
+
     def test_matches_brute_force(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 11))
@@ -188,6 +228,30 @@ class TestMaximalCliques:
 
 def compare(obs, sim):
     return compare_graphs(obs, sim, maximal_cliques(obs), maximal_cliques(sim))
+
+
+def set_comparison(obs, sim, obs_cliques, sim_cliques):
+    """compare_graphs computed on Python sets of (i, j) pairs."""
+
+    def edge_set(g):
+        rows, cols = np.nonzero(np.triu(g.adjacency, 1))
+        return set(zip(rows.tolist(), cols.tolist()))
+
+    def jaccard(a, b):
+        return 1.0 if not a and not b else len(a & b) / len(a | b)
+
+    e_obs, e_sim = edge_set(obs), edge_set(sim)
+    c_obs = [frozenset(c) for c in obs_cliques]
+    c_sim = {frozenset(c) for c in sim_cliques}
+    return GraphComparison(
+        edges_only_observed=tuple(sorted(e_obs - e_sim)),
+        edges_only_simulated=tuple(sorted(e_sim - e_obs)),
+        edge_jaccard=jaccard(e_obs, e_sim),
+        cliques_matched=sum(c in c_sim for c in c_obs),
+        clique_best_jaccard=tuple(
+            max((jaccard(c, s) for s in c_sim), default=0.0) for c in c_obs
+        ),
+    )
 
 
 class TestCompare:
@@ -223,6 +287,14 @@ class TestCompare:
         cmp = compare(obs, obs)
         assert cmp.edge_jaccard == 1.0
         assert cmp.cliques_matched == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(graphs(n), graphs(n))))
+    def test_matches_the_set_comparison(self, pair):
+        obs, sim = pair
+        for a, b in ((obs, sim), (sim, obs), (obs, obs)):
+            cliques = maximal_cliques(a), maximal_cliques(b)
+            assert compare_graphs(a, b, *cliques) == set_comparison(a, b, *cliques)
 
     def test_mismatch_errors(self):
         a = build_graph(np.eye(2), ("A", "B"), 0.5)
@@ -333,6 +405,8 @@ class TestSerialization:
             (["A", "B"], [[0, 1, 0.9], [1, 0, 0.8]], "edge (1, 0) appears twice"),
             (["A", "B"], [[0, 1, 0.9], [0, 1, 0.9]], "edge (0, 1) appears twice"),
             ("AB", [], "graph labels must be a list, got 'AB'"),
+            ([1, 2.5], [], "graph label 1 is not a string"),
+            (["A", None], [], "graph label None is not a string"),
             (["A", "B", "A"], [], "duplicate series labels: 'A'"),
         ]
         for labels, edges, message in cases:

@@ -300,6 +300,16 @@ def test_mis_sized_mu_is_a_shape_error(kind, t_len):
 
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
+def test_simulation_length_must_be_an_integer(kind):
+    simulate, params = simulator15(kind)
+    for t_len in (2.5, 50.0, "50"):
+        with pytest.raises(DataError) as err:
+            simulate(params, np.zeros(15), t_len, 0)
+        assert str(err.value) == f"simulation length must be an integer, got {t_len!r}"
+    assert simulate(params, np.zeros(15), np.int64(50), 0).t_len == 50
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
 def test_simulated_panel_is_read_only_and_undated(kind):
     simulate, params = simulator15(kind)
     panel = simulate(params, np.zeros(15), 50, 0)
