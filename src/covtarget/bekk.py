@@ -72,6 +72,8 @@ class BekkParams:
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ShapeError(f"c_lower must be square, got shape {c.shape}")
         n = c.shape[0]
+        if n < 1:
+            raise DataError("c_lower has no series")
         if a.shape != (n,) or b.shape != (n,):
             raise ShapeError(
                 f"a_diag/b_diag must have shape ({n},), got {a.shape}, {b.shape}"
@@ -296,8 +298,8 @@ def bekk_fit(
         )
     s = _default_h1(eps)
     h1 = s if h1 is None else _checked_pd(h1, n, "h1")[0]
-    if target is not None:
-        _checked_pd(target.sigma_hat, n, "target")
+    if target is not None and target.sigma_hat.shape != (n, n):
+        raise ShapeError(f"target must be ({n}, {n}), got {target.sigma_hat.shape}")
     a0, b0 = 0.3, 0.9
     c0 = cholesky((1.0 - a0 * a0 - b0 * b0) * s).lower
     start = BekkParams(c_lower=c0, a_diag=np.full(n, a0), b_diag=np.full(n, b0))

@@ -55,18 +55,16 @@ from .garch import (
     garch11_filter,
     garch11_fit,
 )
-from .linalg import _checked_pd, _factor_into, _tril, gaussian_path_loglik, symmetrize
+from .linalg import _checked_pd, _factor_into, _tril, gaussian_path_loglik
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
-
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DccParams:
     """DCC parameters: per-series GARCH(1,1), correlation dynamics
     (theta1, theta2) with theta1 + theta2 < 1, and the intercept matrix
-    q_bar (symmetric PSD with unit diagonal)."""
+    q_bar (symmetric positive definite with unit diagonal)."""
 
     univariate: tuple[Garch11Params, ...]
     theta1: float
@@ -87,20 +85,9 @@ class DccParams:
             raise DataError(
                 f"theta1 + theta2 must be < 1, got {self.theta1 + self.theta2}"
             )
-        q = symmetrize(self.q_bar)
-        n = len(self.univariate)
-        if q.shape != (n, n):
-            raise ShapeError(
-                f"q_bar must be ({n}, {n}) to match {n} univariate fits, "
-                f"got {q.shape}"
-            )
+        q, _ = _checked_pd(self.q_bar, len(self.univariate), "q_bar")
         if np.abs(np.diag(q) - 1.0).max() > 1e-12:
             raise DataError("q_bar must have a unit diagonal")
-        w = np.linalg.eigvalsh(q)
-        if float(w.min()) < -_PSD_TOL:
-            raise DataError(
-                f"q_bar is not positive semidefinite (min eigenvalue {w.min():.3e})"
-            )
         q.setflags(write=False)
         object.__setattr__(self, "q_bar", q)
         object.__setattr__(self, "univariate", tuple(self.univariate))
@@ -239,8 +226,9 @@ def dcc_fit(
     quasi-likelihood, penalized by the correlation-target KL when ``target``
     is given. The returned FitReport describes stage two.
     """
-    if target is not None:
-        _checked_pd(target.z_hat_pd, panel.n, "target")
+    n = panel.n
+    if target is not None and target.z_hat_pd.shape != (n, n):
+        raise ShapeError(f"target must be ({n}, {n}), got {target.z_hat_pd.shape}")
     if stage1 is None:
         stage1 = dcc_stage1(panel, opts=opts)
     z = stage1.std_resid

@@ -174,8 +174,10 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
         labels = tuple(doc["labels"])
         if bad := [lab for lab in labels if not isinstance(lab, str)]:
             raise DataError(f"graph label {bad[0]!r} is not a string")
+        if type(doc["delta"]) not in (int, float):
+            raise DataError(f"graph delta {doc['delta']!r} is not a number")
         delta = check_delta(doc["delta"])
-        edges = [(i, j, float(w)) for i, j, w in doc["edges"]]
+        edges = [(i, j, w) for i, j, w in doc["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed graph document: {exc}") from exc
     n = len(labels)
@@ -183,6 +185,8 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
     for i, j, w in edges:
         if not (type(i) is type(j) is int and 0 <= i < n and 0 <= j < n and i != j):
             raise DataError(f"edge {[i, j, w]}: indices must be distinct integers in [0, {n})")
+        if type(w) not in (int, float):
+            raise DataError(f"edge ({i}, {j}) has weight {w!r}, not a number")
         if adj[i, j]:
             raise DataError(f"edge ({i}, {j}) appears twice")
         if not abs(w) > delta:

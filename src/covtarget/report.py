@@ -164,7 +164,9 @@ def params_from_document(doc: dict):
     checked as far as simulating from it needs."""
     try:
         model = doc["model"]
-        n = int(doc["n"])
+        n = doc["n"]
+        if type(n) is not int or n < 1:
+            raise DataError(f"n must be a positive integer, got {n!r}")
         mu = np.asarray(doc["mu"], dtype=float)
         h1 = None
         if model == "bekk":
@@ -202,6 +204,8 @@ def params_from_document(doc: dict):
             raise DataError(f"unknown model {model!r} in params document")
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed params document: {exc}") from exc
+    if n != params.n:
+        raise DataError(f"n is {n} but the document has {params.n} series")
     if mu.shape != (params.n,):
         raise DataError(f"mu must have {params.n} entries, got shape {mu.shape}")
     return model, params, mu, h1

@@ -91,6 +91,25 @@ class TestParams:
                 b_diag=np.array([0.9, 0.9]),
             )
 
+    @pytest.mark.parametrize("c, a, b, error, message", [
+        (np.zeros((0, 0)), np.zeros(0), np.zeros(0), DataError, "c_lower has no series"),
+        (np.zeros((2, 3)), np.zeros(2), np.zeros(2), ShapeError,
+         r"c_lower must be square, got shape \(2, 3\)"),
+        (np.eye(2), np.zeros(3), np.zeros(2), ShapeError,
+         r"a_diag/b_diag must have shape \(2,\), got \(3,\), \(2,\)"),
+        (np.eye(2), np.zeros(2), np.zeros(1), ShapeError,
+         r"a_diag/b_diag must have shape \(2,\), got \(2,\), \(1,\)"),
+        (np.diag([0.1, np.nan]), np.zeros(2), np.zeros(2), DataError,
+         "non-finite BEKK parameters"),
+        (np.eye(2), np.array([0.3, np.inf]), np.zeros(2), DataError,
+         "non-finite BEKK parameters"),
+        (np.eye(2), np.zeros(2), np.array([-np.inf, 0.9]), DataError,
+         "non-finite BEKK parameters"),
+    ])
+    def test_malformed_fields_are_refused(self, c, a, b, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            BekkParams(c_lower=c, a_diag=a, b_diag=b)
+
     def test_singular_implied_covariance_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             BekkParams(

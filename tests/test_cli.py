@@ -231,6 +231,8 @@ class TestDataErrors:
         ("not json", "malformed params file"),
         ("no theta", "malformed params document: 'theta1'"),
         ("short mu", "mu must have 2 entries"),
+        # R_1 = q_bar: a singular one would fail the DCC simulation's first step
+        ("singular q_bar", "data error: q_bar: matrix is not positive definite (pivot 1)"),
     ])
     def test_simulate_checks_every_params_file_first(self, capsys, tmp_path, fault,
                                                      message):
@@ -246,6 +248,7 @@ class TestDataErrors:
             "not json": "{",
             "no theta": json.dumps({k: v for k, v in dcc_doc.items() if k != "theta1"}),
             "short mu": json.dumps({**dcc_doc, "mu": [0.0]}),
+            "singular q_bar": json.dumps({**dcc_doc, "q_bar": [[1.0, 1.0], [1.0, 1.0]]}),
         }
         if fault in text:
             (tmp_path / "params.dcc.json").write_text(text[fault])
@@ -257,6 +260,24 @@ class TestDataErrors:
         assert sorted(f.name for f in tmp_path.iterdir()) == (
             ["params.bekk.json"] + (["params.dcc.json"] if fault in text else [])
         )
+
+    def test_simulate_refuses_a_bekk_document_without_series(self, capsys, tmp_path):
+        doc = dict(model="bekk", n=0, c_lower=[], a_diag=[], b_diag=[], mu=[])
+        (tmp_path / "params.bekk.json").write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "simulate", "--out-dir", str(tmp_path), "--model", "bekk",
+                           "--sim-len", "50")
+        assert (rc, out, err) == (3, "", "data error: n must be a positive integer, got 0\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["params.bekk.json"]
+
+    @pytest.mark.parametrize("text", [None, "{", "[1, 2"])
+    def test_cliques_with_an_unreadable_graph_document(self, capsys, tmp_path, text):
+        path = tmp_path / "graph.json"
+        if text is not None:
+            path.write_text(text)
+        rc, out, err = run(capsys, "cliques", "--input", str(path), "--out-dir", str(tmp_path))
+        assert rc == 3 and out == ""
+        assert err.startswith(f"data error: cannot read graph document {path}: ")
+        assert not (tmp_path / "cliques.json").exists()
 
     @pytest.mark.parametrize("sim_len", [3, 5])
     def test_evaluate_sim_len_at_most_the_series_fails_before_any_fit(

@@ -134,6 +134,18 @@ class TestLoadPrices:
         with pytest.raises(ParseError, match="empty"):
             load_panel(write(tmp_path, "p.csv", ""))
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("#returns\n", ParseError, "missing header after sentinel"),
+        ("#returns", ParseError, "missing header after sentinel"),
+        ("date,AA\n", InsufficientDataError, "no data rows"),
+        ("#returns\ndate,AA\n", InsufficientDataError, "no data rows"),
+    ])
+    def test_rejects_a_file_without_header_or_rows(self, tmp_path, text, error, message):
+        path = write(tmp_path, "p.csv", text)
+        with pytest.raises(error) as err:
+            load_panel(path)
+        assert str(err.value) == f"{path}: {message}"
+
 
 # Cells in the plain alphabet, regular and not: float() accepts some and
 # rejects the others.
@@ -428,6 +440,18 @@ class TestReturnPanel:
     def test_rejects_non_finite(self):
         with pytest.raises(DataError):
             ReturnPanel(labels=("A",), returns=np.array([[np.inf]]))
+
+    @pytest.mark.parametrize("labels, shape, n_dates, error, message", [
+        (("A",), (0, 1), None, InsufficientDataError, "return panel has no rows"),
+        (("A", "B"), (3, 1), None, DataError,
+         r"return array shape \(3, 1\) does not match 2 labels"),
+        (("A",), (3,), None, DataError, r"return array shape \(3,\) does not match 1 labels"),
+        (("A",), (2, 1), 1, DataError, "1 dates for 2 return rows"),
+    ])
+    def test_rejects_inconsistent_fields(self, labels, shape, n_dates, error, message):
+        dates = None if n_dates is None else tuple(synth_dates(n_dates))
+        with pytest.raises(error, match=f"^{message}$"):
+            ReturnPanel(labels=labels, returns=np.zeros(shape), dates=dates)
 
     def test_writeable_input_is_copied(self, rng):
         r = rng.standard_normal((50, 2))

@@ -8,6 +8,7 @@ from covtarget import (
     DccParams,
     EstimationError,
     Garch11Params,
+    NotPositiveDefiniteError,
     NumericalOverflowError,
     OptimizerOptions,
     ReturnPanel,
@@ -67,6 +68,9 @@ class TestParams:
             DccParams(univariate=(), theta1=0.05, theta2=0.9, q_bar=QBAR3)
         with pytest.raises(DataError):
             DccParams(univariate=(g, g, g), theta1=-0.01, theta2=0.9, q_bar=QBAR3)
+        for theta1, theta2 in [(np.nan, 0.9), (0.05, np.inf)]:
+            with pytest.raises(DataError, match="^non-finite theta parameters$"):
+                DccParams(univariate=(g, g, g), theta1=theta1, theta2=theta2, q_bar=QBAR3)
         with pytest.raises(DataError):
             DccParams(univariate=(g, g, g), theta1=0.2, theta2=0.8, q_bar=QBAR3)
         with pytest.raises(ShapeError):
@@ -78,8 +82,11 @@ class TestParams:
         indefinite = np.array(
             [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
         )
-        with pytest.raises(DataError):
+        with pytest.raises(NotPositiveDefiniteError, match=r"^q_bar: matrix .* \(pivot 2\)"):
             DccParams(univariate=(g, g, g), theta1=0.05, theta2=0.9, q_bar=indefinite)
+        # R_1 = q_bar, so a singular one fails the filter's first step
+        with pytest.raises(NotPositiveDefiniteError, match=r"^q_bar: matrix .* \(pivot 1\)"):
+            DccParams(univariate=(g, g), theta1=0.05, theta2=0.9, q_bar=np.ones((2, 2)))
 
 
 class TestFilter:

@@ -408,8 +408,16 @@ class TestSerialization:
             ([1, 2.5], [], "graph label 1 is not a string"),
             (["A", None], [], "graph label None is not a string"),
             (["A", "B", "A"], [], "duplicate series labels: 'A'"),
+            (["A", "B"], [[0, 1, "0.9"]], "edge (0, 1) has weight '0.9', not a number"),
+            (["A", "B"], [[0, 1, True]], "edge (0, 1) has weight True, not a number"),
+            (["A", "B"], [[0, 1, None]], "edge (0, 1) has weight None, not a number"),
         ]
         for labels, edges, message in cases:
             with pytest.raises(DataError) as err:
                 graph_from_json({"labels": labels, "delta": 0.5, "edges": edges})
             assert str(err.value) == message
+        # graph_to_json writes delta as a number
+        for delta in ("0.5", False, None):
+            with pytest.raises(DataError) as err:
+                graph_from_json({"labels": ["A", "B"], "delta": delta, "edges": [[0, 1, 0.9]]})
+            assert str(err.value) == f"graph delta {delta!r} is not a number"

@@ -3,9 +3,11 @@ every private module-level name is read somewhere in the package, every
 public module-level function and class is read by the package or the
 benchmark, no module imports scipy (the package runs on numpy alone),
 no module calls numpy.linalg.inv (every inverse goes through a Cholesky
-factor), only linalg.py reaches numpy's private _umath_linalg (the one
-place the simulators' Cholesky kernel is taken from), NotPositiveDefiniteError is constructed at one place in
-linalg.py (one factorization gate names every failing pivot), every
+factor), only linalg.py calls numpy.linalg's factorizations and solvers
+(one gate decides every matrix's definiteness), only linalg.py reaches
+numpy's private _umath_linalg (the one place the simulators' Cholesky
+kernel is taken from), NotPositiveDefiniteError is constructed at one
+place in linalg.py (one factorization gate names every failing pivot), every
 text file is opened with an explicit encoding (files read and write as
 UTF-8 whatever the locale), no module names numpy's long double
 (written bytes must not depend on the platform), and only the optimizer's
@@ -166,22 +168,27 @@ def test_no_module_imports_scipy():
         assert scipy_imports(path.read_text()) == [], path.name
 
 
-def general_inverse_calls(source: str) -> list[int]:
-    """Lines of ``source`` that call numpy's general inverse, numpy.linalg.inv,
-    under any module alias or as a name imported from numpy.linalg."""
+# numpy.linalg's factorizations and solvers; norm is not one of them.
+DECOMPOSITIONS = {"cholesky", "eig", "eigh", "eigvals", "eigvalsh", "svd", "qr", "solve",
+                  "lstsq", "det", "slogdet", "inv", "pinv"}
+
+
+def linalg_calls(source: str, names: set[str]) -> list[int]:
+    """Lines of ``source`` that call a numpy.linalg function named in
+    ``names``, under any module alias or as a name imported from numpy.linalg."""
     tree = ast.parse(source)
-    modules, names = {"np.linalg", "numpy.linalg", "linalg"}, set()
+    modules, imported = {"np.linalg", "numpy.linalg", "linalg"}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(a.asname for a in node.names if a.name == "numpy.linalg")
         elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
-            names.update(a.asname or a.name for a in node.names if a.name == "inv")
+            imported.update(a.asname or a.name for a in node.names if a.name in names)
     return sorted(
         node.lineno for node in ast.walk(tree)
         if isinstance(node, ast.Call) and (
-            isinstance(node.func, ast.Attribute) and node.func.attr == "inv"
+            isinstance(node.func, ast.Attribute) and node.func.attr in names
             and ast.unparse(node.func.value) in modules
-            or isinstance(node.func, ast.Name) and node.func.id in names
+            or isinstance(node.func, ast.Name) and node.func.id in imported
         )
     )
 
@@ -190,13 +197,27 @@ def test_general_inverse_calls_are_found():
     source = ("import numpy as np\nimport numpy.linalg as la\n"
               "from numpy.linalg import inv as minv\n"
               "np.linalg.inv(a)\nla.inv(a)\nminv(a)\nnp.linalg.solve(a, b)\nx.inv()\n")
-    assert general_inverse_calls(source) == [4, 5, 6]
+    assert linalg_calls(source, {"inv"}) == [4, 5, 6]
 
 
 def test_no_module_calls_a_general_inverse():
     # linalg's module docstring: every inverse goes through a Cholesky factor
     for path in SOURCES:
-        assert general_inverse_calls(path.read_text()) == [], path.name
+        assert linalg_calls(path.read_text(), {"inv"}) == [], path.name
+
+
+def test_decompositions_are_found():
+    source = ("import numpy as np\nfrom numpy.linalg import eigvalsh, norm\n"
+              "np.linalg.cholesky(a)\neigvalsh(a)\nnp.linalg.norm(g)\nnorm(g)\n"
+              "np.linalg.svd(a)\nx.solve(a)\n")
+    assert linalg_calls(source, DECOMPOSITIONS) == [3, 4, 7]
+
+
+def test_only_linalg_decomposes_matrices():
+    # one Cholesky gate decides every matrix's definiteness
+    for path in SOURCES:
+        if path.name != "linalg.py":
+            assert linalg_calls(path.read_text(), DECOMPOSITIONS) == [], path.name
 
 
 def private_linalg_uses(source: str) -> list[int]:

@@ -137,6 +137,29 @@ class TestParamsDocuments:
         with pytest.raises(DataError):
             params_from_document(doc)
 
+    @pytest.mark.parametrize("model, n, message", [
+        ("bekk", 2.7, "n must be a positive integer, got 2.7"),
+        ("bekk", 2.0, "n must be a positive integer, got 2.0"),
+        ("bekk", True, "n must be a positive integer, got True"),
+        ("bekk", "2", "n must be a positive integer, got '2'"),
+        ("bekk", 0, "n must be a positive integer, got 0"),
+        ("dcc", True, "n must be a positive integer, got True"),
+        ("dcc", 5, "n is 5 but the document has 2 series"),
+        ("dcc", 1, "n is 1 but the document has 2 series"),
+    ])
+    def test_n_is_a_positive_integer_counting_the_series(self, model, n, message):
+        g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
+        doc = (bekk_document(bekk2(), np.zeros(2), np.eye(2), None) if model == "bekk" else
+               dcc_document(DccParams((g, g), 0.05, 0.9, np.eye(2)), np.zeros(2), None))
+        with pytest.raises(DataError) as err:
+            params_from_document({**doc, "n": n})
+        assert str(err.value) == message
+
+    def test_a_bekk_document_without_series_is_refused(self):
+        doc = {"model": "bekk", "n": 0, "c_lower": [], "a_diag": [], "b_diag": [], "mu": []}
+        with pytest.raises(DataError, match="^n must be a positive integer, got 0$"):
+            params_from_document(doc)
+
 
 @pytest.fixture(scope="module")
 def panel():

@@ -258,11 +258,14 @@ def test_bekk_lost_definiteness_names_the_loops_failing_step():
 
 
 def test_dcc_lost_definiteness_names_the_loops_failing_step():
-    # two identical series: q_bar is PSD but singular, so R_1 fails at once
+    # Two series correlated to within 3e-16 pass q_bar's gate, but Q_t's
+    # smallest eigenvalue falls below the rounding of entries near 1 within
+    # a few steps. (A singular q_bar is refused when DccParams is built.)
+    q_bar = np.array([[1.0, 1.0 - 3e-16], [1.0 - 3e-16, 1.0]])
     params = DccParams(univariate=(Garch11Params(1e-4, 0.05, 0.9),) * 2,
-                       theta1=0.05, theta2=0.9, q_bar=np.ones((2, 2)))
+                       theta1=0.7, theta2=0.1, q_bar=q_bar)
     t = first_failing_step(lambda t_len: dcc_simulate_loop(params, np.zeros(2), t_len, 0))
-    assert t == 0
+    assert t > 0
     assert_lost_definiteness_at(t, dcc_simulate, params, "correlation")
 
 

@@ -7,11 +7,14 @@ from covtarget import (
     DccParams,
     Garch11Params,
     NotPositiveDefiniteError,
+    OptimizerOptions,
     ReturnPanel,
     ShapeError,
     TargetSpec,
+    bekk_fit,
     bekk_modified_loglik,
     build_target,
+    dcc_fit,
     dcc_modified_loglik,
     sample_moments,
     threshold_correlation,
@@ -154,14 +157,16 @@ class TestTargetSpec:
 
 def test_penalized_evaluations_do_not_refactor_the_target(monkeypatch):
     # The target was factored when it was built: an evaluation of the
-    # penalized BEKK objective factors only its h1, and of DCC nothing.
+    # penalized BEKK objective factors only its h1, and of DCC nothing, and
+    # a whole fit checks only the target's order.
     factored = []
     factor = covtarget.linalg._factor
     monkeypatch.setattr(covtarget.linalg, "_factor",
                         lambda a, what: factored.append(what) or factor(a, what))
     rng = np.random.default_rng(5)
-    bekk_target = build_target(sample_moments(gaussian_panel(rng, n=2)), 0.3)
-    dcc_target = build_target(sample_moments(gaussian_panel(rng, n=3)), 0.3)
+    bekk_panel, dcc_panel = gaussian_panel(rng, n=2), gaussian_panel(rng, n=3)
+    bekk_target = build_target(sample_moments(bekk_panel), 0.3)
+    dcc_target = build_target(sample_moments(dcc_panel), 0.3)
     garch = Garch11Params(omega=0.05, alpha=0.05, beta=0.9)
     dcc = DccParams((garch,) * 3, 0.05, 0.9, dcc_target.z_hat_pd)
     bekk = bekk2()
@@ -173,3 +178,8 @@ def test_penalized_evaluations_do_not_refactor_the_target(monkeypatch):
         factored.clear()
         dcc_modified_loglik(z, dcc, dcc_target, grad=grad)
         assert factored == []
+    opts = OptimizerOptions(n_starts=1, seed=0)
+    factored.clear()
+    bekk_fit(bekk_panel.demeaned(), target=bekk_target, opts=opts)
+    dcc_fit(dcc_panel, target=dcc_target, opts=opts)
+    assert factored and not [what for what in factored if "target" in what]
