@@ -35,7 +35,9 @@ import numpy as np
 from .data import ReturnPanel, _sim_panel
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _one_pole_adjoint, _sym_one_pole
-from .linalg import _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik
+from .linalg import (
+    _check_independent, _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik,
+)
 from .optimize import (
     FitReport,
     OptimizerOptions,
@@ -297,6 +299,7 @@ def bekk_fit(
             f"parameters, got {t_len}"
         )
     s = _default_h1(eps)
+    _check_independent(s, "sample covariance", range(n))
     h1 = s if h1 is None else _checked_pd(h1, n, "h1")[0]
     if target is not None and target.sigma_hat.shape != (n, n):
         raise ShapeError(f"target must be ({n}, {n}), got {target.sigma_hat.shape}")

@@ -173,7 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sim_len = _usage("--sim-len", check_sim_len, args.sim_len)
     # Every document is checked before any model runs, so a bad one leaves
     # no new sim.*.csv. Each file is written as its rows are simulated, one
-    # block at a time: the rows simulate_document's panel would hold.
+    # block at a time: the rows the API simulator's panel would hold.
     docs = {kind: _load_params(out / f"params.{kind}.json") for kind in _models(args)}
     for kind, doc in docs.items():
         _write_simulation(doc, sim_len, args.seed, out / f"sim.{kind}.csv")

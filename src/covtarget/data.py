@@ -428,6 +428,8 @@ def _sim_blocks(step, n: int, mu, t_len: int, seed: int) -> Iterator[np.ndarray]
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
+    if not np.isfinite(mu).all():
+        raise DataError(f"mu must be finite, got {mu}")
     rng = np.random.default_rng(seed)
 
     def block(at: int) -> np.ndarray:

@@ -45,17 +45,19 @@ from .errors import (
     CovTargetError,
     DataError,
     EstimationError,
+    InsufficientDataError,
     NumericalOverflowError,
     ShapeError,
 )
 from .garch import (
+    MIN_OBS,
     Garch11Params,
     _one_pole_adjoint,
     _sym_one_pole,
     garch11_filter,
     garch11_fit,
 )
-from .linalg import _checked_pd, _factor_into, _tril, gaussian_path_loglik
+from .linalg import _check_independent, _checked_pd, _factor_into, _tril, gaussian_path_loglik
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
 
@@ -133,7 +135,10 @@ def _stage1_paths(
 
 
 def dcc_stage1(panel: ReturnPanel, opts: OptimizerOptions | None = None) -> Stage1Result:
-    """Fit GARCH(1,1) to each demeaned series and standardize residuals."""
+    """Fit GARCH(1,1) to each demeaned series and standardize residuals. A panel
+    of fewer than MIN_OBS rows, or a singular Q_bar (their correlation), is a DataError."""
+    if panel.t_len < MIN_OBS:
+        raise InsufficientDataError(f"DCC needs at least {MIN_OBS} observations, got {panel.t_len}")
     eps = panel.demeaned()
     fits: list[Garch11Params] = []
     for j, label in enumerate(panel.labels):
@@ -144,9 +149,9 @@ def dcc_stage1(panel: ReturnPanel, opts: OptimizerOptions | None = None) -> Stag
                 f"stage-one GARCH fit failed for {label}: {exc}"
             ) from exc
     _, z = _stage1_paths(eps, tuple(fits))
-    return Stage1Result(
-        params=tuple(fits), std_resid=z, q_bar=correlation_from_series(z)
-    )
+    q_bar = correlation_from_series(z)
+    _check_independent(q_bar, "q_bar", panel.labels)
+    return Stage1Result(params=tuple(fits), std_resid=z, q_bar=q_bar)
 
 
 def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:

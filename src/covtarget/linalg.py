@@ -21,6 +21,11 @@ from .errors import DataError, NotPositiveDefiniteError, ShapeError
 SYM_TOL = 1e-12
 # Smallest eigenvalue nearest_pd leaves in a repaired matrix.
 PD_FLOOR = 1e-8
+# Smallest accepted share of a series' variance left unexplained by the
+# series before it: a correlation's squared Cholesky pivot. Scale-free; the
+# benchmark's desk5 and dcc15 panels read 0.08-0.30, a column equal to 2x
+# another plus 1e-9 noise reads ~1e-15.
+MIN_CORR_PIVOT_SQ = 1e-8
 
 
 @cache
@@ -123,6 +128,23 @@ def cholesky(m: np.ndarray) -> CholFactor:
     matrix is not PD.
     """
     return _factor(symmetrize(m), "matrix")
+
+
+def _check_independent(cov: np.ndarray, what: str, labels) -> None:
+    """DataError naming, by ``labels``, the first series of the covariance
+    (or correlation) ``what`` that is numerically a linear combination of
+    the series before it: its squared Cholesky pivot is below
+    MIN_CORR_PIVOT_SQ of its variance, or numpy cannot factor it there."""
+    try:
+        low = cholesky(cov).lower
+    except NotPositiveDefiniteError as exc:
+        j = exc.pivot
+    else:
+        bad = np.flatnonzero(np.diag(low) ** 2 < MIN_CORR_PIVOT_SQ * np.diag(cov))
+        j = bad[0] if bad.size else None
+    if j is not None:
+        raise DataError(f"{what} is (numerically) singular: series {labels[j]} is a linear "
+                        "combination of the series before it")
 
 
 def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFactor]:

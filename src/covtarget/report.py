@@ -10,6 +10,7 @@ no timestamps, no environment echoes, keys always sorted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +21,8 @@ from .data import (
     ReturnPanel, _sim_blocks, _sim_labels, _write_returns, check_sim_len, sample_moments,
 )
 from .dcc import DccParams, _dcc_steps, dcc_cov_path, dcc_fit, dcc_simulate, dcc_stage1
-from .errors import DataError, InsufficientDataError, NotPositiveDefiniteError
-from .garch import MIN_OBS, Garch11Params
+from .errors import DataError
+from .garch import Garch11Params
 from .graphs import (
     ThresholdGraph,
     build_graph,
@@ -29,16 +30,13 @@ from .graphs import (
     graph_to_json,
     maximal_cliques,
 )
-from .linalg import _checked_pd, _tril, cholesky, frobenius_path_loss, kl_divergence
+from .linalg import (
+    _check_independent, _checked_pd, _tril, frobenius_path_loss, kl_divergence,
+)
 from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target, check_delta
 
 MODEL_KINDS = ("bekk", "bekk_mod", "dcc", "dcc_mod")
-# Smallest accepted squared Cholesky pivot of the sample correlation, i.e.
-# the share of a series' variance left unexplained by the series before it.
-# Scale-free; the benchmark's desk5 and dcc15 panels read 0.08-0.30, a column
-# equal to 2x another plus 1e-9 noise reads ~1e-15.
-MIN_CORR_PIVOT_SQ = 1e-8
 
 
 def check_models(models: tuple[str, ...]) -> tuple[str, ...]:
@@ -159,72 +157,64 @@ def dcc_document(
     }
 
 
+def _numbers(doc: dict, key: str, shape: tuple[int, ...] = ()):
+    """``doc[key]`` as a float, or as a float array when a ``shape`` is given,
+    if it is finite JSON numbers (int or float, not bool or str) nested in
+    exactly that shape; else DataError naming ``key``."""
+    a = np.array(doc[key], dtype=object)  # ragged lists nest less deep
+    if a.shape != shape:
+        want = (f"be {shape}" if len(shape) > 1 else
+                f"have {shape[0]} entries" if shape else "be a number")
+        raise DataError(f"{key} must {want}, got {a.shape}")
+    for v in a.flat:
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise DataError(f"{key} must hold finite JSON numbers, got {v!r}")
+    return a.astype(float) if shape else float(a)
+
+
 def params_from_document(doc: dict):
     """Rebuild (model_name, params, mu, h1_or_None) from a params document,
-    checked as far as simulating from it needs."""
+    checked as far as simulating from it needs: every number read by
+    _numbers, in its model's shape for the document's n series."""
     try:
-        model = doc["model"]
-        n = doc["n"]
+        model, n = doc["model"], doc["n"]
         if type(n) is not int or n < 1:
             raise DataError(f"n must be a positive integer, got {n!r}")
-        mu = np.asarray(doc["mu"], dtype=float)
         h1 = None
         if model == "bekk":
-            m = n * (n + 1) // 2
-            flat = np.asarray(doc["c_lower"], dtype=float)
-            if flat.shape != (m,):
-                raise DataError(
-                    f"c_lower must have {m} entries for n={n}, got {flat.shape}"
-                )
+            flat = _numbers(doc, "c_lower", (n * (n + 1) // 2,))
             c = np.zeros((n, n))
             c[_tril(n)] = flat
             params = BekkParams(
                 c_lower=c,
-                a_diag=np.asarray(doc["a_diag"], dtype=float),
-                b_diag=np.asarray(doc["b_diag"], dtype=float),
+                a_diag=_numbers(doc, "a_diag", (n,)),
+                b_diag=_numbers(doc, "b_diag", (n,)),
             )
             if doc.get("h1") is not None:
-                h1, _ = _checked_pd(np.asarray(doc["h1"], dtype=float), n, "h1")
+                h1, _ = _checked_pd(_numbers(doc, "h1", (n, n)), n, "h1")
         elif model == "dcc":
-            uni = tuple(
-                Garch11Params(
-                    omega=float(u["omega"]),
-                    alpha=float(u["alpha"]),
-                    beta=float(u["beta"]),
-                )
-                for u in doc["univariate"]
-            )
+            uni = doc["univariate"]
+            if len(uni) != n:
+                raise DataError(f"n is {n} but the document has {len(uni)} series")
             params = DccParams(
-                univariate=uni,
-                theta1=float(doc["theta1"]),
-                theta2=float(doc["theta2"]),
-                q_bar=np.asarray(doc["q_bar"], dtype=float),
+                univariate=tuple(Garch11Params(*(_numbers(u, k) for k in ("omega", "alpha", "beta")))
+                                 for u in uni),
+                theta1=_numbers(doc, "theta1"),
+                theta2=_numbers(doc, "theta2"),
+                q_bar=_numbers(doc, "q_bar", (n, n)),
             )
         else:
             raise DataError(f"unknown model {model!r} in params document")
-    except (KeyError, TypeError, ValueError) as exc:
+        mu = _numbers(doc, "mu", (n,))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed params document: {exc}") from exc
-    if n != params.n:
-        raise DataError(f"n is {n} but the document has {params.n} series")
-    if mu.shape != (params.n,):
-        raise DataError(f"mu must have {params.n} entries, got shape {mu.shape}")
     return model, params, mu, h1
 
 
-def simulate_document(
-    doc: dict, t_len: int, seed: int, labels: tuple[str, ...] | None = None
-) -> ReturnPanel:
-    """Simulate a (t_len)-row panel from the model of a params document."""
-    model, params, mu, h1 = params_from_document(doc)
-    if model == "bekk":
-        return bekk_simulate(params, mu, t_len, seed, h1=h1, labels=labels)
-    return dcc_simulate(params, mu, t_len, seed, labels=labels)
-
-
 def _write_simulation(parsed: tuple, t_len: int, seed: int, path: Path) -> None:
-    """Write the file write_returns_csv writes of simulate_document's panel,
-    from a document parsed by params_from_document, simulating its rows one
-    block at a time as they are written."""
+    """Write the file write_returns_csv writes of the panel bekk_simulate or
+    dcc_simulate gives for a document parsed by params_from_document,
+    simulating its rows one block at a time as they are written."""
     model, params, mu, h1 = parsed
     step = _bekk_steps(params, h1) if model == "bekk" else _dcc_steps(params)
     _write_returns(path, _sim_labels(params.n), _sim_blocks(step, params.n, mu, t_len, seed))
@@ -241,55 +231,25 @@ def _setup(panel: ReturnPanel, config: RunConfig) -> tuple:
     """What every fit kind of one run shares: the panel's moments, the
     threshold target, and the stage-one fits (None without a DCC kind)."""
     moments = sample_moments(panel)
-    try:
-        pivot_sq = np.diag(cholesky(moments.corr).lower) ** 2
-        bad = np.flatnonzero(pivot_sq < MIN_CORR_PIVOT_SQ)
-        pivot = int(bad[0]) if bad.size else None
-    except NotPositiveDefiniteError as exc:
-        pivot = exc.pivot
-    if pivot is not None:
-        raise DataError(
-            f"sample covariance is (numerically) singular: series "
-            f"{panel.labels[pivot]} is a linear combination of the series "
-            "before it"
-        )
+    _check_independent(moments.corr, "sample covariance", panel.labels)
     target = build_target(moments, config.delta)
     stage1 = None
     if any(k.startswith("dcc") for k in config.models):
-        # a data error here, before dcc_stage1 wraps it as an estimation one
-        if panel.t_len < MIN_OBS:
-            raise InsufficientDataError(
-                f"DCC needs at least {MIN_OBS} observations, got {panel.t_len}"
-            )
         # both DCC variants share identical first-stage fits
         stage1 = dcc_stage1(panel, opts=config.opts)
     return moments, target, stage1
 
 
-def _fit(
-    kind: str, panel: ReturnPanel, setup: tuple, opts: OptimizerOptions
-) -> tuple:
-    """Fit one model kind, penalized toward the target for the _mod kinds.
-
-    Returns its params document and FitReport, plus a callable giving its
-    in-sample covariance path.
-    """
+def _fit(kind: str, panel: ReturnPanel, setup: tuple, opts: OptimizerOptions) -> tuple:
+    """Fit one model kind, penalized toward the target for the _mod kinds;
+    returns its params document and FitReport."""
     moments, target, stage1 = setup
     fit_target = target if kind.endswith("_mod") else None
     if kind.startswith("bekk"):
-        eps, h1 = panel.demeaned(), moments.cov
-        params, fit = bekk_fit(eps, target=fit_target, opts=opts, h1=h1)
-        return (
-            bekk_document(params, panel.mean, h1, fit_target),
-            fit,
-            lambda: bekk_filter(eps, params, h1),
-        )
+        params, fit = bekk_fit(panel.demeaned(), target=fit_target, opts=opts, h1=moments.cov)
+        return bekk_document(params, panel.mean, moments.cov, fit_target), fit
     params, fit = dcc_fit(panel, target=fit_target, opts=opts, stage1=stage1)
-    return (
-        dcc_document(params, panel.mean, fit_target),
-        fit,
-        lambda: dcc_cov_path(panel, params),
-    )
+    return dcc_document(params, panel.mean, fit_target), fit
 
 
 def evaluate_model(
@@ -300,12 +260,18 @@ def evaluate_model(
     observed_cliques: tuple[tuple[int, ...], ...],
     config: RunConfig,
 ) -> dict:
-    """Fit one model kind and assemble its report block."""
+    """Fit one model kind and assemble its report block from the model its
+    params document holds, read back as `simulate` reads the file."""
     moments, target, _ = setup
-    doc, fit, path_of = _fit(kind, panel, setup, config.opts)
-    path = path_of()
+    doc, fit = _fit(kind, panel, setup, config.opts)
+    model, params, mu, h1 = params_from_document(doc)
     sim_len = config.sim_len if config.sim_len is not None else panel.t_len
-    sim = simulate_document(doc, sim_len, config.seed, labels=panel.labels)
+    if model == "bekk":
+        path = bekk_filter(panel.returns - mu, params, h1)
+        sim = bekk_simulate(params, mu, sim_len, config.seed, h1=h1, labels=panel.labels)
+    else:
+        path = dcc_cov_path(panel, params)
+        sim = dcc_simulate(params, mu, sim_len, config.seed, labels=panel.labels)
     sim_moments = sample_moments(sim)
     sim_graph = build_graph(sim_moments.corr, panel.labels, config.delta)
     sim_cliques = maximal_cliques(sim_graph)
@@ -337,7 +303,7 @@ def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
     setup = _setup(panel, config)
     blocks: dict[str, dict] = {}
     for kind in config.models:
-        doc, fit, _ = _fit(kind, panel, setup, config.opts)
+        doc, fit = _fit(kind, panel, setup, config.opts)
         blocks[kind] = {"params": doc, "fit": fit_report_to_json(fit)}
     return blocks
 

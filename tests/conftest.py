@@ -51,6 +51,14 @@ def gaussian_panel(
     return ReturnPanel(labels=labels, returns=r)
 
 
+def dependent_panel(scale: float, noise: float) -> ReturnPanel:
+    """A 252-row panel of series A, B and DUP, where DUP is ``scale`` times B
+    plus ``noise``-sized Gaussian noise."""
+    r = gaussian_panel(4, t_len=252, n=3).returns.copy()
+    r[:, 2] = scale * r[:, 1] + noise * np.random.default_rng(9).standard_normal(252)
+    return ReturnPanel(labels=("A", "B", "DUP"), returns=r)
+
+
 def synth_dates(t_len: int) -> tuple[dt.date, ...]:
     """The dates of an undated panel's written rows, one day apart from
     1970-01-02, built one ``datetime.date`` at a time: the writer's oracle."""

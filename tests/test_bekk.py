@@ -24,7 +24,7 @@ from covtarget import (
 import covtarget.bekk
 from covtarget.optimize import simplex_map
 
-from conftest import bekk2, gaussian_panel, random_spd
+from conftest import bekk2, dependent_panel, gaussian_panel, random_spd
 from tables import CORR5
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -265,6 +265,13 @@ class TestFit:
         assert np.allclose(
             params.unconditional_cov(), truth.unconditional_cov(), rtol=0.35
         )
+
+    @pytest.mark.parametrize("scale, noise", [(1.0, 0.0), (2.0, 1e-9)])
+    def test_dependent_columns_are_named(self, scale, noise):
+        eps = dependent_panel(scale, noise).demeaned()
+        with pytest.raises(DataError, match=r"^sample covariance is \(numerically\) singular: "
+                           "series 2 is a linear combination of the series before it$"):
+            bekk_fit(eps, opts=OptimizerOptions(n_starts=1, seed=0))
 
     def test_fit_objective_is_attained_loglik(self):
         truth = bekk2()

@@ -17,8 +17,11 @@ from covtarget import (
     Garch11Params,
     ReturnPanel,
     bekk_simulate,
+    build_graph,
+    graph_to_json,
     kl_divergence,
     load_panel,
+    maximal_cliques,
     sample_moments,
     write_returns_csv,
 )
@@ -231,6 +234,8 @@ class TestDataErrors:
         ("not json", "malformed params file"),
         ("no theta", "malformed params document: 'theta1'"),
         ("short mu", "mu must have 2 entries"),
+        # json writes and reads NaN, which no simulated row can have
+        ("nan mu", "data error: mu must hold finite JSON numbers, got nan"),
         # R_1 = q_bar: a singular one would fail the DCC simulation's first step
         ("singular q_bar", "data error: q_bar: matrix is not positive definite (pivot 1)"),
     ])
@@ -248,6 +253,7 @@ class TestDataErrors:
             "not json": "{",
             "no theta": json.dumps({k: v for k, v in dcc_doc.items() if k != "theta1"}),
             "short mu": json.dumps({**dcc_doc, "mu": [0.0]}),
+            "nan mu": json.dumps({**dcc_doc, "mu": [float("nan"), 0.0]}),
             "singular q_bar": json.dumps({**dcc_doc, "q_bar": [[1.0, 1.0], [1.0, 1.0]]}),
         }
         if fault in text:
@@ -648,22 +654,29 @@ class TestFitSimulateEvaluate:
     def test_simulate_from_evaluate_params_reproduces_kl_simulated(
         self, capsys, panel_csv, tmp_path
     ):
-        """`simulate` from the params files `evaluate` wrote draws the same
-        panels that `evaluate` scored, at the same --seed and --sim-len."""
-        common = ("--out-dir", str(tmp_path), "--model", "bekk,dcc",
-                  "--seed", "3", "--sim-len", "80")
-        rc, *_ = run(capsys, "evaluate", "--input", str(panel_csv),
-                     "--starts", "1", *common)
-        assert rc == 0
-        rc, *_ = run(capsys, "simulate", *common)
-        assert rc == 0
+        """For every kind, evaluate's simulated graph block and KL loss are
+        those of the file `simulate` writes from the params file evaluate
+        wrote, read back and given the panel's labels: equal, not close."""
+        common = ("--out-dir", str(tmp_path), "--seed", "7", "--sim-len", "300")
+        rc, _, err = run(capsys, "evaluate", "--input", str(panel_csv), "--starts", "1",
+                         "--delta", "0.1", *common)
+        assert rc == 0, err
+        rc, _, err = run(capsys, "simulate", *common)
+        assert rc == 0, err
         report = json.loads((tmp_path / "report.json").read_text())
+        labels = tuple(report["panel"]["labels"])
         sigma_hat = np.array(report["target"]["sigma_hat"])
-        for kind in ("bekk", "dcc"):
+        assert list(report["models"]) == ["bekk", "bekk_mod", "dcc", "dcc_mod"]
+        for kind, block in report["models"].items():
             sim = load_panel(tmp_path / f"sim.{kind}.csv")
-            assert sim.t_len == 80
-            kl = kl_divergence(sigma_hat, sample_moments(sim).cov)
-            assert float(kl) == report["models"][kind]["losses"]["kl_simulated"]
+            assert sim.t_len == 300
+            moments = sample_moments(ReturnPanel(labels=labels, returns=sim.returns))
+            graph = build_graph(moments.corr, labels, 0.1)
+            assert block["simulated"] == {
+                "graph": graph_to_json(graph),
+                "cliques": [[labels[v] for v in c] for c in maximal_cliques(graph)],
+            }
+            assert block["losses"]["kl_simulated"] == kl_divergence(sigma_hat, moments.cov)
 
     def test_evaluate_json_stdout_matches_file(self, capsys, panel_csv, tmp_path):
         rc, out, _ = run(

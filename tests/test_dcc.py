@@ -8,6 +8,7 @@ from covtarget import (
     DccParams,
     EstimationError,
     Garch11Params,
+    InsufficientDataError,
     NotPositiveDefiniteError,
     NumericalOverflowError,
     OptimizerOptions,
@@ -29,7 +30,7 @@ from covtarget import (
 import covtarget.dcc
 import covtarget.garch
 
-from conftest import gaussian_panel
+from conftest import dependent_panel, gaussian_panel
 from tables import CORR15
 
 QBAR3 = np.array(
@@ -268,9 +269,18 @@ class TestFit:
         assert params.theta1 + params.theta2 > 1.0 - 1e-9
 
     def test_short_panel_fails_loudly(self):
+        # a data error before any stage-one fit, not an estimation failure
         panel = gaussian_panel(5, t_len=30, n=2)
-        with pytest.raises(EstimationError):
+        with pytest.raises(InsufficientDataError,
+                           match="^DCC needs at least 50 observations, got 30$"):
             dcc_fit(panel)
+
+    @pytest.mark.parametrize("scale, noise", [(1.0, 0.0), (2.0, 1e-9)])
+    def test_dependent_series_are_named(self, scale, noise):
+        # identical standardized residuals make Q_bar singular up to rounding
+        with pytest.raises(DataError, match=r"^q_bar is \(numerically\) singular: series DUP "
+                           "is a linear combination of the series before it$"):
+            dcc_fit(dependent_panel(scale, noise), opts=OptimizerOptions(n_starts=1, seed=0))
 
     def test_mis_sized_target_fails_before_any_evaluation(self, monkeypatch):
         def no_evaluation(*args, **kwargs):

@@ -16,6 +16,7 @@ from covtarget import (
 from covtarget.linalg import (
     PD_FLOOR,
     _factor_into,
+    _check_independent,
     _lower_inverse,
     gaussian_path_loglik,
     stacked_cholesky,
@@ -225,6 +226,19 @@ def test_factor_into_is_np_linalg_cholesky(case):
         assert factored
         assert low.tobytes() == ref.tobytes()
     assert factored or kind != "spd"
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0, 1.0), (1e-6, 1.0, 1e4, 3.0)])
+def test_check_independent_is_scale_free(scales):
+    # one rule for a covariance and its correlation, whatever the units
+    z = np.random.default_rng(5).standard_normal((200, 4))
+    _check_independent(np.cov(z * scales, rowvar=False), "cov", "ABCD")
+    z[:, 2] = 3.0 * z[:, 0] - z[:, 1] + 1e-9 * z[:, 3]
+    cov = np.cov(z * scales, rowvar=False)
+    d = np.sqrt(np.diag(cov))
+    for m in (cov, cov / np.outer(d, d)):
+        with pytest.raises(DataError, match="^m is .* series C is a linear combination"):
+            _check_independent(m, "m", "ABCD")
 
 
 class TestNearestPd:

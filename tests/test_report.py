@@ -155,6 +155,35 @@ class TestParamsDocuments:
             params_from_document({**doc, "n": n})
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("model, edit, message", [
+        ("dcc", {"theta1": "0.05"}, "theta1 must hold finite JSON numbers, got '0.05'"),
+        ("dcc", {"univariate": [{"omega": "1e-5", "alpha": 0.05, "beta": 0.9}] * 2},
+         "omega must hold finite JSON numbers, got '1e-5'"),
+        ("dcc", {"mu": [True, 0.1]}, "mu must hold finite JSON numbers, got True"),
+        ("dcc", {"q_bar": [[1.0, 0.3], [0.3]]}, "q_bar must be (2, 2), got (2,)"),
+        ("dcc", {"theta2": [0.9]}, "theta2 must be a number, got (1,)"),
+        ("bekk", {"a_diag": ["0.3", "0.3"]}, "a_diag must hold finite JSON numbers, got '0.3'"),
+        ("bekk", {"h1": [[1.0, 0.0], [0.0, True]]}, "h1 must hold finite JSON numbers, got True"),
+        ("bekk", {"mu": [float("nan"), 0.0]}, "mu must hold finite JSON numbers, got nan"),
+        ("bekk", {"mu": [0.0, float("inf")]}, "mu must hold finite JSON numbers, got inf"),
+        ("bekk", {"c_lower": [0.1, 0.0, [0.1]]}, "c_lower must hold finite JSON numbers, got [0.1]"),
+    ])
+    def test_every_number_is_a_finite_json_number_of_its_shape(self, model, edit, message):
+        # fit writes only JSON numbers; a string, a boolean, NaN or Infinity
+        # (which Python's json writes and reads) is refused, naming the field
+        g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
+        doc = (bekk_document(bekk2(), np.zeros(2), np.eye(2), None) if model == "bekk" else
+               dcc_document(DccParams((g, g), 0.05, 0.9, np.eye(2)), np.zeros(2), None))
+        with pytest.raises(DataError) as err:
+            params_from_document(json.loads(json.dumps({**doc, **edit})))
+        assert str(err.value) == message
+
+    def test_integers_are_numbers(self):
+        doc = bekk_document(bekk2(), np.zeros(2), np.eye(2), None)
+        model, params, mu, h1 = read_back({**doc, "mu": [0, 1], "h1": [[1, 0], [0, 1]]})
+        assert mu.tolist() == [0.0, 1.0] and mu.dtype == float
+        assert np.array_equal(h1, np.eye(2))
+
     def test_a_bekk_document_without_series_is_refused(self):
         doc = {"model": "bekk", "n": 0, "c_lower": [], "a_diag": [], "b_diag": [], "mu": []}
         with pytest.raises(DataError, match="^n must be a positive integer, got 0$"):

@@ -40,7 +40,7 @@ from covtarget import data
 from covtarget.bekk import _bekk_steps
 from covtarget.cli import main
 from covtarget.dcc import _dcc_steps
-from covtarget.report import bekk_document, dcc_document, simulate_document
+from covtarget.report import bekk_document, dcc_document
 
 from conftest import random_corr, random_spd
 
@@ -303,6 +303,17 @@ def test_mis_sized_mu_is_a_shape_error(kind, t_len):
 
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mu_is_a_data_error(kind, bad):
+    # a mean no row can have is bad input, not an overflow of the recursion
+    simulate, params = simulator15(kind)
+    mu = np.zeros(15)
+    mu[3] = bad
+    with pytest.raises(DataError, match=r"^mu must be finite, got \["):
+        simulate(params, mu, 50, 0)
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
 def test_simulation_length_must_be_an_integer(kind):
     simulate, params = simulator15(kind)
     for t_len in (2.5, 50.0, "50"):
@@ -365,7 +376,8 @@ def test_streamed_rows_are_the_panels_rows(capsys, case, t_len, seed, block):
     # size gives the same rows bit for bit, and the same file.
     kind, params, mu, h1 = case
     doc = params_document(kind, params, mu, h1)
-    panel = simulate_document(doc, t_len, seed)
+    panel = (bekk_simulate(params, mu, t_len, seed, h1=h1) if kind == "bekk" else
+             dcc_simulate(params, mu, t_len, seed))
     step = _bekk_steps(params, h1) if kind == "bekk" else _dcc_steps(params)
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_SIM_BLOCK", block):
         rows = list(data._sim_blocks(step, params.n, mu, t_len, seed))
