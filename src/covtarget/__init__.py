@@ -72,7 +72,7 @@ from .linalg import (
     symmetrize,
 )
 from .optimize import FitReport, OptimizerOptions, StartOutcome, fd_gradient, maximize
-from .report import EvalReport, RunConfig, render_text_table, run_evaluation, run_fits
+from .report import RunConfig, render_text_table, run_evaluation, run_fits
 from .targeting import TargetSpec, build_target, threshold_correlation
 
 __version__ = "0.1.0"
@@ -87,7 +87,6 @@ __all__ = [
     "DegenerateSeriesError",
     "Dendrogram",
     "EstimationError",
-    "EvalReport",
     "FitReport",
     "Garch11Params",
     "GraphComparison",

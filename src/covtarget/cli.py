@@ -31,7 +31,7 @@ from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, m
 from .optimize import OptimizerOptions
 from .report import (
     MODEL_KINDS, RunConfig, _write_simulation, check_models, params_from_document,
-    render_json, run_evaluation, run_fits,
+    render_json, render_text_table, run_evaluation, run_fits,
 )
 from .targeting import check_delta
 
@@ -58,6 +58,17 @@ def _require_input(args: argparse.Namespace) -> str:
     if not args.input:
         raise UsageError("--input is required for this command")
     return args.input
+
+
+def _read_json(path: str | Path, what: str):
+    """The JSON document in file ``path``; any failure to read it is a
+    DataError naming it as ``what`` (a ParseError if it is not UTF-8)."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except (OSError, ValueError, RecursionError) as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
@@ -98,13 +109,7 @@ def cmd_cliques(args: argparse.Namespace) -> int:
     delta = _usage("--delta", check_delta, args.delta)
     source = _require_input(args)
     if source.endswith(".json"):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read graph document {source}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
-        graph = graph_from_json(doc)
+        graph = graph_from_json(_read_json(source, "graph document"))
     else:
         panel = load_panel(source)
         moments = sample_moments(panel)
@@ -152,20 +157,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_params(path: Path) -> tuple:
-    """The params document at ``path``, parsed and checked by
-    params_from_document."""
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"missing params file {path} (run fit first): {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed params file {path}: {exc}") from exc
-    return params_from_document(doc)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     if args.sim_len is None:
@@ -174,7 +165,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Every document is checked before any model runs, so a bad one leaves
     # no new sim.*.csv. Each file is written as its rows are simulated, one
     # block at a time: the rows the API simulator's panel would hold.
-    docs = {kind: _load_params(out / f"params.{kind}.json") for kind in _models(args)}
+    docs = {kind: params_from_document(_read_json(out / f"params.{kind}.json", "params file"))
+            for kind in _models(args)}
     for kind, doc in docs.items():
         _write_simulation(doc, sim_len, args.seed, out / f"sim.{kind}.csv")
         sys.stdout.write(f"{kind}: wrote sim.{kind}.csv ({sim_len} rows)\n")
@@ -183,16 +175,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     panel, config = _load_run(args, args.sim_len)
-    report = run_evaluation(panel, config)
+    doc = run_evaluation(panel, config)
     out = Path(args.out_dir)
-    text = report.to_json()
+    text = render_json(doc)
     write_text_atomic(out / "report.json", text)
-    for kind in config.models:
-        write_text_atomic(
-            out / f"params.{kind}.json",
-            render_json(report.doc["models"][kind]["params"]),
-        )
-    sys.stdout.write(text if args.format == "json" else report.to_text())
+    for kind, block in doc["models"].items():
+        write_text_atomic(out / f"params.{kind}.json", render_json(block["params"]))
+    sys.stdout.write(text if args.format == "json" else render_text_table(doc))
     return 0
 
 

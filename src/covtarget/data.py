@@ -270,25 +270,30 @@ def _parse_rows(data: bytes, at: int, labels: tuple[str, ...], path: str,
         return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
     dates: list[dt.date] = []
     values: list[list[float]] = []
-    for k, row in enumerate(csv.reader(io.StringIO(data[at:].decode(), newline=""))):
-        line = line0 + k
-        if not row or all(not c.strip() for c in row):
-            continue  # ignore blank lines
-        if len(row) != len(labels) + 1:
-            raise ParseError(f"{path}:{line}: expected {len(labels) + 1} cells, got {len(row)}")
-        try:
-            date = dt.date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise ParseError(f"{path}:{line}: bad date {row[0]!r}") from None
-        dates.append(date)
-        values.append([])
-        for j, cell in enumerate(row[1:]):
-            text = cell.strip()
-            if not text:
-                raise DataError(f"{path}:{line}: missing value for {labels[j]}")
-            if not _NUMBER.fullmatch(text):
-                raise ParseError(f"{path}:{line}: bad number {cell!r} for {labels[j]}")
-            values[-1].append(float(text))
+    reader = csv.reader(io.StringIO(data[at:].decode(), newline=""))
+    end = 0  # lines read through the last record
+    try:
+        for row in reader:
+            line, end = line0 + end, reader.line_num  # the record's first line
+            if not row or all(not c.strip() for c in row):
+                continue  # ignore blank lines
+            if len(row) != len(labels) + 1:
+                raise ParseError(f"{path}:{line}: expected {len(labels) + 1} cells, got {len(row)}")
+            try:
+                date = dt.date.fromisoformat(row[0].strip())
+            except ValueError:
+                raise ParseError(f"{path}:{line}: bad date {row[0]!r}") from None
+            dates.append(date)
+            values.append([])
+            for j, cell in enumerate(row[1:]):
+                text = cell.strip()
+                if not text:
+                    raise DataError(f"{path}:{line}: missing value for {labels[j]}")
+                if not _NUMBER.fullmatch(text):
+                    raise ParseError(f"{path}:{line}: bad number {cell!r} for {labels[j]}")
+                values[-1].append(float(text))
+    except csv.Error as exc:  # a cell longer than csv's field limit
+        raise ParseError(f"{path}:{line0 + end}: {exc}") from None
     if not dates:
         raise InsufficientDataError(f"{path}: no data rows")
     return np.array(dates, "datetime64[D]"), np.asarray(values, dtype=float)
@@ -345,6 +350,8 @@ def load_panel(path: str | Path) -> ReturnPanel:
         dates, values = _parse_rows(data, record[-1].end(), labels, path, reader.line_num + 1)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # a header cell longer than csv's field limit
+        raise ParseError(f"{path}: {exc}") from None
     if not (dates[1:] > dates[:-1]).all():
         order = np.argsort(dates, kind="stable")
         dates, values = dates[order], values[order]

@@ -149,7 +149,10 @@ def _check_independent(cov: np.ndarray, what: str, labels) -> None:
 
 def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFactor]:
     """``m`` symmetrized and its factor if it is (n, n) and PD; errors name ``what``."""
-    a = symmetrize(m)
+    try:
+        a = symmetrize(m)
+    except (ShapeError, DataError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
     if a.shape != (n, n):
         raise ShapeError(f"{what} must be ({n}, {n}), got {a.shape}")
     return a, _factor(a, f"{what}: matrix")

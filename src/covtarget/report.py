@@ -72,19 +72,6 @@ class RunConfig:
         object.__setattr__(self, "opts", OptimizerOptions(self.starts, self.seed))
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Assembled evaluation document plus deterministic renderings."""
-
-    doc: dict
-
-    def to_json(self) -> str:
-        return render_json(self.doc)
-
-    def to_text(self) -> str:
-        return render_text_table(self.doc)
-
-
 def render_json(doc) -> str:
     """The text of every JSON document: sorted keys, indent 2, newline."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -240,16 +227,18 @@ def _setup(panel: ReturnPanel, config: RunConfig) -> tuple:
     return moments, target, stage1
 
 
-def _fit(kind: str, panel: ReturnPanel, setup: tuple, opts: OptimizerOptions) -> tuple:
+def _fit(kind: str, panel: ReturnPanel, setup: tuple, opts: OptimizerOptions) -> dict:
     """Fit one model kind, penalized toward the target for the _mod kinds;
-    returns its params document and FitReport."""
+    returns its {params, fit} block."""
     moments, target, stage1 = setup
     fit_target = target if kind.endswith("_mod") else None
     if kind.startswith("bekk"):
         params, fit = bekk_fit(panel.demeaned(), target=fit_target, opts=opts, h1=moments.cov)
-        return bekk_document(params, panel.mean, moments.cov, fit_target), fit
-    params, fit = dcc_fit(panel, target=fit_target, opts=opts, stage1=stage1)
-    return dcc_document(params, panel.mean, fit_target), fit
+        doc = bekk_document(params, panel.mean, moments.cov, fit_target)
+    else:
+        params, fit = dcc_fit(panel, target=fit_target, opts=opts, stage1=stage1)
+        doc = dcc_document(params, panel.mean, fit_target)
+    return {"params": doc, "fit": fit_report_to_json(fit)}
 
 
 def evaluate_model(
@@ -260,11 +249,11 @@ def evaluate_model(
     observed_cliques: tuple[tuple[int, ...], ...],
     config: RunConfig,
 ) -> dict:
-    """Fit one model kind and assemble its report block from the model its
-    params document holds, read back as `simulate` reads the file."""
+    """Fit one model kind and extend its {params, fit} block from the model
+    its params document holds, read back as `simulate` reads the file."""
     moments, target, _ = setup
-    doc, fit = _fit(kind, panel, setup, config.opts)
-    model, params, mu, h1 = params_from_document(doc)
+    block = _fit(kind, panel, setup, config.opts)
+    model, params, mu, h1 = params_from_document(block["params"])
     sim_len = config.sim_len if config.sim_len is not None else panel.t_len
     if model == "bekk":
         path = bekk_filter(panel.returns - mu, params, h1)
@@ -284,8 +273,7 @@ def evaluate_model(
         "kl_simulated": _f(kl_divergence(target.sigma_hat, sim_moments.cov)),
     }
     return {
-        "params": doc,
-        "fit": fit_report_to_json(fit),
+        **block,
         "losses": losses,
         "simulated": _graph_block(sim_graph, sim_cliques),
         "comparison": {
@@ -301,15 +289,12 @@ def evaluate_model(
 def run_fits(panel: ReturnPanel, config: RunConfig) -> dict:
     """Fit the requested kinds only; returns {kind: {params, fit}} blocks."""
     setup = _setup(panel, config)
-    blocks: dict[str, dict] = {}
-    for kind in config.models:
-        doc, fit = _fit(kind, panel, setup, config.opts)
-        blocks[kind] = {"params": doc, "fit": fit_report_to_json(fit)}
-    return blocks
+    return {kind: _fit(kind, panel, setup, config.opts) for kind in config.models}
 
 
-def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
-    """Run the full pipeline over every requested model kind."""
+def run_evaluation(panel: ReturnPanel, config: RunConfig) -> dict:
+    """Run the full pipeline over every requested model kind; returns the
+    report document, which render_json and render_text_table render."""
     if config.sim_len is not None and config.sim_len <= panel.n:
         raise DataError(f"simulation length {config.sim_len} must exceed the {panel.n} series")
     setup = _setup(panel, config)
@@ -322,7 +307,7 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
         )
         for kind in config.models
     }
-    doc = {
+    return {
         "config": {
             "input": config.input,
             "models": list(config.models),
@@ -337,15 +322,13 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> EvalReport:
             "t": panel.t_len,
         },
         "target": {
-            "delta": float(target.delta),
-            "pd_adjusted": bool(target.pd_adjusted),
+            **_target_stub(target),
             "z_hat": _matrix(target.z_hat),
             "sigma_hat": _matrix(target.sigma_hat),
         },
         "observed": _graph_block(observed_graph, observed_cliques),
         "models": blocks,
     }
-    return EvalReport(doc=doc)
 
 
 def render_text_table(doc: dict) -> str:

@@ -230,14 +230,15 @@ class TestDataErrors:
         assert "h1 must be (3, 3), got (2, 2)" in err
 
     @pytest.mark.parametrize("fault, message", [
-        ("missing", "missing params file"),
-        ("not json", "malformed params file"),
+        ("missing", "data error: cannot read params file "),
+        ("not json", "data error: cannot read params file "),
         ("no theta", "malformed params document: 'theta1'"),
         ("short mu", "mu must have 2 entries"),
         # json writes and reads NaN, which no simulated row can have
         ("nan mu", "data error: mu must hold finite JSON numbers, got nan"),
         # R_1 = q_bar: a singular one would fail the DCC simulation's first step
         ("singular q_bar", "data error: q_bar: matrix is not positive definite (pivot 1)"),
+        ("asymmetric q_bar", "data error: q_bar: matrix is not symmetric (max asymmetry 1.000e-01)"),
     ])
     def test_simulate_checks_every_params_file_first(self, capsys, tmp_path, fault,
                                                      message):
@@ -255,6 +256,7 @@ class TestDataErrors:
             "short mu": json.dumps({**dcc_doc, "mu": [0.0]}),
             "nan mu": json.dumps({**dcc_doc, "mu": [float("nan"), 0.0]}),
             "singular q_bar": json.dumps({**dcc_doc, "q_bar": [[1.0, 1.0], [1.0, 1.0]]}),
+            "asymmetric q_bar": json.dumps({**dcc_doc, "q_bar": [[1.0, 0.1], [0.2, 1.0]]}),
         }
         if fault in text:
             (tmp_path / "params.dcc.json").write_text(text[fault])
@@ -284,6 +286,33 @@ class TestDataErrors:
         assert rc == 3 and out == ""
         assert err.startswith(f"data error: cannot read graph document {path}: ")
         assert not (tmp_path / "cliques.json").exists()
+
+    @pytest.mark.parametrize("name, argv, what", [
+        ("params.bekk.json", ["simulate", "--model", "bekk", "--sim-len", "50"], "params file"),
+        ("graph.json", ["cliques", "--input", "{path}"], "graph document"),
+    ])
+    def test_deeply_nested_json_is_a_data_error(self, capsys, tmp_path, name, argv, what):
+        # json's decoder recurses once per level of nesting
+        path = tmp_path / name
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        argv = [a.format(path=path) for a in argv] + ["--out-dir", str(tmp_path)]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"data error: cannot read {what} {path}: ")
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+
+    @pytest.mark.parametrize("text, where", [
+        ("date,A,{long}\n2020-01-02,1.0,2.0\n", ""),
+        ("date,A\n2020-01-02,1.0\n2020-01-03,{long}\n", ":3"),
+        ('date,A\n2020-01-02,1.0\n2020-01-03,"{long}"\n', ":3"),
+    ], ids=["label", "plain", "quoted"])
+    def test_a_cell_over_the_csv_field_limit(self, capsys, tmp_path, text, where):
+        path = tmp_path / "panel.csv"
+        path.write_text(text.format(long="x" * 200_000))
+        rc, out, err = run(capsys, "cliques", "--input", str(path), "--out-dir", str(tmp_path))
+        assert (rc, out) == (3, "")
+        assert err.startswith(f"data error: {path}{where}: field larger than field limit")
+        assert [f.name for f in tmp_path.iterdir()] == ["panel.csv"]
 
     @pytest.mark.parametrize("sim_len", [3, 5])
     def test_evaluate_sim_len_at_most_the_series_fails_before_any_fit(

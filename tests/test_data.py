@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import os
 import tempfile
@@ -206,10 +207,26 @@ class TestPlainFastPath:
         ("2020-01-02,1.0\n2020-01-03\n", ParseError, ":3: expected 2 cells"),
         ("2020-01-02,1.0\n2020-02-30,2.0\n", ParseError, ":3: bad date"),
         ("2020-01-02,1.0\n0000-01-03,2.0\n", ParseError, ":3: bad date"),
+        # a record after a quoted cell of two lines starts a line later
+        ('2020-01-02,"1.0\n"\n2020-01-03,2.0\n2020-01-04,x\n', ParseError, ":5: bad number 'x'"),
+        ("2020-01-02,1.0\n\n2020-01-04,x\n", ParseError, ":4: bad number 'x'"),
     ])
     def test_errors_name_the_line(self, tmp_path, body, err, match):
         with pytest.raises(err, match=match):
             load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
+
+    @pytest.mark.parametrize("text, where", [
+        ("date,AA,{long}\n2020-01-02,1.0,2.0\n", ""),
+        ("date,AA\n2020-01-02,1.0\n2020-01-03,{long}\n", ":3"),
+        ('date,AA\n2020-01-02,1.0\n2020-01-03,"{long}"\n', ":3"),
+        ('date,AA\n2020-01-02,"1.0\n"\n2020-01-03,{long}\n', ":4"),
+    ], ids=["label", "plain", "quoted", "after-two-line-record"])
+    def test_a_cell_over_the_csv_field_limit_is_a_parse_error(self, tmp_path, text, where):
+        path = write(tmp_path, "p.csv", text.format(long="x" * 200_000))
+        with pytest.raises(ParseError) as err:
+            load_panel(path)
+        limit = csv.field_size_limit()
+        assert str(err.value) == f"{path}{where}: field larger than field limit ({limit})"
 
     def test_quoted_and_blank_rows_load_as_before(self, tmp_path):
         text = 'date,AA,BB\n2020-01-02,"100.0",50.0\n\n2020-01-03,101.0, 49.5\n'

@@ -89,6 +89,18 @@ class TestParams:
         with pytest.raises(NotPositiveDefiniteError, match=r"^q_bar: matrix .* \(pivot 1\)"):
             DccParams(univariate=(g, g), theta1=0.05, theta2=0.9, q_bar=np.ones((2, 2)))
 
+    @pytest.mark.parametrize("q_bar, error, message", [
+        ([[1.0, 0.1], [0.2, 1.0]], ShapeError,
+         "q_bar: matrix is not symmetric (max asymmetry 1.000e-01)"),
+        ([[1.0, np.inf], [np.inf, 1.0]], DataError, "q_bar: matrix has non-finite entries"),
+        (np.ones(2), ShapeError, "q_bar: expected a square matrix, got shape (2,)"),
+    ])
+    def test_q_bar_refusals_name_the_field(self, q_bar, error, message):
+        g = Garch11Params(omega=0.05, alpha=0.05, beta=0.90)
+        with pytest.raises(error) as err:
+            DccParams(univariate=(g, g), theta1=0.05, theta2=0.9, q_bar=np.array(q_bar))
+        assert str(err.value) == message
+
 
 class TestFilter:
     def test_matches_naive_recursion(self, rng):

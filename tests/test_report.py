@@ -12,6 +12,7 @@ from covtarget import (
     DccParams,
     Garch11Params,
     RunConfig,
+    ShapeError,
     bekk_simulate,
     build_target,
     kl_divergence,
@@ -184,6 +185,12 @@ class TestParamsDocuments:
         assert mu.tolist() == [0.0, 1.0] and mu.dtype == float
         assert np.array_equal(h1, np.eye(2))
 
+    def test_an_asymmetric_h1_is_named(self):
+        doc = bekk_document(bekk2(), np.zeros(2), np.eye(2), None)
+        with pytest.raises(ShapeError) as err:
+            params_from_document({**doc, "h1": [[1.0, 0.1], [0.2, 1.0]]})
+        assert str(err.value) == "h1: matrix is not symmetric (max asymmetry 1.000e-01)"
+
     def test_a_bekk_document_without_series_is_refused(self):
         doc = {"model": "bekk", "n": 0, "c_lower": [], "a_diag": [], "b_diag": [], "mu": []}
         with pytest.raises(DataError, match="^n must be a positive integer, got 0$"):
@@ -202,7 +209,7 @@ def report(panel):
 
 class TestRunEvaluation:
     def test_document_layout(self, report):
-        doc = report.doc
+        doc = report
         assert sorted(doc) == ["config", "models", "observed", "panel", "target"]
         assert sorted(doc["models"]) == ["bekk", "dcc"]
         for block in doc["models"].values():
@@ -222,18 +229,18 @@ class TestRunEvaluation:
         # one key per RunConfig argument, so no setting of a run goes unrecorded
         init = [f.name for f in dataclasses.fields(RunConfig) if f.init]
         assert init == ["input", "models", "delta", "seed", "sim_len", "starts"]
-        assert sorted(report.doc["config"]) == sorted(init)
+        assert sorted(report["config"]) == sorted(init)
 
     def test_json_rendering_is_deterministic(self, panel, report):
         again = run_evaluation(panel, small_config())
-        assert again.to_json() == report.to_json()
+        assert render_json(again) == render_json(report)
         # keys are sorted so byte equality is meaningful
-        assert report.to_json().startswith('{\n  "config"')
+        assert render_json(report).startswith('{\n  "config"')
 
     def test_fits_agree_with_fit_only_path(self, panel, report):
         blocks = run_fits(panel, small_config())
         for kind, block in blocks.items():
-            full = report.doc["models"][kind]
+            full = report["models"][kind]
             assert json.dumps(block["params"], sort_keys=True) == json.dumps(
                 full["params"], sort_keys=True
             )
@@ -245,7 +252,7 @@ class TestRunEvaluation:
         cfg = small_config()
         moments = sample_moments(panel)
         target = build_target(moments, cfg.delta)
-        block = report.doc["models"]["bekk"]
+        block = report["models"]["bekk"]
         _, params, mu, h1 = params_from_document(block["params"])
         sim = bekk_simulate(
             params, mu, cfg.sim_len, cfg.seed, h1=moments.cov, labels=panel.labels
@@ -254,7 +261,6 @@ class TestRunEvaluation:
         assert np.isclose(block["losses"]["kl_simulated"], want, rtol=1e-12)
 
     def test_text_rendering(self, report):
-        text = render_text_table(report.doc)
+        text = render_text_table(report)
         assert "bekk" in text and "dcc" in text
         assert "observed maximal cliques" in text
-        assert text == report.to_text()
