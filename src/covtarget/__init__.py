@@ -54,7 +54,6 @@ from .garch import (
     garch11_loglik,
 )
 from .graphs import (
-    GraphComparison,
     ThresholdGraph,
     build_graph,
     compare_graphs,
@@ -89,7 +88,6 @@ __all__ = [
     "EstimationError",
     "FitReport",
     "Garch11Params",
-    "GraphComparison",
     "InsufficientDataError",
     "NotPositiveDefiniteError",
     "NumericalOverflowError",

@@ -2,8 +2,8 @@
 
 Subcommands: cluster, fit, simulate, graph, cliques, evaluate; ``COMMANDS``
 lists the options each one takes, and any other flag is a usage error.
-``--seed`` is the one program-wide option: every command accepts it, and
-fit, simulate and evaluate read it. ``--config`` names a ``key = value``
+``--seed`` is the one program-wide option: every command accepts and checks
+it, and fit, simulate and evaluate read it. ``--config`` names a ``key = value``
 file of options; explicit flags win over the file, which wins over the
 defaults in ``OPTIONS``. A file key must name an option of some command;
 keys the running command does not take are ignored, so one file serves
@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 from .cluster import complete_linkage, corr_distance, cut_tree, dendrogram_to_json
 from .data import (
-    ReturnPanel, check_sim_len, load_panel, sample_moments, write_text_atomic,
+    ReturnPanel, check_int, check_sim_len, load_panel, sample_moments, write_text_atomic,
 )
 from .errors import CovTargetError, DataError, EstimationError, NumericalOverflowError, ParseError
 from .graphs import graph_from_json, graph_to_dot, graph_to_json, build_graph, maximal_cliques
@@ -303,6 +303,7 @@ def main(argv=None) -> int:
             at = argv.index(args.command) + 1
             argv[at:at] = _config_flags(args.config, command)
             args = parser.parse_args(argv)
+        _usage("--seed", check_int, args.seed, "seed", 0)
         return command.run(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -420,6 +420,14 @@ def check_sim_len(t_len: int) -> int:
     return t_len
 
 
+def check_int(value, name: str, low: int) -> int:
+    """``value`` if it is an integer, not a bool, of at least ``low``: a seed
+    (low 0) or a number of starts (low 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise DataError(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
 _SIM_BLOCK = 1024  # rows a simulator steps at a time: all the simulate command holds
 
 
@@ -437,7 +445,7 @@ def _sim_blocks(step, n: int, mu, t_len: int, seed: int) -> Iterator[np.ndarray]
         raise ShapeError(f"mu must have shape ({n},), got {mu.shape}")
     if not np.isfinite(mu).all():
         raise DataError(f"mu must be finite, got {mu}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
 
     def block(at: int) -> np.ndarray:
         eps = rng.standard_normal((min(_SIM_BLOCK, t_len - at), n))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ReturnPanel, correlation_from_series, _sim_panel
+from .data import ReturnPanel, _readonly, _sim_panel, correlation_from_series
 from .errors import (
     CovTargetError,
     DataError,
@@ -106,6 +106,10 @@ class CorrPath:
 
     r: np.ndarray
     q: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "r", _readonly(self.r))
+        object.__setattr__(self, "q", _readonly(self.q))
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,8 @@ def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
     r = q / (d[:, :, None] * d[:, None, :])
     ii = np.arange(n)
     r[:, ii, ii] = 1.0  # exact unit diagonal, not just up to rounding
+    for a in (r, q):
+        a.setflags(write=False)  # so CorrPath keeps them without a copy
     return CorrPath(r=r, q=q)
 
 

@@ -90,22 +90,6 @@ def maximal_cliques(graph: ThresholdGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class GraphComparison:
-    """Edge- and clique-level agreement between an observed and a simulated
-    graph at the same threshold.
-
-    clique_best_jaccard[k] is the best Jaccard overlap of observed clique k
-    against any simulated clique; cliques_matched counts exact matches.
-    """
-
-    edges_only_observed: tuple[tuple[int, int], ...]
-    edges_only_simulated: tuple[tuple[int, int], ...]
-    edge_jaccard: float
-    cliques_matched: int
-    clique_best_jaccard: tuple[float, ...]
-
-
 def _jaccard(both: int, either: int) -> float:
     return both / either if either else 1.0  # two empty sets agree
 
@@ -115,9 +99,13 @@ def compare_graphs(
     simulated: ThresholdGraph,
     observed_cliques: tuple[tuple[int, ...], ...],
     simulated_cliques: tuple[tuple[int, ...], ...],
-) -> GraphComparison:
-    """Compare two graphs built over the same labels and threshold, given
-    each graph's maximal_cliques."""
+) -> dict:
+    """Edge- and clique-level agreement of two graphs built over the same
+    labels and threshold, given each graph's maximal_cliques, as report.json's
+    JSON-ready comparison block: the [i, j] edges only one graph has, each list
+    lexicographic; edge_jaccard; cliques_matched, the observed cliques that
+    are simulated cliques too; and clique_best_jaccard, whose entry k is the
+    best Jaccard overlap of observed clique k with any simulated clique."""
     if observed.labels != simulated.labels:
         raise DataError("graphs have different vertex labels")
     if observed.delta != simulated.delta:
@@ -127,16 +115,16 @@ def compare_graphs(
     e_obs, e_sim = (np.triu(g.adjacency != 0.0, 1) for g in (observed, simulated))
     c_obs = [frozenset(c) for c in observed_cliques]
     c_sim = {frozenset(c) for c in simulated_cliques}
-    return GraphComparison(
+    return {
         # argwhere is row-major, so both differences are lexicographic
-        edges_only_observed=tuple(map(tuple, np.argwhere(e_obs & ~e_sim).tolist())),
-        edges_only_simulated=tuple(map(tuple, np.argwhere(e_sim & ~e_obs).tolist())),
-        edge_jaccard=_jaccard(np.count_nonzero(e_obs & e_sim), np.count_nonzero(e_obs | e_sim)),
-        cliques_matched=sum(c in c_sim for c in c_obs),
-        clique_best_jaccard=tuple(
+        "edges_only_observed": np.argwhere(e_obs & ~e_sim).tolist(),
+        "edges_only_simulated": np.argwhere(e_sim & ~e_obs).tolist(),
+        "edge_jaccard": _jaccard(np.count_nonzero(e_obs & e_sim), np.count_nonzero(e_obs | e_sim)),
+        "cliques_matched": sum(c in c_sim for c in c_obs),
+        "clique_best_jaccard": [
             max((_jaccard(len(c & s), len(c | s)) for s in c_sim), default=0.0) for c in c_obs
-        ),
-    )
+        ],
+    }
 
 
 def graph_to_dot(graph: ThresholdGraph) -> str:
@@ -169,7 +157,7 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
     """Rebuild a ThresholdGraph from graph_to_json output; a document it
     could not have written raises DataError naming the edge or label."""
     try:
-        if isinstance(doc["labels"], str):
+        if not isinstance(doc["labels"], list):
             raise DataError(f"graph labels must be a list, got {doc['labels']!r}")
         labels = tuple(doc["labels"])
         if bad := [lab for lab in labels if not isinstance(lab, str)]:
@@ -191,5 +179,7 @@ def graph_from_json(doc: dict) -> ThresholdGraph:
             raise DataError(f"edge ({i}, {j}) appears twice")
         if not abs(w) > delta:
             raise DataError(f"edge ({i}, {j}) has weight {w!r}, not above delta {delta!r}")
+        if not abs(w) <= 1.0:
+            raise DataError(f"edge ({i}, {j}) has weight {w!r}, above 1 in magnitude")
         adj[i, j] = adj[j, i] = w
     return build_graph(adj, labels, delta)

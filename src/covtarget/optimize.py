@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_int
 from .errors import CovTargetError, DataError, EstimationError
 
 log = logging.getLogger(__name__)
@@ -35,8 +36,8 @@ class OptimizerOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_starts < 1:
-            raise DataError(f"n_starts must be >= 1, got {self.n_starts}")
+        check_int(self.n_starts, "n_starts", 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .graphs import (
     maximal_cliques,
 )
 from .linalg import (
-    _check_independent, _checked_pd, _tril, frobenius_path_loss, kl_divergence,
+    _check_independent, _checked_pd, frobenius_path_loss, kl_divergence,
 )
 from .optimize import FitReport, OptimizerOptions
 from .targeting import TargetSpec, build_target, check_delta
@@ -82,22 +82,13 @@ def _f(x) -> float | None:
     return x if np.isfinite(x) else None
 
 
-def _matrix(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
-
-
 def fit_report_to_json(report: FitReport) -> dict:
-    return {
-        "objective": _f(report.objective),
-        "grad_norm": _f(report.grad_norm),
-        "iterations": int(report.iterations),
-        "start_winner": int(report.start_winner),
-        "converged": bool(report.converged),
-        "per_start": [
-            {"objective": _f(s.objective), "converged": bool(s.converged)}
-            for s in report.per_start
-        ],
-    }
+    """The fit block: the FitReport's fields, a non-finite number as null."""
+    doc = asdict(report)
+    doc["per_start"] = list(doc["per_start"])  # a JSON array, as read back
+    for d in (doc, *doc["per_start"]):
+        d.update({k: _f(v) for k, v in d.items() if type(v) is float})
+    return doc
 
 
 def _target_stub(target: TargetSpec | None) -> dict | None:
@@ -116,12 +107,12 @@ def bekk_document(
     return {
         "model": "bekk",
         "n": params.n,
-        "c_lower": [float(v) for v in params.to_vector()[: -2 * params.n]],
-        "a_diag": [float(v) for v in params.a_diag],
-        "b_diag": [float(v) for v in params.b_diag],
+        "c_lower": params.to_vector()[: -2 * params.n].tolist(),
+        "a_diag": params.a_diag.tolist(),
+        "b_diag": params.b_diag.tolist(),
         "target": _target_stub(target),
-        "mu": [float(v) for v in np.asarray(mu, dtype=float)],
-        "h1": _matrix(h1),
+        "mu": np.asarray(mu, dtype=float).tolist(),
+        "h1": np.asarray(h1, dtype=float).tolist(),
     }
 
 
@@ -132,15 +123,12 @@ def dcc_document(
     return {
         "model": "dcc",
         "n": params.n,
-        "univariate": [
-            {"omega": p.omega, "alpha": p.alpha, "beta": p.beta}
-            for p in params.univariate
-        ],
+        "univariate": [asdict(p) for p in params.univariate],
         "theta1": float(params.theta1),
         "theta2": float(params.theta2),
-        "q_bar": _matrix(params.q_bar),
+        "q_bar": params.q_bar.tolist(),
         "target": _target_stub(target),
-        "mu": [float(v) for v in np.asarray(mu, dtype=float)],
+        "mu": np.asarray(mu, dtype=float).tolist(),
     }
 
 
@@ -169,14 +157,9 @@ def params_from_document(doc: dict):
             raise DataError(f"n must be a positive integer, got {n!r}")
         h1 = None
         if model == "bekk":
-            flat = _numbers(doc, "c_lower", (n * (n + 1) // 2,))
-            c = np.zeros((n, n))
-            c[_tril(n)] = flat
-            params = BekkParams(
-                c_lower=c,
-                a_diag=_numbers(doc, "a_diag", (n,)),
-                b_diag=_numbers(doc, "b_diag", (n,)),
-            )
+            sizes = {"c_lower": n * (n + 1) // 2, "a_diag": n, "b_diag": n}
+            params = BekkParams.from_vector(
+                np.concatenate([_numbers(doc, k, (m,)) for k, m in sizes.items()]), n)
             if doc.get("h1") is not None:
                 h1, _ = _checked_pd(_numbers(doc, "h1", (n, n)), n, "h1")
         elif model == "dcc":
@@ -184,8 +167,8 @@ def params_from_document(doc: dict):
             if len(uni) != n:
                 raise DataError(f"n is {n} but the document has {len(uni)} series")
             params = DccParams(
-                univariate=tuple(Garch11Params(*(_numbers(u, k) for k in ("omega", "alpha", "beta")))
-                                 for u in uni),
+                univariate=tuple(Garch11Params(**{f.name: _numbers(u, f.name)
+                                                  for f in fields(Garch11Params)}) for u in uni),
                 theta1=_numbers(doc, "theta1"),
                 theta2=_numbers(doc, "theta2"),
                 q_bar=_numbers(doc, "q_bar", (n, n)),
@@ -264,9 +247,6 @@ def evaluate_model(
     sim_moments = sample_moments(sim)
     sim_graph = build_graph(sim_moments.corr, panel.labels, config.delta)
     sim_cliques = maximal_cliques(sim_graph)
-    comparison = compare_graphs(
-        observed_graph, sim_graph, observed_cliques, sim_cliques
-    )
     losses = {
         "frobenius_vs_target": _f(frobenius_path_loss(path, target.sigma_hat)),
         "frobenius_vs_sample": _f(frobenius_path_loss(path, moments.cov)),
@@ -276,13 +256,7 @@ def evaluate_model(
         **block,
         "losses": losses,
         "simulated": _graph_block(sim_graph, sim_cliques),
-        "comparison": {
-            "edge_jaccard": _f(comparison.edge_jaccard),
-            "cliques_matched": int(comparison.cliques_matched),
-            "clique_best_jaccard": [_f(v) for v in comparison.clique_best_jaccard],
-            "edges_only_observed": [list(e) for e in comparison.edges_only_observed],
-            "edges_only_simulated": [list(e) for e in comparison.edges_only_simulated],
-        },
+        "comparison": compare_graphs(observed_graph, sim_graph, observed_cliques, sim_cliques),
     }
 
 
@@ -323,8 +297,8 @@ def run_evaluation(panel: ReturnPanel, config: RunConfig) -> dict:
         },
         "target": {
             **_target_stub(target),
-            "z_hat": _matrix(target.z_hat),
-            "sigma_hat": _matrix(target.sigma_hat),
+            "z_hat": target.z_hat.tolist(),
+            "sigma_hat": target.sigma_hat.tolist(),
         },
         "observed": _graph_block(observed_graph, observed_cliques),
         "models": blocks,

@@ -127,6 +127,9 @@ class TestUsageErrors:
         ("cluster", "k", "0"),
         ("cluster", "k", "3"),  # the panel has two series
         ("fit", "starts", "0"),
+        ("fit", "seed", "-1"),
+        ("simulate", "seed", "-1"),
+        ("evaluate", "seed", "-1"),
     ])
     def test_option_out_of_range(self, capsys, panel_csv, tmp_path, command, key,
                                  value, source):
@@ -286,6 +289,22 @@ class TestDataErrors:
         assert rc == 3 and out == ""
         assert err.startswith(f"data error: cannot read graph document {path}: ")
         assert not (tmp_path / "cliques.json").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"labels": {"A": 1, "B": 2}, "delta": 0.5, "edges": []},
+         "graph labels must be a list, got {'A': 1, 'B': 2}"),
+        ({"labels": ["A", "B"], "delta": 0.5, "edges": [[0, 1, 1.5]]},
+         "edge (0, 1) has weight 1.5, above 1 in magnitude"),
+        ({"labels": ["A", "B"], "delta": 0.5, "edges": [[0, 1, float("inf")]]},
+         "edge (0, 1) has weight inf, above 1 in magnitude"),
+    ])
+    def test_cliques_refuses_a_graph_document_graph_cannot_write(self, capsys, tmp_path,
+                                                                doc, message):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(doc))  # an infinite weight as the token Infinity
+        rc, out, err = run(capsys, "cliques", "--input", str(path), "--out-dir", str(tmp_path))
+        assert (rc, out, err) == (3, "", f"data error: {message}\n")
+        assert [f.name for f in tmp_path.iterdir()] == ["graph.json"]
 
     @pytest.mark.parametrize("name, argv, what", [
         ("params.bekk.json", ["simulate", "--model", "bekk", "--sim-len", "50"], "params file"),
@@ -466,6 +485,27 @@ class TestLogging:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == str(level)
 
+    def test_debug_logs_each_start_and_changes_no_output(self, panel_csv, tmp_path):
+        def fit(value):
+            out = tmp_path / (value or "unset")
+            env = {**os.environ, "PYTHONPATH": str(SRC)}
+            env.pop("COVTARGET_LOG", None)
+            if value:
+                env["COVTARGET_LOG"] = value
+            proc = subprocess.run(
+                [sys.executable, "-m", "covtarget.cli", "fit", "--input", str(panel_csv),
+                 "--out-dir", str(out), "--model", "bekk", "--starts", "2"],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            starts = re.findall(r"^DEBUG covtarget\.optimize: start (\d+): ", proc.stderr, re.M)
+            return proc.stdout, (out / "params.bekk.json").read_bytes(), starts
+
+        stdout, params, starts = fit("DEBUG")
+        assert starts == ["0", "1"]
+        assert fit(None) == (stdout, params, [])
+        assert fit("chatty") == (stdout, params, [])  # an unknown level means INFO
+
 
 class TestCLocale:
     """Under the C locale with UTF-8 mode off, the locale's encoding is
@@ -583,6 +623,13 @@ class TestGraphAndCliques:
         assert (tmp_path / "graph.dot").read_text() == out
         doc = json.loads((tmp_path / "graph.json").read_text())
         assert doc["delta"] == 0.1
+
+    def test_cliques_json_format_prints_the_file(self, capsys, panel_csv, tmp_path):
+        rc, out, _ = run(capsys, "cliques", "--input", str(panel_csv), "--out-dir",
+                         str(tmp_path), "--delta", "0.1", "--format", "json")
+        assert rc == 0
+        assert out == (tmp_path / "cliques.json").read_text(encoding="utf-8")
+        assert json.loads(out)["cliques"]
 
     def test_cliques_from_panel_and_from_graph_json(self, capsys, panel_csv, tmp_path):
         rc, out1, _ = run(

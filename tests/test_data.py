@@ -215,6 +215,15 @@ class TestPlainFastPath:
         with pytest.raises(err, match=match):
             load_panel(write(tmp_path, "p.csv", "date,AA\n" + body))
 
+    def test_a_date_that_does_not_exist_in_a_plain_returns_body(self, tmp_path):
+        # well-formed YYYY-MM-DD, so the kernel reads the row and declines it
+        body = "2020-01-02,0.01\n2020-02-30,0.02\n"
+        assert _plain_rows(body.encode(), 1) is None
+        path = write(tmp_path, "p.csv", "#returns\ndate,AA\n" + body)
+        with pytest.raises(ParseError) as err:
+            load_panel(path)
+        assert str(err.value) == f"{path}:4: bad date '2020-02-30'"
+
     @pytest.mark.parametrize("text, where", [
         ("date,AA,{long}\n2020-01-02,1.0,2.0\n", ""),
         ("date,AA\n2020-01-02,1.0\n2020-01-03,{long}\n", ":3"),

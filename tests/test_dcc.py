@@ -118,6 +118,12 @@ class TestFilter:
         ii = np.arange(3)
         assert np.all(path.r[:, ii, ii] == 1.0)
 
+    def test_path_is_read_only(self, rng):
+        path = dcc_filter(rng.standard_normal((20, 3)), dcc3())
+        for a in (path.r, path.q):
+            with pytest.raises(ValueError):
+                a[0, 0, 1] = 0.5
+
     def test_correlations_stay_positive_definite(self, rng):
         p = dcc3()
         path = dcc_filter(rng.standard_normal((200, 3)), p)

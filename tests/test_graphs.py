@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from covtarget import (
     CovTargetError,
     DataError,
-    GraphComparison,
     ThresholdGraph,
     build_graph,
     compare_graphs,
@@ -231,7 +230,7 @@ def compare(obs, sim):
 
 
 def set_comparison(obs, sim, obs_cliques, sim_cliques):
-    """compare_graphs computed on Python sets of (i, j) pairs."""
+    """compare_graphs' block computed on Python sets of (i, j) pairs."""
 
     def edge_set(g):
         rows, cols = np.nonzero(np.triu(g.adjacency, 1))
@@ -243,26 +242,26 @@ def set_comparison(obs, sim, obs_cliques, sim_cliques):
     e_obs, e_sim = edge_set(obs), edge_set(sim)
     c_obs = [frozenset(c) for c in obs_cliques]
     c_sim = {frozenset(c) for c in sim_cliques}
-    return GraphComparison(
-        edges_only_observed=tuple(sorted(e_obs - e_sim)),
-        edges_only_simulated=tuple(sorted(e_sim - e_obs)),
-        edge_jaccard=jaccard(e_obs, e_sim),
-        cliques_matched=sum(c in c_sim for c in c_obs),
-        clique_best_jaccard=tuple(
+    return {
+        "edges_only_observed": [list(e) for e in sorted(e_obs - e_sim)],
+        "edges_only_simulated": [list(e) for e in sorted(e_sim - e_obs)],
+        "edge_jaccard": jaccard(e_obs, e_sim),
+        "cliques_matched": sum(c in c_sim for c in c_obs),
+        "clique_best_jaccard": [
             max((jaccard(c, s) for s in c_sim), default=0.0) for c in c_obs
-        ),
-    )
+        ],
+    }
 
 
 class TestCompare:
     def test_identical_graphs(self):
         g = build_graph(CORR5, LABELS5, 0.5)
         cmp = compare(g, g)
-        assert cmp.edge_jaccard == 1.0
-        assert cmp.edges_only_observed == ()
-        assert cmp.edges_only_simulated == ()
-        assert cmp.cliques_matched == len(maximal_cliques(g))
-        assert all(s == 1.0 for s in cmp.clique_best_jaccard)
+        assert cmp["edge_jaccard"] == 1.0
+        assert cmp["edges_only_observed"] == []
+        assert cmp["edges_only_simulated"] == []
+        assert cmp["cliques_matched"] == len(maximal_cliques(g))
+        assert all(s == 1.0 for s in cmp["clique_best_jaccard"])
 
     def test_disjoint_edges(self):
         labels = ("A", "B", "C")
@@ -277,16 +276,16 @@ class TestCompare:
             0.5,
         )
         cmp = compare(obs, sim)
-        assert cmp.edge_jaccard == 0.0
-        assert cmp.edges_only_observed == ((0, 1),)
-        assert cmp.edges_only_simulated == ((0, 2),)
-        assert cmp.cliques_matched == 0
+        assert cmp["edge_jaccard"] == 0.0
+        assert cmp["edges_only_observed"] == [[0, 1]]
+        assert cmp["edges_only_simulated"] == [[0, 2]]
+        assert cmp["cliques_matched"] == 0
 
     def test_both_empty_graphs_agree(self):
         obs = build_graph(np.eye(3), ("A", "B", "C"), 0.5)
         cmp = compare(obs, obs)
-        assert cmp.edge_jaccard == 1.0
-        assert cmp.cliques_matched == 3
+        assert cmp["edge_jaccard"] == 1.0
+        assert cmp["cliques_matched"] == 3
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(graphs(n), graphs(n))))
@@ -294,7 +293,9 @@ class TestCompare:
         obs, sim = pair
         for a, b in ((obs, sim), (sim, obs), (obs, obs)):
             cliques = maximal_cliques(a), maximal_cliques(b)
-            assert compare_graphs(a, b, *cliques) == set_comparison(a, b, *cliques)
+            block = compare_graphs(a, b, *cliques)
+            assert block == set_comparison(a, b, *cliques)
+            assert json.loads(render_json(block)) == block  # JSON-ready as it is
 
     def test_mismatch_errors(self):
         a = build_graph(np.eye(2), ("A", "B"), 0.5)
@@ -405,6 +406,10 @@ class TestSerialization:
             (["A", "B"], [[0, 1, 0.9], [1, 0, 0.8]], "edge (1, 0) appears twice"),
             (["A", "B"], [[0, 1, 0.9], [0, 1, 0.9]], "edge (0, 1) appears twice"),
             ("AB", [], "graph labels must be a list, got 'AB'"),
+            ({"A": 1, "B": 2}, [], "graph labels must be a list, got {'A': 1, 'B': 2}"),
+            (["A", "B"], [[0, 1, 1.5]], "edge (0, 1) has weight 1.5, above 1 in magnitude"),
+            (["A", "B"], [[0, 1, -1.5]], "edge (0, 1) has weight -1.5, above 1 in magnitude"),
+            (["A", "B"], [[0, 1, float("inf")]], "edge (0, 1) has weight inf, above 1 in magnitude"),
             ([1, 2.5], [], "graph label 1 is not a string"),
             (["A", None], [], "graph label None is not a string"),
             (["A", "B", "A"], [], "duplicate series labels: 'A'"),

@@ -222,6 +222,19 @@ class TestMaximize:
         with pytest.raises(DataError):
             OptimizerOptions(n_starts=0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=-1), "seed must be an integer >= 0, got -1"),
+        (dict(seed=0.5), "seed must be an integer >= 0, got 0.5"),
+        (dict(seed=False), "seed must be an integer >= 0, got False"),
+        (dict(n_starts=2.5), "n_starts must be an integer >= 1, got 2.5"),
+        (dict(n_starts=True), "n_starts must be an integer >= 1, got True"),
+    ])
+    def test_options_are_checked_before_any_draw(self, kwargs, message):
+        with pytest.raises(DataError) as err:
+            OptimizerOptions(**kwargs)
+        assert str(err.value) == message
+        assert OptimizerOptions(np.int64(2), np.int64(7)).seed == 7
+
 
 def rosenbrock(x):
     """Rosenbrock's function and its gradient; minimum 0 at (1, 1)."""

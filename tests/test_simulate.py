@@ -324,6 +324,15 @@ def test_simulation_length_must_be_an_integer(kind):
 
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "7"])
+def test_seed_must_be_a_non_negative_integer(kind, seed):
+    simulate, params = simulator15(kind)
+    with pytest.raises(DataError) as err:
+        simulate(params, np.zeros(15), 50, seed)
+    assert str(err.value) == f"seed must be an integer >= 0, got {seed!r}"
+
+
+@pytest.mark.parametrize("kind", ["bekk", "dcc"])
 def test_simulated_panel_is_read_only_and_undated(kind):
     simulate, params = simulator15(kind)
     panel = simulate(params, np.zeros(15), 50, 0)
