@@ -6,28 +6,25 @@ residuals; stage two drives the quasi-correlation recursion
     Q_t = (1 - t1 - t2) Q_bar + t1 z_{t-1} z_{t-1}' + t2 Q_{t-1}
 
 and rescales R_t = diag(Q_t)^{-1/2} Q_t diag(Q_t)^{-1/2}, which has a unit
-diagonal by construction. Each Q entry is again a scalar one-pole filter,
-all with the pole theta2, so Q_t runs through the lower-triangle recursion
-shared with BEKK (garch._sym_one_pole): N(N+1)/2 entries in one scan along
-time, mirrored to the upper triangle.
+diagonal by construction. From Q_1 = Q_bar the recursion is
+Q_t = Q_bar + t1 A_t, with A_t = dQ_t/dt1 the one-pole filter
 
-The stage-two score chains G_t = dl/dR_t (linalg.gaussian_path_loglik)
-through the rescaling, with d_i = sqrt(q_ii):
+    A_t = Z_{t-1} - Q_bar + t2 A_{t-1},    A_1 = 0,    Z_t = z_t z_t',
 
-    dl/dq_ij = G_ij / (d_i d_j)  (i != j),
-    dl/dq_kk = -sum_{j != k} G_kj R_kj / q_kk,
+and dQ_t/dt2 = t1 C_t with C_t = A_{t-1} + t2 C_{t-1}, C_1 = 0. Stage two
+has two parameters, so its score runs forward with the filter instead of
+through an adjoint pass over a stored path: both tangents scan
+(garch._scan) the N(N+1)/2 lower-triangle entries, in row blocks whose
+buffers a fit holds across its evaluations, each scan carrying its last row
+into the next block. With G_t = dl/dR_t (linalg's Gaussian path kernel) and
+d_i = sqrt(q_ii), each block adds
 
-then through the adjoint of the Q filter, which shares theta2 across all
-entries and so runs as one backward scan along time:
+    dl/dtheta_k = sum_{i>=j} w_ij G_ij dQ_ij / (d_i d_j)
+                  - sum_i (dQ_ii / q_ii) sum_j G_ij R_ij,
 
-    Lambda_t = dl/dQ_t + theta2 Lambda_{t+1},    Lambda_T = 0,
-    dl/dtheta1 = sum_t <Lambda_t, Z_{t-1} - Q_bar>,
-    dl/dtheta2 = sum_t <Lambda_t, Q_{t-1} - Q_bar>,
-
-with Z_{t-1} = z_{t-1} z_{t-1}' and sums over t >= 1. Like the filter, the
-adjoint scans only the N(N+1)/2 lower-triangle entries: every matrix here
-is symmetric, so an off-diagonal entry stands for itself and its mirror and
-enters dl/dQ_t with weight 2.
+with w_ij = 1 on the diagonal and 2 off it: every matrix here is
+symmetric, so an off-diagonal entry stands for itself and its mirror.
+dcc_filter runs the same blocks.
 
 The simulator never forms R_t either: the lower Cholesky factor of R_t is
 diag(Q_t)^{-1/2} chol(Q_t) (Engle 2002), so each step factors Q_t, and the
@@ -36,6 +33,7 @@ each block of rows right after that block's Q steps.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,15 +47,15 @@ from .errors import (
     NumericalOverflowError,
     ShapeError,
 )
-from .garch import (
-    MIN_OBS,
-    Garch11Params,
-    _one_pole_adjoint,
-    _sym_one_pole,
-    garch11_filter,
-    garch11_fit,
+from .garch import MIN_OBS, Garch11Params, _scan, garch11_filter, garch11_fit
+from .linalg import (
+    _check_independent,
+    _checked_pd,
+    _factor_into,
+    _path_loglik,
+    _PathBuffers,
+    _tril,
 )
-from .linalg import _check_independent, _checked_pd, _factor_into, _tril, gaussian_path_loglik
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 from .targeting import TargetSpec
 
@@ -158,52 +156,141 @@ def dcc_stage1(panel: ReturnPanel, opts: OptimizerOptions | None = None) -> Stag
     return Stage1Result(params=tuple(fits), std_resid=z, q_bar=q_bar)
 
 
+# Bytes of row-block buffers one stage-two residual set holds, about
+# 8 (6 N^2 + 3 N (N + 1) / 2) a row: a 15 x 500 panel is one block, N = 100
+# 27 rows.
+_STAGE2_BLOCK = 2**24
+
+
+class _Residuals:
+    """Standardized residuals z (T, N), checked once, with the row-block
+    buffers that the stage-two recursion and score write. dcc_fit builds one
+    and passes it as z to every evaluation, so no evaluation allocates
+    anything of size T; a plain array gets one per call."""
+
+    def __init__(self, z: np.ndarray, n: int):
+        z = np.asarray(z, dtype=float)
+        if z.ndim != 2 or z.shape[1] != n:
+            raise ShapeError(f"z must be (T, {n}), got {z.shape}")
+        if z.shape[0] < 1:
+            raise DataError("z has no rows")
+        if not np.all(np.isfinite(z)):
+            raise DataError("z contains non-finite values")
+        self.z, self.tril = z, _tril(n)
+        m = len(self.tril[0])
+        self.flat = self.tril[0] * n + self.tril[1]  # packed entry -> index in a raveled N x N
+        self.diag = np.flatnonzero(self.tril[0] == self.tril[1])  # packed entries (i, i)
+        self.rows = min(len(z), max(1, _STAGE2_BLOCK // (8 * (6 * n * n + 3 * m))))
+        # packed (rows, m): tangents A and C, and Q (scratch of the scans
+        # before it, the score's weights after it)
+        self.a, self.c, self.q = np.empty((3, self.rows, m))
+        self.carry = np.empty((2, m))  # A and C at the row before a block
+        self.qd, self.dinv, self.s, self.s2 = np.empty((4, self.rows, n))
+        self.r = np.zeros((self.rows, n, n))  # R_t's lower triangles; never written above
+        self.work = _PathBuffers(self.rows, n)
+
+    def blocks(self, params: DccParams, tangents: bool):
+        """For each block of rows t0 <= t < t0 + k, in time order, fill the
+        first k rows of q (packed Q_t), r (R_t's lower triangles), qd (the
+        q_ii), dinv (1 / sqrt(q_ii)) and, with ``tangents``, a and c, then
+        yield (t0, k).
+
+        Q_t = q_bar + theta1 A_t and dQ_t/dtheta2 = theta1 C_t, with A and C
+        the module docstring's scans, both 0 at row 0. Each scan carries its
+        last row from block to block; errors name the absolute t."""
+        z, (ri, ci) = self.z, self.tril
+        t1, t2 = params.theta1, params.theta2
+        q_bar = params.q_bar[ri, ci]
+        a_prev, c_prev = self.carry
+        self.carry.fill(0.0)
+        for t0 in range(0, len(z), self.rows):
+            k = min(self.rows, len(z) - t0)
+            a, c, q, r = (b[:k] for b in (self.a, self.c, self.q, self.r))
+            lag = z[max(t0 - 1, 0) : t0 + k - 1]  # z_{t-1}; row 0 has none
+            j = k - len(lag)
+            # every take's indices are in range: mode="clip" only skips the
+            # bounds check, about a quarter of a take's time
+            np.multiply(np.take(lag, ri, axis=1, out=a[j:], mode="clip"),
+                        np.take(lag, ci, axis=1, out=c[j:], mode="clip"), out=a[j:])
+            a[j:] -= q_bar
+            a[:j] = 0.0
+            a[0] += t2 * a_prev
+            _scan(a, t2, q)
+            if tangents:
+                c[1:] = a[:-1]
+                np.multiply(c_prev, t2, out=c[0])
+                c[0] += a_prev
+                _scan(c, t2, q)
+                c_prev[:] = c[-1]
+            a_prev[:] = a[-1]
+            np.multiply(a, t1, out=q)
+            q += q_bar
+            if not math.isfinite(q.sum()):
+                bad = np.flatnonzero(~np.isfinite(q).all(axis=1))
+                if bad.size:
+                    t = t0 + int(bad[0])
+                    raise NumericalOverflowError(
+                        f"quasi-correlation recursion overflowed at t={t}", t=t)
+            qd = np.take(q, self.diag, axis=1, out=self.qd[:k], mode="clip")
+            if not qd.min() > 0.0:
+                t = t0 + int(np.flatnonzero(~(qd > 0.0).all(axis=1))[0])
+                raise NumericalOverflowError(
+                    f"quasi-correlation lost a positive diagonal at t={t}", t=t)
+            dinv = np.divide(1.0, np.sqrt(qd, out=self.dinv[:k]), out=self.dinv[:k])
+            r.reshape(k, -1)[:, self.flat] = q
+            r *= dinv[:, :, None]
+            r *= dinv[:, None, :]
+            np.einsum("tii->ti", r)[:] = 1.0  # exact unit diagonal, not just up to rounding
+            yield t0, k
+
+
 def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
     """Run the quasi-correlation recursion over standardized residuals z,
     starting from Q_1 = q_bar, and rescale to correlations."""
-    z = np.asarray(z, dtype=float)
-    n = params.n
-    if z.ndim != 2 or z.shape[1] != n:
-        raise ShapeError(f"z must be (T, {n}), got {z.shape}")
-    if z.shape[0] < 1:
-        raise DataError("z has no rows")
-    if not np.all(np.isfinite(z)):
-        raise DataError("z contains non-finite values")
-    t1, t2, q_bar = params.theta1, params.theta2, params.q_bar
-    q = _sym_one_pole(z, (1.0 - t1 - t2) * q_bar, t1, t2, q_bar, "quasi-correlation")
-    d = np.sqrt(np.diagonal(q, axis1=1, axis2=2))
-    if np.any(~(d > 0.0)):
-        t = int(np.argwhere(~(d > 0.0))[0][0])
-        raise NumericalOverflowError(
-            f"quasi-correlation lost a positive diagonal at t={t}", t=t
-        )
-    r = q / (d[:, :, None] * d[:, None, :])
-    ii = np.arange(n)
-    r[:, ii, ii] = 1.0  # exact unit diagonal, not just up to rounding
+    res = _Residuals(z, params.n)
+    (t_len, n), (ri, ci) = res.z.shape, res.tril
+    q, r = np.empty((t_len, n, n)), np.empty((t_len, n, n))
+    for t0, k in res.blocks(params, tangents=False):
+        for full, packed in ((q, res.q[:k]), (r, res.r[:k].reshape(k, -1)[:, res.flat])):
+            full[t0 : t0 + k, ri, ci] = full[t0 : t0 + k, ci, ri] = packed
     for a in (r, q):
         a.setflags(write=False)  # so CorrPath keeps them without a copy
     return CorrPath(r=r, q=q)
 
 
 def _dcc_objective(z, params, target, grad):
-    z = np.asarray(z, dtype=float)
-    path = dcc_filter(z, params)
+    res = z if isinstance(z, _Residuals) else _Residuals(z, params.n)
     p = None if target is None else (target.z_hat_pd, target.z_logdet)
+    value = g1 = g2 = 0.0
+    for t0, k in res.blocks(params, tangents=grad):
+        r = res.r[:k]
+        out = _path_loglik(r, res.z[t0 : t0 + k], p, grad, res.work, t0)
+        if not grad:
+            value += out
+            continue
+        value, g = value + out[0], out[1]
+        # dl/dtheta = sum_{i>=j} w_ij G_ij dQ_ij / (d_i d_j)
+        #             - sum_i (dQ_ii / q_ii) sum_j G_ij R_ij,
+        # w_ij = 2 off the diagonal: v, over Q, weighs the packed tangents. R is zero
+        # above the diagonal, so sum_{j != i} G_ij R_ij is the sum of row i
+        # and column i of G o R less 2 G_ii.
+        s = np.einsum("tij,tij->ti", g, r, out=res.s[:k])
+        s += np.einsum("tij,tij->tj", g, r, out=res.s2[:k])
+        g_ii = np.diagonal(g, axis1=1, axis2=2)
+        s -= g_ii
+        s -= g_ii
+        s /= res.qd[:k]
+        dinv = res.dinv[:k]
+        g *= dinv[:, :, None]
+        g *= dinv[:, None, :]
+        v = np.take(g.reshape(k, -1), res.flat, axis=1, out=res.q[:k], mode="clip")
+        v *= 2.0
+        v[:, res.diag] = np.negative(s, out=s)
+        g1 += np.vdot(v, res.a[:k])
+        g2 += np.vdot(v, res.c[:k])
     if not grad:
-        return gaussian_path_loglik(path.r, z, p)
-    value, g = gaussian_path_loglik(path.r, z, p, grad=True)
-    q, rows, cols = path.q, *_tril(params.n)
-    qd = np.diagonal(q, axis1=1, axis2=2)
-    diag = rows == cols
-    gq = 2.0 * g[:, rows, cols] / np.sqrt(qd[:, rows] * qd[:, cols])
-    gr = np.einsum("tij,tij->ti", g, path.r) - np.diagonal(g, axis1=1, axis2=2)
-    gq[:, diag] = -gr / qd
-    lam = _one_pole_adjoint(gq[1:], params.theta2)
-    q_bar = params.q_bar[rows, cols]
-    return value, np.array([
-        np.einsum("tk,tk->", lam, z[:-1, rows] * z[:-1, cols] - q_bar),
-        np.einsum("tk,tk->", lam, q[:-1, rows, cols] - q_bar),
-    ])
+        return value
+    return value, np.array([g1, params.theta1 * g2])
 
 
 def dcc_stage2_loglik(z: np.ndarray, params: DccParams, grad: bool = False):
@@ -242,7 +329,10 @@ def dcc_fit(
         raise ShapeError(f"target must be ({n}, {n}), got {target.z_hat_pd.shape}")
     if stage1 is None:
         stage1 = dcc_stage1(panel, opts=opts)
-    z = stage1.std_resid
+    elif stage1.std_resid.shape != (panel.t_len, n):
+        raise ShapeError(f"stage1 residuals are {stage1.std_resid.shape}, "
+                         f"but the panel is {(panel.t_len, n)}")
+    z = _Residuals(stage1.std_resid, n)  # checked once, buffers held for the fit
     start = DccParams(stage1.params, 0.05, 0.90, stage1.q_bar)  # checked once
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:

@@ -4,11 +4,11 @@ The variance recursion h_t = omega + alpha * eps_{t-1}^2 + beta * h_{t-1}
 is a one-pole linear filter in h. Every such filter in the package runs
 through one scan, _one_pole: stepped in time order for one or two entries
 per step (this recursion and its adjoint), rounding exactly as the naive
-loop does, and of log depth for wider rows, whose rounding differs from the
-loop's within a bound the tests state. BEKK's H_t and DCC's Q_t share one
-symmetric matrix recursion on top of it,
-X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1}, which scans the lower
-triangle and mirrors it.
+loop does, and of log depth for wider rows (_scan, which DCC's row blocks
+also run in place), whose rounding differs from the loop's within a bound
+the tests state. BEKK's H_t runs through a symmetric matrix recursion on top
+of it, X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1}, which scans the
+lower triangle and mirrors it.
 
 The score comes from the adjoint of that filter, which is the same filter
 run backwards in time (Fiorentini, Calzolari & Panattoni 1996): with
@@ -105,7 +105,14 @@ def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
     y = rows.astype(float, order="C")
     if t_len:
         y[0] += coef * prev
-    tmp = np.empty((t_len // 2, width))
+    _scan(y, coef, np.empty((t_len // 2, width)))
+    return y.reshape(x.shape)
+
+
+def _scan(y: np.ndarray, coef, tmp: np.ndarray) -> None:
+    """The odd-even scan of _one_pole in place: y_t += coef * y_{t-1} along
+    axis 0 of the (T, width) array y, whose row 0 already holds its start.
+    ``tmp`` is scratch of at least T // 2 rows of y's width."""
     levels, v, c = [], y, coef
     while len(v) > 1:
         odd = v[1::2]
@@ -115,7 +122,6 @@ def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
     for v, c in reversed(levels):
         even = v[2::2]
         even += np.multiply(c, v[1:-1:2], out=tmp[: len(even)])
-    return y.reshape(x.shape)
 
 
 def _sym_one_pole(

@@ -4,7 +4,9 @@ Every determinant, inverse, and quadratic form here goes through a Cholesky
 factorization. The one path kernel, gaussian_path_loglik, gives a path's
 Gaussian log-likelihood, KL penalty and gradient from one stacked
 factorization; only it forms H_t^{-1}, because the score is written in it,
-as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution.
+as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution. It
+writes every array into buffers (_PathBuffers) that a caller evaluating
+row block after row block of one shape can hold, as DCC's stage two does.
 """
 from __future__ import annotations
 
@@ -197,38 +199,51 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * (cq.logdet - cp.logdet + trace - n)
 
 
-def stacked_cholesky(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cholesky-factor a (T, N, N) stack.
-
-    Returns (lower factors (T, N, N), per-matrix log-determinants (T,)).
-    Raises NotPositiveDefiniteError naming the first offending time index.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ShapeError(f"expected a (T, N, N) stack, got shape {h.shape}")
-    try:
-        lowers = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        for t in range(h.shape[0]):
-            _factor(h[t], f"matrix at time index {t}")
-        raise  # unreachable: the stacked failure must reproduce at some t
-    diags = np.diagonal(lowers, axis1=1, axis2=2)
-    logdets = 2.0 * np.log(diags).sum(axis=1)
-    return lowers, logdets
+def _factor_stack_into(h: np.ndarray, low: np.ndarray, t0: int = 0) -> None:
+    """Write the lower Cholesky factors of the (k, N, N) stack ``h`` into
+    ``low``, the same bits as np.linalg.cholesky(h), which calls the same
+    gufunc and reads only lower triangles. The gufunc signals a matrix it
+    cannot factor as an invalid operation, as np.linalg.cholesky sees it;
+    then NotPositiveDefiniteError names the first such matrix as time index
+    t0 + t."""
+    with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+        try:
+            _umath_linalg.cholesky_lo(h, out=low)
+            return
+        except FloatingPointError:
+            pass
+    for t in range(h.shape[0]):
+        _factor(h[t], f"matrix at time index {t0 + t}")
+    raise np.linalg.LinAlgError("stack not factored")  # unreachable: some t must fail
 
 
-def _lower_inverse(lowers: np.ndarray) -> np.ndarray:
-    """Inverses M of a (T, N, N) stack of lower triangular factors L by forward
-    substitution, row by row across the stack: M_i = (e_i' - L_i,:i M_:i) / L_ii."""
-    m = np.zeros_like(lowers)
-    rdiag = 1.0 / np.diagonal(lowers, axis1=1, axis2=2)
-    for i in range(lowers.shape[1]):
-        if i:
-            row = m[:, i : i + 1, :i]
-            np.matmul(lowers[:, i : i + 1, :i], m[:, :i, :i], out=row)
-            row *= -rdiag[:, i, None, None]
-        m[:, i, i] = rdiag[:, i]
+def _lower_inverse(lowers: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Inverses M of a (T, N, N) stack of lower triangular factors L, written
+    into ``m``, which must be zero above the diagonal, by forward
+    substitution row by row across the stack: the diagonal first, M_ii =
+    1 / L_ii, then M_i,:i = -L_i,:i M_:i,:i / L_ii. Returns ``m``."""
+    rdiag = np.einsum("tii->ti", m)  # a writable view of m's diagonals
+    np.divide(1.0, np.diagonal(lowers, axis1=1, axis2=2), out=rdiag)
+    for i in range(1, lowers.shape[1]):
+        row = m[:, i : i + 1, :i]
+        np.matmul(lowers[:, i : i + 1, :i], m[:, :i, :i], out=row)
+        row *= -rdiag[:, i, None, None]
     return m
+
+
+class _PathBuffers:
+    """Every array the Gaussian path kernel writes, for up to ``rows`` rows
+    of n series: fresh for each gaussian_path_loglik call, or held by a
+    caller that evaluates many row blocks of one shape, so that an
+    evaluation allocates nothing of size T. Only the lower triangles of
+    ``linv`` are ever written; the rest stays zero."""
+
+    def __init__(self, rows: int, n: int):
+        self.low, self.hinv, self.g, self.tmp = (np.empty((rows, n, n)) for _ in range(4))
+        self.linv = np.zeros((rows, n, n))
+        self.hx = np.empty((rows, n, 1))
+        self.xhx = np.empty((rows, n))
+        self.logdets = np.empty(rows)
 
 
 def gaussian_path_loglik(
@@ -250,28 +265,45 @@ def gaussian_path_loglik(
 
         G_t = -1/2 (H_t^{-1} - H_t^{-1} x_t x_t' H_t^{-1})
               - 1/2 (H_t^{-1} - H_t^{-1} P H_t^{-1})   (with a target)
+
+    Only the lower triangles of H_t are read.
     """
-    lowers, logdets = stacked_cholesky(h)
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 3 or h.shape[1] != h.shape[2]:
+        raise ShapeError(f"expected a (T, N, N) stack, got shape {h.shape}")
     x = np.asarray(x, dtype=float)
     if x.shape != h.shape[:2]:
         raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
-    t_len, n = x.shape
-    linv = _lower_inverse(lowers)
-    hinv = np.matmul(np.swapaxes(linv, 1, 2), linv)
-    hx = np.matmul(hinv, x[:, :, None])[:, :, 0]
+    return _path_loglik(h, x, target, grad, _PathBuffers(*x.shape))
+
+
+def _path_loglik(h, x, target, grad, buf: _PathBuffers, t0: int = 0):
+    """gaussian_path_loglik over the k = len(x) rows of a block, every array
+    written into the first k rows of ``buf``; G, with ``grad``, is a view of
+    buf.g, valid until the next call. A matrix that does not factor is
+    named as time index t0 + t."""
+    k, n = x.shape
+    low, linv, hinv, g = (a[:k] for a in (buf.low, buf.linv, buf.hinv, buf.g))
+    _factor_stack_into(h, low, t0)
+    _lower_inverse(low, linv)
+    np.matmul(np.swapaxes(linv, 1, 2), linv, out=hinv)
+    hx = np.matmul(hinv, x[:, :, None], out=buf.hx[:k])[:, :, 0]
+    logdets = np.log(np.diagonal(low, axis1=1, axis2=2), out=buf.xhx[:k]).sum(
+        axis=1, out=buf.logdets[:k])
+    logdets *= 2.0
     ld = float(logdets.sum())
-    value = -0.5 * (ld + float((x * hx).sum()))
+    value = -0.5 * (ld + float(np.multiply(x, hx, out=buf.xhx[:k]).sum()))
     if target is not None:
         p, p_logdet = target
         if p.shape != (n, n):
             raise ShapeError(f"target must be ({n}, {n}), got {p.shape}")
-        trace = float((hinv * p).sum())  # sum_t Tr(H_t^{-1} P)
-        value -= 0.5 * (ld - t_len * p_logdet + trace - t_len * n)
+        trace = float(np.multiply(hinv, p, out=g).sum())  # sum_t Tr(H_t^{-1} P)
+        value -= 0.5 * (ld - k * p_logdet + trace - k * n)
     if not grad:
         return value
-    g = hx[:, :, None] * hx[:, None, :]
-    if target is not None:
-        g += np.matmul(np.matmul(hinv, p), hinv)
+    np.multiply(hx[:, :, None], hx[:, None, :], out=g)
+    if target is not None:  # low, factored and read, is scratch from here
+        g += np.matmul(np.matmul(hinv, p, out=low), hinv, out=buf.tmp[:k])
         hinv *= 2.0
     g -= hinv
     g *= 0.5

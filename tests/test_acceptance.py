@@ -37,7 +37,7 @@ from covtarget import (
 )
 from covtarget.cli import main as cli_main
 from covtarget.data import write_returns_csv
-from covtarget.linalg import stacked_cholesky
+from covtarget.linalg import _factor_stack_into
 
 from conftest import bekk2, random_corr
 
@@ -381,7 +381,7 @@ def test_ac10_invariance_suite():
 
     # every filtered covariance/correlation is PD with the right diagonal
     hpath = bekk_filter(eps, truth, h1)
-    stacked_cholesky(hpath)  # raises if any H_t is not PD
+    _factor_stack_into(hpath, np.empty_like(hpath))  # raises if any H_t is not PD
     rpath = dcc_filter(z, dp)
     ii = np.arange(3)
     unit_diag = bool(np.all(rpath.r[:, ii, ii] == 1.0))

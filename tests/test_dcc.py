@@ -1,3 +1,7 @@
+import resource
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,7 @@ from covtarget import (
 )
 import covtarget.dcc
 import covtarget.garch
+from covtarget.optimize import _unchecked
 
 from conftest import dependent_panel, gaussian_panel
 from tables import CORR15
@@ -200,6 +205,114 @@ class TestLoglik:
         assert penalty > 0.0
 
 
+def blocked(monkeypatch, rows: int, n: int = 3) -> int:
+    """Shrink stage two's block budget to ``rows`` rows of n series; returns
+    the block rows it gives."""
+    m = n * (n + 1) // 2
+    monkeypatch.setattr(covtarget.dcc, "_STAGE2_BLOCK", 8 * (6 * n * n + 3 * m) * rows)
+    return covtarget.dcc._Residuals(np.zeros((10 * rows, n)), n).rows
+
+
+class TestBlocks:
+    """Stage two runs in row blocks of a byte budget; the blocks must not
+    show in the value, the gradient or the rows errors name."""
+
+    @pytest.mark.parametrize("t_len", [1, 2, 4, 5, 6, 22])
+    @pytest.mark.parametrize("delta", [None, 0.3])
+    def test_blocks_match_one_block(self, rng, monkeypatch, t_len, delta):
+        p = dcc3()
+        z = rng.standard_normal((t_len, 3)) + 0.5 * rng.standard_normal((t_len, 1))
+        target = None if delta is None else build_target(
+            sample_moments(dcc_simulate(p, np.zeros(3), 100, seed=3)), delta)
+
+        def evaluate():
+            if target is None:
+                return dcc_stage2_loglik(z, p, grad=True)
+            return dcc_modified_loglik(z, p, target, grad=True)
+
+        one_value, one_grad = evaluate()
+        assert covtarget.dcc._Residuals(z, 3).rows == t_len
+        assert blocked(monkeypatch, 5) == 5  # t_len = 1, 2, b - 1, b, b + 1, 3 b + 7
+        value, grad = evaluate()
+        assert value == pytest.approx(one_value, rel=1e-12)
+        assert np.linalg.norm(grad - one_grad) <= 1e-12 * np.linalg.norm(one_grad)
+        if target is None:
+            assert dcc_stage2_loglik(z, p) == value
+            np.testing.assert_allclose(dcc_filter(z, p).q, naive_filter(z, p, p.q_bar)[0],
+                                       rtol=1e-12, atol=1e-14)
+
+    def test_overflow_in_a_later_block_names_its_row(self, rng, monkeypatch):
+        blocked(monkeypatch, 5)
+        z = rng.standard_normal((22, 3))
+        z[12] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NumericalOverflowError) as ei:
+            dcc_stage2_loglik(z, dcc3(), grad=True)
+        assert ei.value.t == 13
+        assert str(ei.value) == "quasi-correlation recursion overflowed at t=13"
+
+    def test_lost_diagonal_in_a_later_block_names_its_row(self, monkeypatch):
+        # theta1 < 0 (outside the fit's simplex): a large z_12 drives q_00 below zero
+        blocked(monkeypatch, 5)
+        z = np.zeros((22, 3))
+        z[12] = (5.0, 0.0, 0.0)
+        with pytest.raises(NumericalOverflowError) as ei:
+            dcc_stage2_loglik(z, _unchecked(dcc3(), theta1=-0.5), grad=True)
+        assert ei.value.t == 13
+        assert str(ei.value) == "quasi-correlation lost a positive diagonal at t=13"
+
+    def test_indefinite_correlation_in_a_later_block_names_its_row(self, monkeypatch):
+        # theta1 < 0 subtracts z_12 z_12', keeping the diagonal positive
+        # but leaving R_13 indefinite along (1, -1, 0)
+        blocked(monkeypatch, 5)
+        z = np.zeros((22, 3))
+        z[12] = (10.0**0.5, -(10.0**0.5), 0.0)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^matrix at time index 13 is not positive definite \(pivot 1\)$"):
+            dcc_stage2_loglik(z, _unchecked(dcc3(), theta1=-0.1), grad=True)
+
+    def test_memory_does_not_grow_with_rows(self, rng):
+        p = DccParams(univariate=(Garch11Params(0.05, 0.05, 0.9),) * 40, theta1=0.05,
+                      theta2=0.9, q_bar=0.5 * (np.eye(40) + 1.0))
+        peaks = []
+        for t_len in (500, 4000):
+            z = rng.standard_normal((t_len, 40))
+            tracemalloc.start()
+            try:
+                dcc_stage2_loglik(z, p, grad=True)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_a_fit_holds_its_buffers(self, rng):
+        # after the first evaluation, evaluations allocate nothing of size T,
+        # so they page in no fresh memory (at 15 x 500, allocating each
+        # evaluation's arrays anew took about 1,000 minor faults)
+        panel = gaussian_panel(0, t_len=500, n=15)
+        z = rng.standard_normal((500, 15)) + 0.5 * rng.standard_normal((500, 1))
+        s1 = covtarget.dcc.Stage1Result(
+            (Garch11Params(0.05, 0.05, 0.9),) * 15, z, np.corrcoef(z, rowvar=False))
+        target = build_target(sample_moments(panel), 0.5)
+
+        def capture(objective, *args, **kwargs):
+            raise _Captured(objective)
+
+        for tgt in (None, target):
+            with mock.patch.object(covtarget.dcc, "maximize", capture):
+                with pytest.raises(_Captured) as caught:
+                    dcc_fit(panel, target=tgt, stage1=s1)
+            objective = caught.value.args[0]
+            objective(np.array([0.05, 0.9]))
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for theta1 in np.linspace(0.02, 0.08, 10):
+                objective(np.array([theta1, 0.9]))
+            assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults < 100
+
+
+class _Captured(Exception):
+    pass
+
+
 class TestFit:
     def test_recovers_theta(self):
         truth = dcc3(theta1=0.05, theta2=0.90)
@@ -299,6 +412,16 @@ class TestFit:
         with pytest.raises(DataError, match=r"^q_bar is \(numerically\) singular: series DUP "
                            "is a linear combination of the series before it$"):
             dcc_fit(dependent_panel(scale, noise), opts=OptimizerOptions(n_starts=1, seed=0))
+
+    def test_another_panels_stage1_is_refused(self, monkeypatch):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("the fit evaluated an objective")
+
+        monkeypatch.setattr(covtarget.dcc, "maximize", no_evaluation)
+        s1 = dcc_stage1(gaussian_panel(0, t_len=300, n=2), OptimizerOptions(n_starts=1, seed=0))
+        with pytest.raises(ShapeError, match=r"^stage1 residuals are \(300, 2\), "
+                           r"but the panel is \(200, 2\)$"):
+            dcc_fit(gaussian_panel(1, t_len=200, n=2), stage1=s1)
 
     def test_mis_sized_target_fails_before_any_evaluation(self, monkeypatch):
         def no_evaluation(*args, **kwargs):
