@@ -8,13 +8,14 @@ decouples into one scalar one-pole filter per matrix entry:
 
     h_{ij,t} = (CC')_{ij} + a_i a_j e_{ij,t-1} + b_i b_j h_{ij,t-1}
 
-so H_t runs through the lower-triangle recursion shared with DCC
-(garch._sym_one_pole): one scan along time with one pole b_i b_j per
-entry, mirrored to the upper triangle.
+so the N(N+1)/2 lower-triangle entries, packed as the columns of one
+array with H_1 folded into its first row, scan in place along time
+(garch._scan, as DCC's row blocks do) with one pole b_i b_j per entry and
+are mirrored to the upper triangle.
 
-The score runs the same scan backwards. With G_t = dl/dH_t from
-linalg.gaussian_path_loglik (the likelihood term, plus the KL term when a
-target is given), the adjoint
+The score runs the same scan over the rows reversed in time. With
+G_t = dl/dH_t from linalg.gaussian_path_loglik (the likelihood term, plus
+the KL term when a target is given), the adjoint
 
     Lambda_t = G_t + (b b') o Lambda_{t+1},    Lambda_T = 0
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .data import ReturnPanel, _sim_panel
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
-from .garch import _one_pole_adjoint, _sym_one_pole
+from .garch import _scan
 from .linalg import (
     _check_independent, _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik,
 )
@@ -147,11 +148,22 @@ def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarr
     if not np.all(np.isfinite(eps)):
         raise DataError("eps contains non-finite values")
     h1, _ = _checked_pd(h1, n, "h1")
+    rows, cols = _tril(n)
     a, b = params.a_diag, params.b_diag
-    return _sym_one_pole(
-        eps, params.c_lower @ params.c_lower.T, np.outer(a, a), np.outer(b, b),
-        h1, "covariance",
+    pole = b[rows] * b[cols]
+    x = (params.c_lower @ params.c_lower.T)[rows, cols] + a[rows] * a[cols] * (
+        eps[:-1, rows] * eps[:-1, cols]
     )
+    x[:1] += pole * h1[rows, cols]
+    _scan(x, pole, np.empty((len(x) // 2, len(pole))))
+    bad = ~np.isfinite(x).all(axis=1)
+    if bad.any():
+        t = 1 + int(bad.argmax())
+        raise NumericalOverflowError(f"covariance recursion overflowed at t={t}", t=t)
+    h = np.empty((len(eps), n, n))
+    h[0] = h1
+    h[1:, rows, cols] = h[1:, cols, rows] = x
+    return h
 
 
 def _default_h1(eps: np.ndarray) -> np.ndarray:
@@ -170,7 +182,10 @@ def _bekk_objective(eps, params, h1, target, grad):
         return const + gaussian_path_loglik(h, eps, p)
     value, g = gaussian_path_loglik(h, eps, p, grad=True)
     b, (rows, cols) = params.b_diag, _tril(n)
-    lam = _one_pole_adjoint(g[1:, rows, cols], b[rows] * b[cols])
+    # G_t for t = T-1, ..., 1 in C order, which the sums below reduce along
+    lam = np.ascontiguousarray(g[:0:-1, rows, cols])
+    _scan(lam, b[rows] * b[cols], np.empty((len(lam) // 2, len(rows))))
+    lam = lam[::-1]
     sums = np.empty((3, n, n))
     sums[:, rows, cols] = sums[:, cols, rows] = [
         lam.sum(axis=0),

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -187,7 +188,11 @@ class _Residuals:
         self.carry = np.empty((2, m))  # A and C at the row before a block
         self.qd, self.dinv, self.s, self.s2 = np.empty((4, self.rows, n))
         self.r = np.zeros((self.rows, n, n))  # R_t's lower triangles; never written above
-        self.work = _PathBuffers(self.rows, n)
+
+    @cached_property
+    def work(self) -> _PathBuffers:
+        """The path kernel's buffers, built on first use: dcc_filter reads none."""
+        return _PathBuffers(self.rows, self.z.shape[1])
 
     def blocks(self, params: DccParams, tangents: bool):
         """For each block of rows t0 <= t < t0 + k, in time order, fill the

@@ -1,14 +1,11 @@
 """Univariate GARCH(1,1): filtering, Gaussian likelihood, and fitting.
 
 The variance recursion h_t = omega + alpha * eps_{t-1}^2 + beta * h_{t-1}
-is a one-pole linear filter in h. Every such filter in the package runs
-through one scan, _one_pole: stepped in time order for one or two entries
-per step (this recursion and its adjoint), rounding exactly as the naive
-loop does, and of log depth for wider rows (_scan, which DCC's row blocks
-also run in place), whose rounding differs from the loop's within a bound
-the tests state. BEKK's H_t runs through a symmetric matrix recursion on top
-of it, X_t = Omega + L o e_{t-1} e_{t-1}' + P o X_{t-1}, which scans the
-lower triangle and mirrors it.
+is a one-pole linear filter in h. A series steps through _one_pole on
+Python floats, rounding exactly as the naive loop does. The matrix
+recursions of BEKK and DCC run the same filter on every lower-triangle
+entry at once through _scan, an in-place scan of log depth whose rounding
+differs from the loop's within a bound the tests state.
 
 The score comes from the adjoint of that filter, which is the same filter
 run backwards in time (Fiorentini, Calzolari & Panattoni 1996): with
@@ -27,7 +24,6 @@ g_beta - s2 g_omega.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +34,6 @@ from .errors import (
     InsufficientDataError,
     NumericalOverflowError,
 )
-from .linalg import _tril
 from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -74,45 +69,24 @@ class Garch11Params:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
-# Rows of at most this many entries step on Python floats, one entry at a
-# time (~0.1 us per entry and step); wider rows run the odd-even scan, about
-# 4 log2(T) numpy calls at any width. The two break even at three entries.
-_FLOAT_ROW_MAX = 2
-
-
-def _one_pole(x: np.ndarray, coef, init) -> np.ndarray:
-    """y_t = x_t + coef * y_{t-1} along axis 0, from y_{-1} = init. coef and
-    init are scalars or have the shape of one x_t (one pole and one start
-    per entry). Rows of at most _FLOAT_ROW_MAX entries step in time order,
-    bit for bit the naive loop. Wider rows run an odd-even scan (Kogge &
-    Stone 1973; Blelloch 1990): with init folded into row 0, the up-sweep
-    adds each even row, times the pole, into the odd row after it, leaving
-    at level k blocks of 2^k steps with pole coef^(2^k); the down-sweep,
-    coarsest level first, completes each even row from the prefix before it.
-    """
-    t_len, shape = x.shape[0], x.shape[1:]
-    width = math.prod(shape)
-    rows = x.reshape(t_len, width)
-    coef = np.broadcast_to(coef, shape).reshape(width)
-    prev = np.broadcast_to(init, shape).reshape(width).astype(float)
-    if width <= _FLOAT_ROW_MAX:
-        y = np.empty((width, t_len))
-        for y_j, x_j, c, p in zip(
-            y, np.ascontiguousarray(rows.T), coef.tolist(), prev.tolist()
-        ):
-            y_j[:] = [p := v + c * p for v in memoryview(x_j)]
-        return y.T.reshape(x.shape)
-    y = rows.astype(float, order="C")
-    if t_len:
-        y[0] += coef * prev
-    _scan(y, coef, np.empty((t_len // 2, width)))
-    return y.reshape(x.shape)
+def _one_pole(x: np.ndarray, coef: float, init: float) -> np.ndarray:
+    """y_t = x_t + coef * y_{t-1} over the series x, from y_{-1} = init,
+    stepped on Python floats in time order: bit for bit the naive loop."""
+    c, p = float(coef), float(init)
+    return np.array([p := v + c * p for v in x.tolist()], dtype=float)
 
 
 def _scan(y: np.ndarray, coef, tmp: np.ndarray) -> None:
-    """The odd-even scan of _one_pole in place: y_t += coef * y_{t-1} along
-    axis 0 of the (T, width) array y, whose row 0 already holds its start.
-    ``tmp`` is scratch of at least T // 2 rows of y's width."""
+    """y_t += coef * y_{t-1} in place along axis 0 of the (T, width) array
+    y, whose row 0 already holds its start; coef is a scalar or one pole per
+    column, and ``tmp`` is scratch of at least T // 2 rows of y's width.
+
+    An odd-even scan (Kogge & Stone 1973; Blelloch 1990): the up-sweep adds
+    each even row, times the pole, into the odd row after it, leaving at
+    level k blocks of 2^k steps with pole coef^(2^k); the down-sweep,
+    coarsest level first, completes each even row from the prefix before
+    it. About 4 log2(T) numpy calls at any width; it rounds differently
+    from the step-by-step loop, within a bound the tests state."""
     levels, v, c = [], y, coef
     while len(v) > 1:
         odd = v[1::2]
@@ -122,33 +96,6 @@ def _scan(y: np.ndarray, coef, tmp: np.ndarray) -> None:
     for v, c in reversed(levels):
         even = v[2::2]
         even += np.multiply(c, v[1:-1:2], out=tmp[: len(even)])
-
-
-def _sym_one_pole(
-    e: np.ndarray, omega: np.ndarray, load, pole, x1: np.ndarray, what: str
-) -> np.ndarray:
-    """(T, N, N) stack X_0 = x1, X_t = omega + load o e_{t-1} e_{t-1}' +
-    pole o X_{t-1}, with load and pole scalars or (N, N). Only the lower
-    triangles of the matrices are read: that triangle runs through _one_pole
-    and is mirrored. Raises NumericalOverflowError naming the ``what``
-    recursion."""
-    t_len, n = e.shape
-    x = np.empty((t_len, n, n))
-    x[0] = x1
-    rows, cols = _tril(n)
-    load, pole = (np.broadcast_to(v, (n, n))[rows, cols] for v in (load, pole))
-    drive = omega[rows, cols] + load * (e[:-1, rows] * e[:-1, cols])
-    x[1:, rows, cols] = x[1:, cols, rows] = _one_pole(drive, pole, x1[rows, cols])
-    if not np.all(np.isfinite(x)):
-        t = int(np.argwhere(~np.isfinite(x))[0][0])
-        raise NumericalOverflowError(f"{what} recursion overflowed at t={t}", t=t)
-    return x
-
-
-def _one_pole_adjoint(g: np.ndarray, coef) -> np.ndarray:
-    """Adjoint of _one_pole along axis 0: given dL/dy returns dL/dx, the
-    same filter run backwards, lambda_t = g_t + coef * lambda_{t+1}."""
-    return _one_pole(g[::-1], coef, 0.0)[::-1]
 
 
 def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> np.ndarray:
@@ -163,7 +110,7 @@ def garch11_filter(eps: np.ndarray, params: Garch11Params, h1: float) -> np.ndar
     x = params.omega + params.alpha * eps[:-1] ** 2
     h = np.empty_like(eps)
     h[0] = h1
-    h[1:] = _one_pole(x, params.beta, float(h1))
+    h[1:] = _one_pole(x, params.beta, h1)
     if not np.all(np.isfinite(h)):
         t = int(np.flatnonzero(~np.isfinite(h))[0])
         raise NumericalOverflowError(
@@ -190,7 +137,8 @@ def garch11_loglik(
     value = -0.5 * float((_LOG_2PI + np.log(h) + e2 / h).sum())
     if not grad:
         return value
-    lam = _one_pole_adjoint(0.5 * (e2[1:] / h[1:] - 1.0) / h[1:], params.beta)
+    g = 0.5 * (e2[1:] / h[1:] - 1.0) / h[1:]
+    lam = _one_pole(g[::-1], params.beta, 0.0)[::-1]  # the adjoint, run backwards
     return value, np.array([lam.sum(), lam @ e2[:-1], lam @ h[:-1]])
 
 

@@ -17,6 +17,7 @@ from covtarget import (
     bekk_simulate,
     build_target,
     garch11_filter,
+    garch11_loglik,
     kl_divergence,
     maximize,
     sample_moments,
@@ -217,6 +218,19 @@ class TestLoglik:
         assert np.isclose(
             bekk_loglik(eps, p, h1=h1), naive_loglik(eps, p, h1), rtol=1e-12
         )
+
+    def test_one_asset_score_reduces_to_garch(self, rng):
+        # h = c^2 + a^2 e^2 + b^2 h: GARCH's score in (omega, alpha, beta)
+        # times d(c^2, a^2, b^2) / d(c, a, b)
+        c, a, b, h1 = 0.2, 0.3, 0.9, 1.5
+        p = BekkParams(
+            c_lower=np.array([[c]]), a_diag=np.array([a]), b_diag=np.array([b])
+        )
+        eps = rng.standard_normal(200)
+        value, g = bekk_loglik(eps[:, None], p, h1=np.array([[h1]]), grad=True)
+        want, gu = garch11_loglik(eps, Garch11Params(c * c, a * a, b * b), h1, grad=True)
+        assert np.isclose(value, want, rtol=1e-12, atol=0)
+        assert np.allclose(g, 2.0 * np.array([c, a, b]) * gu, rtol=1e-12, atol=0)
 
     def test_default_start_is_sample_covariance(self, rng):
         p = bekk2()

@@ -270,6 +270,16 @@ class TestBlocks:
                            match=r"^matrix at time index 13 is not positive definite \(pivot 1\)$"):
             dcc_stage2_loglik(z, _unchecked(dcc3(), theta1=-0.1), grad=True)
 
+    def test_the_filter_builds_no_kernel_buffers(self, rng):
+        # the path kernel's buffers are built on an objective's first use;
+        # dcc_filter runs the blocks alone
+        res = covtarget.dcc._Residuals(rng.standard_normal((30, 3)), 3)
+        for _ in res.blocks(dcc3(), tangents=False):
+            pass
+        assert "work" not in vars(res)
+        dcc_stage2_loglik(res, dcc3())
+        assert "work" in vars(res)
+
     def test_memory_does_not_grow_with_rows(self, rng):
         p = DccParams(univariate=(Garch11Params(0.05, 0.05, 0.9),) * 40, theta1=0.05,
                       theta2=0.9, q_bar=0.5 * (np.eye(40) + 1.0))

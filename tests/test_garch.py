@@ -7,23 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covtarget import (
+    BekkParams,
     DataError,
     DegenerateSeriesError,
     Garch11Params,
     InsufficientDataError,
     NumericalOverflowError,
     OptimizerOptions,
+    bekk_filter,
     garch11_filter,
     garch11_fit,
     garch11_loglik,
 )
-from covtarget.garch import (
-    _FLOAT_ROW_MAX,
-    MIN_OBS,
-    _one_pole,
-    _one_pole_adjoint,
-    _sym_one_pole,
-)
+from covtarget.garch import MIN_OBS, _one_pole, _scan
+from covtarget.linalg import symmetrize
 
 from conftest import garch11_simulate
 
@@ -196,22 +193,22 @@ MUTANTS = {
 }
 
 
+def scanned(x, coef, init):
+    """_scan over a copy of the (T, width) drive x, with init folded into
+    row 0 as the BEKK filter and DCC's row blocks fold their carries."""
+    y = np.array(x, dtype=float)
+    y[:1] += coef * init
+    _scan(y, coef, np.empty((len(y) // 2, y.shape[1])))
+    return y
+
+
 @st.composite
-def scan_inputs(draw, narrow):
-    """A drive, poles and starts. ``narrow``: a scalar series or a row of
-    one or two entries, the widths stepped on floats; otherwise a row of 3
-    to 24 entries or a stack of square matrices, the widths scanned. Poles
-    are one per entry, and may be negative, or shared; T runs from 0 to 80,
-    through seven scan levels."""
-    if narrow:
-        shape = draw(st.sampled_from([(), (1,), (_FLOAT_ROW_MAX,)]))
-    else:
-        shape = draw(
-            st.one_of(
-                st.tuples(st.integers(_FLOAT_ROW_MAX + 1, 24)),
-                st.integers(2, 5).map(lambda n: (n, n)),
-            )
-        )
+def scan_inputs(draw, series):
+    """A drive, poles and starts. ``series``: a 1-D series with one pole,
+    what _one_pole steps on floats; otherwise rows of 1 to 24 entries, what
+    _scan takes, with one pole per entry, which may be negative, or one
+    shared. T runs from 0 to 80, through seven scan levels."""
+    shape = () if series else (draw(st.integers(1, 24)),)
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
     scale = 10.0 ** draw(st.integers(-8, 2))
     x = rng.standard_normal((draw(st.integers(0, 80)), *shape)) * scale
@@ -223,34 +220,29 @@ def scan_inputs(draw, narrow):
 
 
 @st.composite
-def sym_inputs(draw):
-    """Shocks and symmetric matrices of the BEKK/DCC recursion: one scalar
-    (load, pole) pair as in DCC or one per entry as in BEKK, N from 1 to 6,
-    and T from 1 so the lone-start stack is covered."""
+def bekk_inputs(draw):
+    """Shocks, diagonal BEKK parameters (one pole b_i b_j per entry) and a
+    start symmetric only to rounding, N from 1 to 6 and T from 1 so the
+    lone-start path is covered."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
-    scale = 10.0 ** draw(st.integers(-8, 2))
-    e = rng.standard_normal((draw(st.integers(1, 60)), n)) * np.sqrt(scale)
-
-    def sym():
-        a = rng.standard_normal((n, n))
-        return (a + a.T) * scale
-
-    if draw(st.booleans()):
-        load, pole = float(rng.uniform(0.0, 0.3)), float(rng.uniform(0.0, 0.95))
-    else:
-        a, b = rng.uniform(0.0, 0.5, n), rng.uniform(0.0, 0.95, n)
-        load, pole = np.outer(a, a), np.outer(b, b)
-    return e, sym(), load, pole, sym()
+    root = 10.0 ** (0.5 * draw(st.integers(-8, 2)))
+    e = rng.standard_normal((draw(st.integers(1, 60)), n)) * root
+    c = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(0.1, 1.0, n))
+    params = BekkParams(c * root, rng.uniform(0.0, 0.5, n), rng.uniform(0.0, 0.85, n))
+    w = rng.standard_normal((n, n))
+    h1 = (w @ w.T + np.eye(n)) * root**2
+    h1[np.triu_indices(n, 1)] *= 1.0 + 2.0**-50
+    return e, params, h1
 
 
 class TestOnePoleScan:
     @settings(max_examples=60, deadline=None)
-    @given(scan_inputs(narrow=True))
+    @given(scan_inputs(series=True))
     def test_narrow_rows_match_step_by_step_loop_bit_for_bit(self, case):
         x, coef, init = case
         y = _one_pole(x, coef, init)
-        lam = _one_pole_adjoint(x, coef)
+        lam = _one_pole(x[::-1], coef, 0.0)[::-1]  # garch11_loglik's adjoint
         assert y.shape == lam.shape == x.shape
         want = scan_oracle(x, coef, init).view(np.int64)
         assert np.array_equal(y.view(np.int64), want)
@@ -258,18 +250,16 @@ class TestOnePoleScan:
         assert np.array_equal(lam.view(np.int64), want)
 
     @settings(max_examples=60, deadline=None)
-    @given(scan_inputs(narrow=False))
+    @given(scan_inputs(series=False))
     def test_wide_rows_are_within_the_bound_of_the_exact_sum(self, case):
         x, coef, init = case
-        y = _one_pole(x, coef, init)
-        lam = _one_pole_adjoint(x, coef)
-        assert y.shape == lam.shape == x.shape
-        assert bound_ratio(y, *exact_one_pole(x, coef, init)) <= BOUND_K
-        exact, scale = exact_one_pole(x[::-1], coef, 0.0)
-        assert bound_ratio(lam[::-1], exact, scale) <= BOUND_K
+        assert bound_ratio(scanned(x, coef, init), *exact_one_pole(x, coef, init)) <= BOUND_K
+        # the adjoint, as BEKK's score runs it: the rows reversed, from 0
+        lam = scanned(x[::-1], coef, 0.0)
+        assert bound_ratio(lam, *exact_one_pole(x[::-1], coef, 0.0)) <= BOUND_K
 
     @settings(max_examples=30, deadline=None)
-    @given(scan_inputs(narrow=False))
+    @given(scan_inputs(series=False))
     def test_bound_holds_for_the_step_by_step_loop(self, case):
         x, coef, init = case
         exact, scale = exact_one_pole(x, coef, init)
@@ -288,18 +278,19 @@ class TestOnePoleScan:
             assert bound_ratio(y, exact, scale) > 1e6 * BOUND_K
 
     @settings(max_examples=60, deadline=None)
-    @given(sym_inputs())
+    @given(bekk_inputs())
     def test_symmetric_recursion_is_within_the_bound_of_the_exact_sum(self, case):
-        e, omega, load, pole, x1 = case
-        x = _sym_one_pole(e, omega, load, pole, x1, "test")
-        assert np.array_equal(x[0].view(np.int64), x1.view(np.int64))
+        e, p, h1 = case
+        h = bekk_filter(e, p, h1)
+        assert np.array_equal(h[0].view(np.int64), symmetrize(h1).view(np.int64))
         # the upper triangle mirrors the scanned lower one exactly
-        assert np.array_equal(x.view(np.int64), x.transpose(0, 2, 1).view(np.int64))
-        drive = omega + load * (e[:-1, :, None] * e[:-1, None, :])
+        assert np.array_equal(h.view(np.int64), h.transpose(0, 2, 1).view(np.int64))
+        a, b = p.a_diag, p.b_diag
+        drive = p.c_lower @ p.c_lower.T + np.outer(a, a) * (e[:-1, :, None] * e[:-1, None, :])
         rows, cols = np.tril_indices(e.shape[1])
-        pole = np.broadcast_to(pole, omega.shape)[rows, cols]
-        exact, scale = exact_one_pole(drive[:, rows, cols], pole, x1[rows, cols])
-        assert bound_ratio(x[1:, rows, cols], exact, scale) <= BOUND_K
+        pole = np.outer(b, b)[rows, cols]
+        exact, scale = exact_one_pole(drive[:, rows, cols], pole, h[0][rows, cols])
+        assert bound_ratio(h[1:, rows, cols], exact, scale) <= BOUND_K
 
 
 class TestLoglik:
