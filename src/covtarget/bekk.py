@@ -336,14 +336,20 @@ def _bekk_steps(params: BekkParams, h1: np.ndarray | None):
     """bekk_simulate's step loop: a function ``steps(eta, t0)`` that turns a
     block of shocks eta_t into e_t = L_t eta_t in place, t counted from
     ``t0``, and carries H_t from one block to the next, starting at the
-    checked h1 (by default the implied unconditional covariance)."""
+    checked h1 (by default the implied unconditional covariance).
+
+    The outer product (a o e)(a o e)' is one BLAS product of held (N, 1) and
+    (1, N) views of one held vector, about half the time of a broadcast
+    multiply at N = 15. Each entry is still one IEEE product; only a zero
+    product's sign can differ (BLAS gives +0), and adding CC', whose zeros
+    are +0 (a BLAS product too), gives +0 either way."""
     n = params.n
     h_t, _ = _checked_pd(params.unconditional_cov() if h1 is None else h1, n, "h1")
     cc = params.c_lower @ params.c_lower.T
     a = params.a_diag
     bb = np.outer(params.b_diag, params.b_diag)
     eta_t, ae, arch, low = np.empty(n), np.empty(n), np.empty((n, n)), np.empty((n, n))
-    ae_col = ae[:, None]
+    ae_col, ae_row = ae[:, None], ae[None, :]
 
     # H_t stays exactly symmetric: h1 is symmetrized, and CC', (a o e)(a o e)'
     # and (b b') o H are symmetric entry by entry. Each step updates H_t in
@@ -360,7 +366,7 @@ def _bekk_steps(params: BekkParams, h1: np.ndarray | None):
                 eta_t[:] = e_t
                 np.dot(low, eta_t, out=e_t)
                 np.multiply(a, e_t, out=ae)
-                np.multiply(ae_col, ae, out=arch)
+                np.dot(ae_col, ae_row, arch)
                 np.add(arch, cc, out=arch)
                 np.multiply(h_t, bb, out=h_t)
                 np.add(h_t, arch, out=h_t)

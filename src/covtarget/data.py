@@ -543,14 +543,20 @@ def _render_tables() -> tuple[np.ndarray, np.ndarray]:
 
 def _shortest(x: np.ndarray):
     """Per double of the flat array ``x``: its shortest digits as a 17-digit
-    integer (zeros after the p-th), k, p, and whether repr must render it."""
+    integer (zeros after the p-th), k, p, and whether repr must render it.
+
+    k comes from the binary exponent, not a search of _TENS: 2^e <= |x| <
+    2^(e+1) puts it at floor(e log10 2) or one more, and one comparison
+    with _TENS decides which. (e * 78913) >> 18 is that floor exactly for
+    every exponent a double has."""
     bits = x.view(_U64)
     frac = bits & _U64(2**52 - 1)
     exp = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64)
-    k = np.searchsorted(_TENS, np.abs(x), side="right") + (_KMIN - 1)
+    k = (exp - 1023) * 78913 >> 18
+    k += np.abs(x) >= np.take(_TENS, k + (1 - _KMIN), mode="clip")
     s, t = 16 - k, k + 1059 - exp  # q = exp - 1075; s >= 0, and s <= 27 gives t <= 62
     ok = (exp > 0) & (frac > 0) & (s <= 27) & (t >= 1)
-    f = _POW5[np.clip(s, 0, 27)]
+    f = np.take(_POW5, s, mode="clip")
     t = np.clip(t, 1, 62).astype(_U64)
     hi, lo = _mul128(frac | _U64(2**52), f)  # Z·2^t = m·5^s
     z, r = hi << (_U64(64) - t) | lo >> t, lo & (_U64(1) << t) - _U64(1)  # Z = z + r/2^t
@@ -582,29 +588,36 @@ def _render_rows(rows: np.ndarray, dates: np.ndarray) -> str:
     x = np.ascontiguousarray(rows, dtype=float).ravel()
     c, k, p, fallback = _shortest(x)
     digits4, layouts = _render_tables()
-    src = np.empty((x.size, 32), np.uint8)
-    src[:, :15] = np.frombuffer(_SOURCE, np.uint8)
-    head, tail = c // _POW10[8], c % _POW10[8]
-    src[:, 15] = head // _POW10[8] + _U64(ord("0"))
-    words = src.view(np.uint32)
-    for col, part in (4, head % _POW10[8]), (6, tail):
-        words[:, col] = digits4[part // _U64(10**4)]
-        words[:, col + 1] = digits4[part % _U64(10**4)]
+    # Each temporary is dropped once used: the gather's index alone is 200
+    # bytes a value, and what is held beside it sets the peak RSS.
+    src = np.tile(np.frombuffer(_SOURCE.ljust(32, b"\0"), np.uint8), (x.size, 1))
+    head, tail = np.divmod(c, _POW10[8])
+    top, head = np.divmod(head, _POW10[8])
+    np.add(top, ord("0"), out=src[:, 15], casting="unsafe")
+    groups = np.empty((x.size, 4), np.uint32)  # the last 16 digits, four at a time
+    for col, part in (0, head), (2, tail):
+        np.divmod(part.astype(np.uint32), np.uint32(10**4),
+                  out=(groups[:, col], groups[:, col + 1]))
+    src.view(np.uint32)[:, 4:] = np.take(digits4, groups)
+    del c, head, tail, top, groups
     # clipped only for the values repr renders, whose k and p mean nothing
     key = (x.view(_U64) >> _U64(63)).astype(np.intp) * (_KMAX - _KMIN + 1)
     key = (key + np.clip(k, _KMIN, _KMAX) - _KMIN) * 17 + np.clip(p, 1, 17) - 1
+    del k, p
     index = np.take(layouts, key, axis=0)
+    del key
     index += np.arange(0, src.size, 32)[:, None]
     text = np.empty((t_len, 11 + n * _CELL), np.uint8)
     text[:, :10] = dates.view(np.uint8).reshape(t_len, 10)
     text[:, -1] = ord("\n")
     cells = text[:, 10:-1].reshape(t_len, n, _CELL)
     np.take(src.ravel(), index.reshape(cells.shape), out=cells)
+    del index, src
     at = np.flatnonzero(fallback)
     if at.size:
         reprs = "".join(("," + repr(v)).ljust(_CELL, "\0") for v in x[at].tolist())
         cells[at // n, at % n] = np.frombuffer(reprs.encode(), np.uint8).reshape(-1, _CELL)
-    return text[text != 0].tobytes().decode("ascii")
+    return text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_returns_csv(panel: ReturnPanel, path: str | Path) -> None:

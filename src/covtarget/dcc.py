@@ -255,9 +255,13 @@ def dcc_filter(z: np.ndarray, params: DccParams) -> CorrPath:
     res = _Residuals(z, params.n)
     (t_len, n), (ri, ci) = res.z.shape, res.tril
     q, r = np.empty((t_len, n, n)), np.empty((t_len, n, n))
+    upper = np.triu(np.ones((n, n), bool), 1)
     for t0, k in res.blocks(params, tangents=False):
-        for full, packed in ((q, res.q[:k]), (r, res.r[:k].reshape(k, -1)[:, res.flat])):
-            full[t0 : t0 + k, ri, ci] = full[t0 : t0 + k, ci, ri] = packed
+        q[t0 : t0 + k, ri, ci] = q[t0 : t0 + k, ci, ri] = res.q[:k]
+        # R's block buffer holds its lower triangle: copy it, then mirror it
+        # above the diagonal, copies only, so a -0.0 keeps its sign
+        r[t0 : t0 + k] = res.r[:k]
+        np.copyto(r[t0 : t0 + k], res.r[:k].transpose(0, 2, 1), where=upper)
     for a in (r, q):
         a.setflags(write=False)  # so CorrPath keeps them without a copy
     return CorrPath(r=r, q=q)
@@ -368,13 +372,23 @@ def _dcc_steps(params: DccParams):
     """dcc_simulate's step loop: a function ``steps(eta, t0)`` that turns a
     block of shocks eta_t into e_t = D_t z_t in place, t counted from
     ``t0``, and carries Q_t and the GARCH variances h_t from one block to
-    the next, starting at Q_1 = q_bar and the unconditional variances."""
+    the next, starting at Q_1 = q_bar and the unconditional variances.
+
+    z_t is computed into a held vector and copied into its row, so that the
+    outer product z z' is one BLAS product of held (N, 1) and (1, N) views
+    of it, about half the time of a broadcast multiply at N = 15; each entry
+    is still one IEEE product, though a zero one is always +0. Q_t and z z'
+    are held as one (2, N, N) stack, which one multiply by [theta2; theta1]
+    scales; every sum keeps its order."""
     n = params.n
-    q_t = params.q_bar.copy()
     t1, t2 = params.theta1, params.theta2
     intercept = (1.0 - t1 - t2) * params.q_bar
-    low, outer = np.empty((2, n, n))
-    s, lz = np.empty((2, n))
+    stack, low = np.empty((2, n, n)), np.empty((n, n))
+    q_t, outer = stack
+    q_t[:] = params.q_bar
+    thetas = np.repeat([t2, t1], n * n).reshape(2, n, n)  # whole: broadcasting is slower
+    s, lz, z_t = np.empty((3, n))
+    z_col, z_row = z_t[:, None], z_t[None, :]
     q_diag = q_t.reshape(-1)[:: n + 1]
     omega, alpha, beta = np.array([(p.omega, p.alpha, p.beta) for p in params.univariate]).T
     # the GARCH variances at the first row of the next block
@@ -390,16 +404,16 @@ def _dcc_steps(params: DccParams):
         c, h = np.empty((k, n)), np.empty((k + 1, n))
         h[0] = h0
         with np.errstate(all="ignore"):
-            for t, z_t in enumerate(z, t0):
+            for t, row in enumerate(z, t0):
                 if not _factor_into(q_t, low):
                     raise NumericalOverflowError(
                         f"simulated correlation lost positive definiteness at t={t}", t=t
                     )
-                np.divide(np.dot(low, z_t, lz), np.sqrt(q_diag, s), z_t)
-                np.multiply(z_t[:, None], z_t, outer)
-                np.multiply(outer, t1, outer)
+                np.divide(np.dot(low, row, lz), np.sqrt(q_diag, s), z_t)
+                row[:] = z_t
+                np.dot(z_col, z_row, outer)
+                np.multiply(stack, thetas, stack)
                 np.add(outer, intercept, outer)
-                np.multiply(q_t, t2, q_t)
                 np.add(q_t, outer, q_t)
             np.multiply(alpha, np.square(z, c), c)
             c += beta

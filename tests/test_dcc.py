@@ -117,6 +117,16 @@ class TestFilter:
         assert np.allclose(path.r, r, rtol=1e-12, atol=1e-14)
         assert np.array_equal(path.q, path.q.transpose(0, 2, 1))
 
+    def test_r_is_symmetric_to_the_bit(self, rng):
+        # with theta1 = 0 and -0.0 in q_bar, R_t has signed zeros below the
+        # diagonal; the mirror above it must keep their signs
+        q_bar = QBAR3.copy()
+        q_bar[0, 1] = q_bar[1, 0] = -0.0
+        p = DccParams(univariate=dcc3().univariate, theta1=0.0, theta2=0.9, q_bar=q_bar)
+        r = dcc_filter(rng.standard_normal((50, 3)), p).r
+        assert np.signbit(r[:, 1, 0]).any()
+        assert np.array_equal(r.view(np.uint64), r.transpose(0, 2, 1).view(np.uint64))
+
     def test_unit_diagonal_exact(self, rng):
         p = dcc3()
         path = dcc_filter(rng.standard_normal((40, 3)), p)

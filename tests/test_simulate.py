@@ -5,7 +5,7 @@ block at a time, against them.
 The package's simulators update their state in place, in buffers allocated
 once per call. The loops below allocate every intermediate afresh and keep
 the same order of operations, so both must give the same panel bit for
-bit: the comparison is np.array_equal, with no tolerance. dcc_simulate
+bit: the comparison is of the IEEE bits, with no tolerance. dcc_simulate
 factors Q_t rather than R_t, so its loop does too; dcc_simulate_r_loop
 keeps the model's textbook form, factoring R_t, and the two agree to
 rounding.
@@ -22,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from covtarget import (
@@ -50,6 +50,9 @@ SETTINGS = settings(max_examples=60, deadline=None)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(1, 6)
+# numpy may hand an (N, 1) x (1, N) product to another BLAS kernel as N
+# grows; the step loops' bit-for-bit checks reach past N = 15, mc15's size
+wide_sizes = st.integers(1, 16)
 lengths = st.integers(2, 300)
 
 
@@ -119,6 +122,20 @@ def dcc_simulate_r_loop(params, mu, t_len, seed):
     return eps + mu, kappa
 
 
+def simulator15(kind):
+    """bekk_simulate or dcc_simulate, with the 15-asset parameters of a
+    persistent, correlated market."""
+    rng = np.random.default_rng(15)
+    n = 15
+    if kind == "bekk":
+        return bekk_simulate, BekkParams(
+            c_lower=0.1 * np.linalg.cholesky(random_corr(rng, n)),
+            a_diag=np.full(n, 0.3), b_diag=np.full(n, 0.9))
+    g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
+    return dcc_simulate, DccParams(univariate=(g,) * n, theta1=0.05, theta2=0.9,
+                                   q_bar=random_corr(rng, n))
+
+
 @st.composite
 def persistences(draw, n):
     """(x, y) arrays with x, y >= 0 and x + y < 1 entry by entry."""
@@ -128,7 +145,7 @@ def persistences(draw, n):
 
 
 @st.composite
-def bekk_cases(draw):
+def bekk_cases(draw, sizes=sizes):
     n = draw(sizes)
     rng = np.random.default_rng(draw(seeds))
     scale = 10.0 ** draw(st.integers(-3, 1))
@@ -145,7 +162,7 @@ def bekk_cases(draw):
 
 
 @st.composite
-def dcc_cases(draw):
+def dcc_cases(draw, sizes=sizes):
     n = draw(sizes)
     rng = np.random.default_rng(draw(seeds))
     alpha, beta = draw(persistences(n))
@@ -158,20 +175,33 @@ def dcc_cases(draw):
     return params, rng.standard_normal(n) * 0.01
 
 
+def same_bits(a, b) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# a_2 = 0 makes (a o e)(a o e)' zero in row and column 2, +0 or -0 by the
+# signs of e, and a diagonal C makes CC' zero off its diagonal
+ZERO_ARCH = BekkParams(c_lower=np.diag(np.linspace(0.01, 0.02, 5)),
+                       a_diag=np.array([0.3, 0.2, 0.0, 0.25, 0.3]), b_diag=np.full(5, 0.9))
+
+
 @SETTINGS
-@given(bekk_cases(), lengths, seeds)
+@given(bekk_cases(wide_sizes), lengths, seeds)
+@example((simulator15("bekk")[1], np.zeros(15), None), 300, 0)
+@example((ZERO_ARCH, np.zeros(5), None), 300, 0)
 def test_bekk_simulate_matches_the_loop(case, t_len, seed):
     params, mu, h1 = case
     panel = bekk_simulate(params, mu, t_len, seed, h1=h1)
-    assert np.array_equal(panel.returns, bekk_simulate_loop(params, mu, t_len, seed, h1))
+    assert same_bits(panel.returns, bekk_simulate_loop(params, mu, t_len, seed, h1))
 
 
 @SETTINGS
-@given(dcc_cases(), lengths, seeds)
+@given(dcc_cases(wide_sizes), lengths, seeds)
+@example((simulator15("dcc")[1], np.zeros(15)), 300, 0)
 def test_dcc_simulate_matches_the_loop(case, t_len, seed):
     params, mu = case
     panel = dcc_simulate(params, mu, t_len, seed)
-    assert np.array_equal(panel.returns, dcc_simulate_loop(params, mu, t_len, seed))
+    assert same_bits(panel.returns, dcc_simulate_loop(params, mu, t_len, seed))
 
 
 @SETTINGS
@@ -276,20 +306,6 @@ def test_finite_panel_with_bad_labels_is_a_data_error():
     )
     with pytest.raises(DataError, match="duplicate series labels"):
         dcc_simulate(params, np.zeros(2), 50, 0, labels=("A", "A"))
-
-
-def simulator15(kind):
-    """bekk_simulate or dcc_simulate, with the 15-asset parameters of a
-    persistent, correlated market."""
-    rng = np.random.default_rng(15)
-    n = 15
-    if kind == "bekk":
-        return bekk_simulate, BekkParams(
-            c_lower=0.1 * np.linalg.cholesky(random_corr(rng, n)),
-            a_diag=np.full(n, 0.3), b_diag=np.full(n, 0.9))
-    g = Garch11Params(omega=1e-5, alpha=0.05, beta=0.9)
-    return dcc_simulate, DccParams(univariate=(g,) * n, theta1=0.05, theta2=0.9,
-                                   q_bar=random_corr(rng, n))
 
 
 @pytest.mark.parametrize("kind", ["bekk", "dcc"])
