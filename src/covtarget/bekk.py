@@ -11,11 +11,12 @@ decouples into one scalar one-pole filter per matrix entry:
 so the N(N+1)/2 lower-triangle entries, packed as the columns of one
 array with H_1 folded into its first row, scan in place along time
 (garch._scan, as DCC's row blocks do) with one pole b_i b_j per entry and
-are mirrored to the upper triangle.
+are mirrored to the upper triangle. A fit checks eps and H_1 once, into a
+_Returns that holds every buffer an evaluation writes (dcc._Residuals too).
 
 The score runs the same scan over the rows reversed in time. With
-G_t = dl/dH_t from linalg.gaussian_path_loglik (the likelihood term, plus
-the KL term when a target is given), the adjoint
+G_t = dl/dH_t from linalg._path_loglik (the likelihood term, plus the KL
+term when a target is given), the adjoint
 
     Lambda_t = G_t + (b b') o Lambda_{t+1},    Lambda_T = 0
 
@@ -30,6 +31,7 @@ symmetric, so an off-diagonal entry stands for itself and its mirror: weight
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from .data import ReturnPanel, _sim_panel
 from .errors import DataError, InsufficientDataError, NumericalOverflowError, ShapeError
 from .garch import _scan
 from .linalg import (
-    _check_independent, _checked_pd, _factor_into, _tril, cholesky, gaussian_path_loglik,
+    _check_independent, _checked_pd, _checked_rows, _factor_into, _path_loglik, _PathBuffers,
+    _tril, cholesky,
 )
 from .optimize import (
     FitReport,
@@ -136,34 +139,46 @@ def _vector_fields(x: np.ndarray, n: int) -> dict:
     return dict(c_lower=c, a_diag=x[m : m + n], b_diag=x[m + n :])
 
 
+class _Returns:
+    """Demeaned returns eps (T, N) and H_1 (by default their sample
+    covariance), checked once, with the packed products e_{i,t-1} e_{j,t-1}
+    and the buffers the filter and score write. bekk_fit passes one as eps
+    to every evaluation; a plain array gets one per call."""
+
+    def __init__(self, eps: np.ndarray, n: int, h1: np.ndarray | None):
+        self.eps = eps = _checked_rows(eps, n, "eps")
+        self.tril = rows, cols = _tril(n)
+        self.h1, _ = _checked_pd(_default_h1(eps) if h1 is None else h1, n, "h1")
+        self.lagged = eps[:-1, rows] * eps[:-1, cols]
+        self.drive = np.empty_like(self.lagged)  # the filter's packed x_t
+        self.scratch = np.empty((len(self.lagged) // 2, len(rows)))
+        self.h = np.empty((len(eps), n, n))  # the path; H_1 never changes
+        self.h[0] = self.h1
+
+    @cached_property
+    def work(self) -> _PathBuffers:
+        """The path kernel's buffers, built on first use: bekk_filter reads none."""
+        return _PathBuffers(*self.eps.shape)
+
+
 def bekk_filter(eps: np.ndarray, params: BekkParams, h1: np.ndarray) -> np.ndarray:
     """Run the covariance recursion from H_1 = h1 over demeaned returns eps;
-    returns the (T, N, N) path, every slice symmetric PD by construction."""
-    eps = np.asarray(eps, dtype=float)
-    n = params.n
-    if eps.ndim != 2 or eps.shape[1] != n:
-        raise ShapeError(f"eps must be (T, {n}), got {eps.shape}")
-    if eps.shape[0] < 1:
-        raise DataError("eps has no rows")
-    if not np.all(np.isfinite(eps)):
-        raise DataError("eps contains non-finite values")
-    h1, _ = _checked_pd(h1, n, "h1")
-    rows, cols = _tril(n)
+    returns the (T, N, N) path, every slice symmetric PD by construction.
+    A _Returns as eps brings its own H_1 and holds the path it returns."""
+    res = eps if isinstance(eps, _Returns) else _Returns(eps, params.n, h1)
+    rows, cols = res.tril
     a, b = params.a_diag, params.b_diag
     pole = b[rows] * b[cols]
-    x = (params.c_lower @ params.c_lower.T)[rows, cols] + a[rows] * a[cols] * (
-        eps[:-1, rows] * eps[:-1, cols]
-    )
-    x[:1] += pole * h1[rows, cols]
-    _scan(x, pole, np.empty((len(x) // 2, len(pole))))
+    x = np.multiply(res.lagged, a[rows] * a[cols], out=res.drive)
+    x += (params.c_lower @ params.c_lower.T)[rows, cols]
+    x[:1] += pole * res.h1[rows, cols]
+    _scan(x, pole, res.scratch)
     bad = ~np.isfinite(x).all(axis=1)
     if bad.any():
         t = 1 + int(bad.argmax())
         raise NumericalOverflowError(f"covariance recursion overflowed at t={t}", t=t)
-    h = np.empty((len(eps), n, n))
-    h[0] = h1
-    h[1:, rows, cols] = h[1:, cols, rows] = x
-    return h
+    res.h[1:, rows, cols] = res.h[1:, cols, rows] = x
+    return res.h
 
 
 def _default_h1(eps: np.ndarray) -> np.ndarray:
@@ -171,25 +186,24 @@ def _default_h1(eps: np.ndarray) -> np.ndarray:
 
 
 def _bekk_objective(eps, params, h1, target, grad):
-    eps = np.asarray(eps, dtype=float)
-    if h1 is None:
-        h1 = _default_h1(eps)
-    h = bekk_filter(eps, params, h1)
-    t_len, n = eps.shape
+    res = eps if isinstance(eps, _Returns) else _Returns(eps, params.n, h1)
+    h = bekk_filter(res, params, None)
+    t_len, n = res.eps.shape
     const = -0.5 * t_len * n * _LOG_2PI
     p = None if target is None else (target.sigma_hat, target.sigma_logdet)
+    out = _path_loglik(h, res.eps, p, grad, res.work)
     if not grad:
-        return const + gaussian_path_loglik(h, eps, p)
-    value, g = gaussian_path_loglik(h, eps, p, grad=True)
-    b, (rows, cols) = params.b_diag, _tril(n)
+        return const + out
+    value, g = out
+    b, (rows, cols) = params.b_diag, res.tril
     # G_t for t = T-1, ..., 1 in C order, which the sums below reduce along
     lam = np.ascontiguousarray(g[:0:-1, rows, cols])
-    _scan(lam, b[rows] * b[cols], np.empty((len(lam) // 2, len(rows))))
+    _scan(lam, b[rows] * b[cols], res.scratch)
     lam = lam[::-1]
     sums = np.empty((3, n, n))
     sums[:, rows, cols] = sums[:, cols, rows] = [
         lam.sum(axis=0),
-        np.einsum("tk,tk->k", lam, eps[:-1, rows] * eps[:-1, cols]),
+        np.einsum("tk,tk->k", lam, res.lagged),
         np.einsum("tk,tk->k", lam, h[:-1, rows, cols]),
     ]
     s, m, k = sums
@@ -200,12 +214,8 @@ def _bekk_objective(eps, params, h1, target, grad):
     ])
 
 
-def bekk_loglik(
-    eps: np.ndarray,
-    params: BekkParams,
-    h1: np.ndarray | None = None,
-    grad: bool = False,
-):
+def bekk_loglik(eps: np.ndarray, params: BekkParams, h1: np.ndarray | None = None,
+                grad: bool = False):
     """Gaussian log-likelihood
     -(T N / 2) log(2 pi) - 1/2 sum_t (log|H_t| + eps_t' H_t^{-1} eps_t).
 
@@ -214,13 +224,8 @@ def bekk_loglik(
     return _bekk_objective(eps, params, h1, None, grad)
 
 
-def bekk_modified_loglik(
-    eps: np.ndarray,
-    params: BekkParams,
-    target: TargetSpec,
-    h1: np.ndarray | None = None,
-    grad: bool = False,
-):
+def bekk_modified_loglik(eps: np.ndarray, params: BekkParams, target: TargetSpec,
+                         h1: np.ndarray | None = None, grad: bool = False):
     """Gaussian log-likelihood minus the targeting penalty
     sum_t KL(sigma_hat, H_t); ``grad`` as in bekk_loglik."""
     return _bekk_objective(eps, params, h1, target, grad)
@@ -315,7 +320,7 @@ def bekk_fit(
         )
     s = _default_h1(eps)
     _check_independent(s, "sample covariance", range(n))
-    h1 = s if h1 is None else _checked_pd(h1, n, "h1")[0]
+    res = _Returns(eps, n, s if h1 is None else h1)  # checked once, buffers held for the fit
     if target is not None and target.sigma_hat.shape != (n, n):
         raise ShapeError(f"target must be ({n}, {n}), got {target.sigma_hat.shape}")
     a0, b0 = 0.3, 0.9
@@ -325,8 +330,8 @@ def bekk_fit(
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
         p = _unchecked(start, **_vector_fields(x, n))
         if target is None:
-            return bekk_loglik(eps, p, h1=h1, grad=True)
-        return bekk_modified_loglik(eps, p, target, h1=h1, grad=True)
+            return bekk_loglik(res, p, grad=True)
+        return bekk_modified_loglik(res, p, target, grad=True)
 
     x, report = maximize(objective, _BekkTransform(n), start.to_vector(), opts)
     return BekkParams.from_vector(x, n), report

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_int
 from .errors import DataError
 from .linalg import check_correlation, symmetrize
 
@@ -125,7 +126,7 @@ def cut_tree(dend: Dendrogram, k: int) -> np.ndarray:
     Cluster ids are 0..k-1, numbered by each cluster's smallest leaf.
     """
     n = dend.n
-    if not (1 <= k <= n):
+    if check_int(k, "k", 1) > n:
         raise DataError(f"k must be in [1, {n}], got {k}")
     members = {leaf: [leaf] for leaf in range(n)}
     for new, (a, b, _) in enumerate(dend.merges[: n - k], start=n):

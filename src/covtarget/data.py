@@ -368,9 +368,9 @@ def load_panel(path: str | Path) -> ReturnPanel:
         return ReturnPanel(labels=labels, returns=values, dates=dates)
     if np.any(values <= 0.0):
         t, j = map(int, np.argwhere(values <= 0.0)[0])
-        raise DataError(f"non-positive price for {labels[j]} on {dates[t]}")
+        raise DataError(f"{path}: non-positive price for {labels[j]} on {dates[t]}")
     if len(dates) < 2:
-        raise InsufficientDataError("need at least two price rows to form returns")
+        raise InsufficientDataError(f"{path}: need at least two price rows to form returns")
     returns = np.log(values[1:] / values[:-1])
     returns.setflags(write=False)
     return ReturnPanel(labels=labels, returns=returns, dates=dates[1:])

@@ -52,6 +52,7 @@ from .garch import MIN_OBS, Garch11Params, _scan, garch11_filter, garch11_fit
 from .linalg import (
     _check_independent,
     _checked_pd,
+    _checked_rows,
     _factor_into,
     _path_loglik,
     _PathBuffers,
@@ -170,18 +171,11 @@ class _Residuals:
     anything of size T; a plain array gets one per call."""
 
     def __init__(self, z: np.ndarray, n: int):
-        z = np.asarray(z, dtype=float)
-        if z.ndim != 2 or z.shape[1] != n:
-            raise ShapeError(f"z must be (T, {n}), got {z.shape}")
-        if z.shape[0] < 1:
-            raise DataError("z has no rows")
-        if not np.all(np.isfinite(z)):
-            raise DataError("z contains non-finite values")
-        self.z, self.tril = z, _tril(n)
+        self.z, self.tril = _checked_rows(z, n, "z"), _tril(n)
         m = len(self.tril[0])
         self.flat = self.tril[0] * n + self.tril[1]  # packed entry -> index in a raveled N x N
         self.diag = np.flatnonzero(self.tril[0] == self.tril[1])  # packed entries (i, i)
-        self.rows = min(len(z), max(1, _STAGE2_BLOCK // (8 * (6 * n * n + 3 * m))))
+        self.rows = min(len(self.z), max(1, _STAGE2_BLOCK // (8 * (6 * n * n + 3 * m))))
         # packed (rows, m): tangents A and C, and Q (scratch of the scans
         # before it, the score's weights after it)
         self.a, self.c, self.q = np.empty((3, self.rows, m))

@@ -34,7 +34,7 @@ from .errors import (
     InsufficientDataError,
     NumericalOverflowError,
 )
-from .optimize import FitReport, OptimizerOptions, _SimplexTransform, maximize
+from .optimize import FitReport, OptimizerOptions, _SimplexTransform, _unchecked, maximize
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -167,14 +167,17 @@ def garch11_fit(
     if var == 0.0:
         raise DegenerateSeriesError("series has zero variance")
 
-    def params_at(x: np.ndarray) -> Garch11Params:
+    def fields(x: np.ndarray) -> dict:
         alpha, beta = float(x[0]), float(x[1])
-        return Garch11Params(omega=var * (1.0 - alpha - beta), alpha=alpha, beta=beta)
+        return dict(omega=var * (1.0 - alpha - beta), alpha=alpha, beta=beta)
+
+    x0 = np.array([0.05, 0.90])
+    start = Garch11Params(**fields(x0))  # checked once
 
     def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = garch11_loglik(eps, params_at(x), h1=var, grad=True)
+        value, g = garch11_loglik(eps, _unchecked(start, **fields(x)), h1=var, grad=True)
         return value, g[1:] - var * g[0]
 
-    x, report = maximize(objective, _SimplexTransform(), np.array([0.05, 0.90]), opts)
-    return params_at(x), report
+    x, report = maximize(objective, _SimplexTransform(), x0, opts)
+    return Garch11Params(**fields(x)), report
 

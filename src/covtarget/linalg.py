@@ -1,12 +1,13 @@
 """Symmetric-matrix kernels used by the likelihood and loss code.
 
 Every determinant, inverse, and quadratic form here goes through a Cholesky
-factorization. The one path kernel, gaussian_path_loglik, gives a path's
-Gaussian log-likelihood, KL penalty and gradient from one stacked
-factorization; only it forms H_t^{-1}, because the score is written in it,
-as L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution. It
-writes every array into buffers (_PathBuffers) that a caller evaluating
-row block after row block of one shape can hold, as DCC's stage two does.
+factorization. The one path kernel, _path_loglik, gives a path's Gaussian
+log-likelihood, KL penalty and gradient from one stacked factorization;
+only it forms H_t^{-1}, because the score is written in it, as
+L_t^{-T} L_t^{-1} with L_t^{-1} found by forward substitution. It writes
+every array into buffers (_PathBuffers) that the models' checked inputs
+hold across a fit's evaluations: BEKK's whole path, DCC's stage two row
+block after row block.
 """
 from __future__ import annotations
 
@@ -160,6 +161,19 @@ def _checked_pd(m: np.ndarray, n: int, what: str) -> tuple[np.ndarray, CholFacto
     return a, _factor(a, f"{what}: matrix")
 
 
+def _checked_rows(x: np.ndarray, n: int, what: str) -> np.ndarray:
+    """``x`` as a float (T, n) array of at least one row, all finite; errors
+    name ``what``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ShapeError(f"{what} must be (T, {n}), got {x.shape}")
+    if x.shape[0] < 1:
+        raise DataError(f"{what} has no rows")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{what} contains non-finite values")
+    return x
+
+
 def nearest_pd(m: np.ndarray) -> np.ndarray:
     """Eigenvalue-clipped positive definite repair.
 
@@ -233,10 +247,9 @@ def _lower_inverse(lowers: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 class _PathBuffers:
     """Every array the Gaussian path kernel writes, for up to ``rows`` rows
-    of n series: fresh for each gaussian_path_loglik call, or held by a
-    caller that evaluates many row blocks of one shape, so that an
-    evaluation allocates nothing of size T. Only the lower triangles of
-    ``linv`` are ever written; the rest stays zero."""
+    of n series, held by a caller that evaluates many paths or row blocks
+    of one shape, so that an evaluation allocates nothing of size T. Only
+    the lower triangles of ``linv`` are ever written; the rest stays zero."""
 
     def __init__(self, rows: int, n: int):
         self.low, self.hinv, self.g, self.tmp = (np.empty((rows, n, n)) for _ in range(4))
@@ -246,14 +259,9 @@ class _PathBuffers:
         self.logdets = np.empty(rows)
 
 
-def gaussian_path_loglik(
-    h: np.ndarray,
-    x: np.ndarray,
-    target: tuple[np.ndarray, float] | None = None,
-    grad: bool = False,
-):
-    """Gaussian kernel of a (T, N, N) covariance stack against (T, N)
-    vectors, optionally penalized by a target given as the pair
+def _path_loglik(h, x, target, grad, buf: _PathBuffers, t0: int = 0):
+    """Gaussian kernel of a (k, N, N) covariance stack against (k, N)
+    vectors x, optionally penalized by a target given as the pair
     (P, log|P|), P symmetric PD as targeting.TargetSpec checks it:
 
         value = -1/2 sum_t (log|H_t| + x_t' H_t^{-1} x_t) - sum_t KL(P, H_t)
@@ -266,22 +274,10 @@ def gaussian_path_loglik(
         G_t = -1/2 (H_t^{-1} - H_t^{-1} x_t x_t' H_t^{-1})
               - 1/2 (H_t^{-1} - H_t^{-1} P H_t^{-1})   (with a target)
 
-    Only the lower triangles of H_t are read.
+    Only the lower triangles of H_t are read. Every array is written into
+    the first k rows of ``buf``: G is a view of buf.g, valid until the next
+    call. A matrix that does not factor is named as time index t0 + t.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 3 or h.shape[1] != h.shape[2]:
-        raise ShapeError(f"expected a (T, N, N) stack, got shape {h.shape}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != h.shape[:2]:
-        raise ShapeError(f"vectors {x.shape} do not match stack {h.shape}")
-    return _path_loglik(h, x, target, grad, _PathBuffers(*x.shape))
-
-
-def _path_loglik(h, x, target, grad, buf: _PathBuffers, t0: int = 0):
-    """gaussian_path_loglik over the k = len(x) rows of a block, every array
-    written into the first k rows of ``buf``; G, with ``grad``, is a view of
-    buf.g, valid until the next call. A matrix that does not factor is
-    named as time index t0 + t."""
     k, n = x.shape
     low, linv, hinv, g = (a[:k] for a in (buf.low, buf.linv, buf.hinv, buf.g))
     _factor_stack_into(h, low, t0)

@@ -23,6 +23,7 @@ from covtarget import (
     sample_moments,
 )
 import covtarget.bekk
+from covtarget.bekk import _Returns
 from covtarget.optimize import simplex_map
 
 from conftest import bekk2, dependent_panel, gaussian_panel, random_spd
@@ -265,6 +266,53 @@ class TestLoglik:
         ll = bekk_loglik(eps, p, h1=h1)
         ll_perm = bekk_loglik(eps[:, perm], p_perm, h1=pm @ h1 @ pm.T)
         assert np.isclose(ll, ll_perm, rtol=1e-10, atol=1e-8)
+
+
+class TestCheckedReturns:
+    """bekk_fit checks its returns and h1 once into a _Returns and evaluates
+    the public objectives on it: the same bits as a plain array."""
+
+    @staticmethod
+    def objective(penalized):
+        panel = bekk_simulate(bekk2(), np.zeros(2), 120, seed=6)
+        target = build_target(sample_moments(panel), 0.3)
+
+        def f(eps, p, grad, h1=None):
+            if penalized:
+                return bekk_modified_loglik(eps, p, target, h1=h1, grad=grad)
+            return bekk_loglik(eps, p, h1=h1, grad=grad)
+
+        return panel.demeaned(), f
+
+    @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
+    def test_a_holder_gives_the_plain_array_bits(self, rng, penalized):
+        eps, f = self.objective(penalized)
+        p, h1 = bekk2(), random_spd(rng, 2, scale=0.2)
+        for start in (h1, None):
+            res = _Returns(eps, 2, start)
+            value, g = f(eps, p, True, h1=start)
+            held_value, held_g = f(res, p, True)
+            assert held_value == value and np.array_equal(held_g, g)
+            assert f(res, p, False) == f(eps, p, False, h1=start) == value
+
+    @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalized"])
+    def test_held_buffers_carry_nothing_between_evaluations(self, penalized):
+        eps, f = self.objective(penalized)
+        p1 = bekk2()
+        p2 = BekkParams(c_lower=0.5 * p1.c_lower, a_diag=[0.1, 0.2], b_diag=[0.95, 0.7])
+        res = _Returns(eps, 2, None)
+        value, g = f(res, p1, True)
+        f(res, p2, True)
+        f(res, p2, False)
+        again, g_again = f(res, p1, True)
+        assert again == value and np.array_equal(g_again, g)
+        assert np.array_equal(bekk_filter(res, p1, None), bekk_filter(eps, p1, res.h1))
+
+    def test_plain_filters_return_distinct_paths(self, rng):
+        eps, p, h1 = rng.standard_normal((30, 2)), bekk2(), np.eye(2)
+        first, second = bekk_filter(eps, p, h1), bekk_filter(eps, p, h1)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
 
 
 class TestFit:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,14 @@ class TestCutTree:
             cut_tree(dend, 0)
         with pytest.raises(DataError):
             cut_tree(dend, 6)
+
+    @pytest.mark.parametrize("k", [2.0, True, np.float64(2.0), "2"])
+    def test_k_must_be_an_integer(self, k):
+        # a float once failed inside a slice, and True cut into one cluster
+        dend = complete_linkage(corr_distance(CORR5), LABELS5)
+        with pytest.raises(DataError, match=f"^k must be an integer >= 1, got {re.escape(repr(k))}$"):
+            cut_tree(dend, k)
+        assert cut_tree(dend, np.int64(2)).tolist() == cut_tree(dend, 2).tolist()
 
     @given(d=tied_distances())
     @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -109,8 +110,10 @@ class TestLoadPrices:
 
     def test_rejects_nonpositive_price(self, tmp_path):
         bad = "date,AA\n2020-01-02,0.0\n"
-        with pytest.raises(DataError, match="non-positive price"):
-            load_panel(write(tmp_path, "p.csv", bad))
+        path = write(tmp_path, "p.csv", bad)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: non-positive price "
+                           "for AA on 2020-01-02$"):
+            load_panel(path)
 
     def test_rejects_duplicate_labels(self, tmp_path):
         bad = "date,AA,AA\n2020-01-02,1.0,2.0\n"
@@ -428,10 +431,10 @@ class TestLogReturns:
         assert np.allclose(rebuilt, prices[1:], rtol=1e-12)
 
     def test_needs_two_rows(self, tmp_path):
-        with pytest.raises(
-            InsufficientDataError, match="need at least two price rows to form returns"
-        ):
-            load_panel(write(tmp_path, "p.csv", "date,A\n2020-01-02,1.0\n"))
+        path = write(tmp_path, "p.csv", "date,A\n2020-01-02,1.0\n")
+        with pytest.raises(InsufficientDataError, match=f"^{re.escape(str(path))}: "
+                           "need at least two price rows to form returns$"):
+            load_panel(path)
 
 
 class TestReturnPanel:
@@ -814,9 +817,9 @@ def reference_outcome(path, header: str, rows: list[str], returns: bool):
         for date, values in parsed:
             for label, v in zip(labels, values):
                 if v <= 0.0:
-                    return DataError, f"non-positive price for {label} on {date}"
+                    return DataError, f"{path}: non-positive price for {label} on {date}"
         if len(parsed) < 2:
-            return InsufficientDataError, "need at least two price rows to form returns"
+            return InsufficientDataError, f"{path}: need at least two price rows to form returns"
         x, dates = np.log(x[1:] / x[:-1]), dates[1:]
     return labels, dates, x.shape, x.tobytes()
 

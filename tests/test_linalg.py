@@ -19,10 +19,16 @@ from covtarget.linalg import (
     _factor_stack_into,
     _check_independent,
     _lower_inverse,
-    gaussian_path_loglik,
+    _path_loglik,
+    _PathBuffers,
 )
 
 from conftest import random_spd
+
+
+def gaussian_path_loglik(h, x, target=None, grad=False):
+    """The Gaussian path kernel over the whole of h and x, in fresh buffers."""
+    return _path_loglik(h, x, target, grad, _PathBuffers(*x.shape))
 
 
 def factor_stack(h, t0=0):
@@ -390,7 +396,7 @@ def test_lower_inverse_matches_general_inverse(lowers):
 
 
 def inverse_path_loglik(h, x, p=None):
-    """gaussian_path_loglik's value and G, written with np.linalg.inv."""
+    """The path kernel's value and G, written with np.linalg.inv."""
     t_len, n = x.shape
     hinv = np.linalg.inv(h)
     hx = np.einsum("tij,tj->ti", hinv, x)

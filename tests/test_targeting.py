@@ -19,6 +19,7 @@ from covtarget import (
     sample_moments,
     threshold_correlation,
 )
+from covtarget.bekk import _Returns
 from covtarget.linalg import cholesky
 
 from conftest import bekk2, gaussian_panel, random_corr
@@ -158,7 +159,8 @@ class TestTargetSpec:
 def test_penalized_evaluations_do_not_refactor_the_target(monkeypatch):
     # The target was factored when it was built: an evaluation of the
     # penalized BEKK objective factors only its h1, and of DCC nothing, and
-    # a whole fit checks only the target's order.
+    # a whole fit checks only the target's order. A BEKK fit checks h1 once,
+    # into the _Returns it evaluates on, which factors nothing again.
     factored = []
     factor = covtarget.linalg._factor
     monkeypatch.setattr(covtarget.linalg, "_factor",
@@ -178,8 +180,16 @@ def test_penalized_evaluations_do_not_refactor_the_target(monkeypatch):
         factored.clear()
         dcc_modified_loglik(z, dcc, dcc_target, grad=grad)
         assert factored == []
+        held = _Returns(eps, 2, np.cov(eps.T))
+        factored.clear()
+        bekk_modified_loglik(held, bekk, bekk_target, grad=grad)
+        assert factored == []
     opts = OptimizerOptions(n_starts=1, seed=0)
+    for h1 in (None, np.cov(bekk_panel.demeaned().T)):
+        factored.clear()
+        bekk_fit(bekk_panel.demeaned(), target=bekk_target, opts=opts, h1=h1)
+        assert factored.count("h1: matrix") == 1
+        assert not [what for what in factored if "target" in what]
     factored.clear()
-    bekk_fit(bekk_panel.demeaned(), target=bekk_target, opts=opts)
     dcc_fit(dcc_panel, target=dcc_target, opts=opts)
     assert factored and not [what for what in factored if "target" in what]
